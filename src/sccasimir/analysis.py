@@ -6,18 +6,16 @@ synthetic-sweep generation for end-to-end testing.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import least_squares
 
-from .errors import FitError, ParseError
+from .errors import FitError
 from .membrane import SweepRecord, gradient_from_dw2
-from .physcore import CONSTANTS, Basis, ConversionFactors, MembraneSpec
+from .physcore import CONSTANTS, Basis, ConversionFactors, MembraneSpec, read_csv
 
 __all__ = [
     "CalibratedResiduals",
@@ -198,26 +196,7 @@ def dynes_conductance(V: float, p: DynesParams) -> float:
 
 def load_dynes_csv(path) -> list[tuple[float, float]]:
     """Read ``V_volt,G_arb`` conductance data."""
-    path = Path(path)
-    out = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError(f"{path.name} is empty", line=1) from None
-        if header != ["V_volt", "G_arb"]:
-            raise ParseError(f"expected header V_volt,G_arb, got {header!r}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                out.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                raise ParseError(f"bad row {row!r}", line=lineno) from None
-    if not out:
-        raise ParseError(f"{path.name} contains no data rows", line=2)
-    return out
+    return [values for _, values in read_csv(path, ("V_volt", "G_arb"))]
 
 
 def dynes_fit(points, T: float, max_nfev: int = 400) -> DynesParams:
@@ -321,6 +300,7 @@ class SweepReport:
     gradient_jump: float          # Pa/m
     gradient_sigma: float
     conversion: FemConversion | None
+    point_conversions: tuple      # FemConversion per differential row; () without factors
 
 
 def sweep_pipeline(small_records, big_records, window, m: MembraneSpec,
@@ -330,7 +310,9 @@ def sweep_pipeline(small_records, big_records, window, m: MembraneSpec,
 
     The headline jump is the plain mean of the differential residual over
     temperatures above the fit window; its uncertainty is the mean of the
-    combined per-point uncertainties.
+    combined per-point uncertainties.  With ``factors``, the headline jump
+    and every differential row are converted to force, pressure, and
+    deflection.
     """
     small = calibrate_thermal(small_records, window)
     big = calibrate_thermal(big_records, window)
@@ -342,11 +324,16 @@ def sweep_pipeline(small_records, big_records, window, m: MembraneSpec,
     sig = float(np.mean([s for _, _, s in above]))
     gradient = gradient_from_dw2(dw2, m)
     gradient_sigma = abs(gradient_from_dw2(sig, m))
-    conv = None
-    if factors is not None:
-        shift = dw2 if factors.basis is Basis.ANGULAR_SQUARED else dw2 / (4.0 * math.pi ** 2)
-        conv = convert_fem(shift, factors)
+
+    def convert(shift: float) -> FemConversion:
+        # the differential is in (rad/s)^2; d(omega^2) = 4 pi^2 d(f^2)
+        if factors.basis is not Basis.ANGULAR_SQUARED:
+            shift = shift / (4.0 * math.pi ** 2)
+        return convert_fem(shift, factors)
+
     return SweepReport(small=small, big=big, differential=tuple(diff),
                        dw2_jump=dw2, dw2_sigma=sig,
                        gradient_jump=gradient, gradient_sigma=gradient_sigma,
-                       conversion=conv)
+                       conversion=None if factors is None else convert(dw2),
+                       point_conversions=() if factors is None
+                       else tuple(convert(v) for _, v, _ in diff))

@@ -5,20 +5,22 @@ rendering: 9 significant digits for CSV, 4 for tables), echoes its
 resolved parameters as ``#`` header lines for provenance, and is
 byte-deterministic for identical inputs.
 
-Exit codes: 0 success, 2 usage error, 3 unreadable or malformed input,
-4 non-convergence of the Matsubara sum.
+Exit codes: 0 success, 2 usage error or invalid option value, 3
+unreadable or malformed input file or configuration value, 4
+non-convergence of the Matsubara sum.  Every failure prints one
+``error:`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import os
-import sys
+import statistics
 from dataclasses import replace
 
 import click
 
-from . import analysis, experiments, membrane
+from . import __version__, analysis, experiments, membrane
 from .errors import ConvergenceError, FitError, ParseError
 from .lifshitz import (
     LifshitzSpec,
@@ -34,12 +36,12 @@ from .lifshitz import (
 )
 from .permittivity import bcs, drude, plasma
 from .physcore import (
-    CONSTANTS,
     SuperconductorParams,
     big_gap_membrane,
     conversion_from_config,
     membrane_from_config,
     read_config,
+    read_csv,
     small_gap_membrane,
     superconductor_from_config,
     _SC_KEYS,
@@ -53,19 +55,9 @@ _format_option = click.option(
     show_default=True, help="Output rendering.")
 
 
-def _fail_input(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(3)
-
-
 def _load_config(config_path: str | None) -> dict:
     path = config_path or os.environ.get(_CONFIG_ENV)
-    if not path:
-        return {}
-    try:
-        return read_config(path)
-    except (OSError, ParseError) as exc:
-        _fail_input(str(exc))
+    return read_config(path) if path else {}
 
 
 def _sc_params(config: dict, omega, gamma0, rrr, tc) -> SuperconductorParams:
@@ -81,10 +73,7 @@ def _sc_params(config: dict, omega, gamma0, rrr, tc) -> SuperconductorParams:
 
 def _membrane_spec(preset: str, membrane_config: str | None):
     if membrane_config is not None:
-        try:
-            return membrane_from_config(read_config(membrane_config))
-        except (OSError, ParseError) as exc:
-            _fail_input(str(exc))
+        return membrane_from_config(read_config(membrane_config))
     return small_gap_membrane() if preset == "small" else big_gap_membrane()
 
 
@@ -115,6 +104,28 @@ def _sc_header(p: SuperconductorParams):
             ("RRR", repr(p.RRR)), ("Tc_K", repr(p.Tc))]
 
 
+def _spec(command, d, temperature, model, approach, config_path, omega, gamma0,
+          rrr, tc, rel_tol, term_stop, max_matsubara) -> LifshitzSpec:
+    """Resolve one Lifshitz evaluation and echo it as the ``#`` header."""
+    params = _sc_params(_load_config(config_path), omega, gamma0, rrr, tc)
+    spec = LifshitzSpec(d=d, T=temperature, model=_MODELS[model](params),
+                        approach=ZeroFreqApproach(approach),
+                        quad=_quad_config(rel_tol, term_stop, max_matsubara))
+    _echo_header([("command", command), ("d_m", repr(d)), ("T_K", repr(temperature)),
+                  ("model", model), ("approach", approach)] + _sc_header(params))
+    return spec
+
+
+_approach_option = click.option(
+    "--approach", type=click.Choice([a.value for a in ZeroFreqApproach]),
+    default="plasma-bcs", show_default=True)
+
+_model_options = [
+    click.option("--model", type=click.Choice(sorted(_MODELS)), default="bcs",
+                 show_default=True),
+    _approach_option,
+]
+
 _sc_options = [
     click.option("--config", "config_path", type=click.Path(), default=None,
                  help=f"Flat key=value file; ${_CONFIG_ENV} is used when unset."),
@@ -133,6 +144,12 @@ _quad_options = [
                  help="Hard cap on the Matsubara index."),
 ]
 
+_membrane_options = [
+    click.option("--membrane", "preset", type=click.Choice(["small", "big"]),
+                 default="small", show_default=True),
+    click.option("--membrane-config", type=click.Path(), default=None),
+]
+
 
 def _add_options(options):
     def wrap(func):
@@ -142,8 +159,32 @@ def _add_options(options):
     return wrap
 
 
-@click.group()
-@click.version_option(package_name="sccasimir")
+# the values these commands reject come from the sweep data they read or
+# write, so a rejected value is bad input (3) rather than a usage error (2)
+_DATA_COMMANDS = ("sweep", "generate-sweep")
+
+
+class _Main(click.Group):
+    """Maps the package's errors to the documented exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConvergenceError as exc:
+            code, message = 4, str(exc)
+        except FitError as exc:
+            code, message = 3, f"fit failed: {exc}"
+        except (OSError, ParseError) as exc:
+            code, message = 3, str(exc)
+        except ValueError as exc:
+            code = 3 if ctx.invoked_subcommand in _DATA_COMMANDS else 2
+            message = str(exc)
+        click.echo(f"error: {message}", err=True)
+        ctx.exit(code)
+
+
+@click.group(cls=_Main)
+@click.version_option(__version__)
 def main():
     """Casimir pressures between superconducting plates and the membrane
     calibration pipeline."""
@@ -152,10 +193,7 @@ def main():
 @main.command()
 @click.option("--d", type=float, required=True, help="Plate separation, m.")
 @click.option("--t", "--T", "temperature", type=float, default=None, help="Temperature, K.")
-@click.option("--model", type=click.Choice(sorted(_MODELS)), default="bcs",
-              show_default=True)
-@click.option("--approach", type=click.Choice([a.value for a in ZeroFreqApproach]),
-              default="plasma-bcs", show_default=True)
+@_add_options(_model_options)
 @click.option("--ideal", is_flag=True,
               help="Perfect-conductor force from geometry (needs --area or --radius).")
 @click.option("--area", type=float, default=None, help="Plate area for --ideal, m^2.")
@@ -166,9 +204,8 @@ def main():
 @_add_options(_sc_options)
 @_add_options(_quad_options)
 @_format_option
-def pressure(d, temperature, model, approach, ideal, area, radius, ideal_zero_t,
-             skip_exponent, config_path, omega, gamma0, rrr, tc,
-             rel_tol, term_stop, max_matsubara, fmt):
+def pressure(d, temperature, ideal, area, radius, ideal_zero_t, skip_exponent, fmt,
+             **spec_options):
     """Casimir pressure, gradient, and local power-law exponent."""
     if ideal:
         if (area is None) == (radius is None):
@@ -180,27 +217,17 @@ def pressure(d, temperature, model, approach, ideal, area, radius, ideal_zero_t,
         _emit_rows([("ideal_force", ideal_casimir_force(geometry), "N")], fmt)
         return
     if ideal_zero_t:
-        hbar_c = CONSTANTS.hbar_Js * CONSTANTS.c
-        value = -math.pi ** 2 * hbar_c / (240.0 * d ** 4)
+        value = -ideal_casimir_force(PlatePlate(1.0, d))
         _echo_header([("command", "pressure --ideal-zero-t"), ("d_m", repr(d))])
         _emit_rows([("ideal_pressure", value, "Pa")], fmt)
         return
     if temperature is None:
         raise click.UsageError("--t is required unless --ideal/--ideal-zero-t")
-    params = _sc_params(_load_config(config_path), omega, gamma0, rrr, tc)
-    spec = LifshitzSpec(d=d, T=temperature, model=_MODELS[model](params),
-                        approach=ZeroFreqApproach(approach),
-                        quad=_quad_config(rel_tol, term_stop, max_matsubara))
-    _echo_header([("command", "pressure"), ("d_m", repr(d)), ("T_K", repr(temperature)),
-                  ("model", model), ("approach", approach)] + _sc_header(params))
-    try:
-        rows = [("pressure", casimir_pressure(spec), "Pa"),
-                ("pressure_gradient", casimir_pressure_gradient(spec), "Pa/m")]
-        if not skip_exponent:
-            rows.append(("local_exponent", local_exponent(spec), ""))
-    except ConvergenceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(4)
+    spec = _spec("pressure", d, temperature, **spec_options)
+    rows = [("pressure", casimir_pressure(spec), "Pa"),
+            ("pressure_gradient", casimir_pressure_gradient(spec), "Pa/m")]
+    if not skip_exponent:
+        rows.append(("local_exponent", local_exponent(spec), ""))
     _emit_rows(rows, fmt)
 
 
@@ -209,26 +236,12 @@ def _single_value_command(name, evaluator, doc):
     @click.option("--d", type=float, required=True, help="Plate separation, m.")
     @click.option("--t", "--T", "temperature", type=float, required=True,
                   help="Temperature, K.")
-    @click.option("--model", type=click.Choice(sorted(_MODELS)), default="bcs",
-                  show_default=True)
-    @click.option("--approach", type=click.Choice([a.value for a in ZeroFreqApproach]),
-                  default="plasma-bcs", show_default=True)
+    @_add_options(_model_options)
     @_add_options(_sc_options)
     @_add_options(_quad_options)
     @_format_option
-    def command(d, temperature, model, approach, config_path, omega, gamma0, rrr, tc,
-                rel_tol, term_stop, max_matsubara, fmt):
-        params = _sc_params(_load_config(config_path), omega, gamma0, rrr, tc)
-        spec = LifshitzSpec(d=d, T=temperature, model=_MODELS[model](params),
-                            approach=ZeroFreqApproach(approach),
-                            quad=_quad_config(rel_tol, term_stop, max_matsubara))
-        _echo_header([("command", name), ("d_m", repr(d)), ("T_K", repr(temperature)),
-                      ("model", model), ("approach", approach)] + _sc_header(params))
-        try:
-            _emit_rows(evaluator(spec), fmt)
-        except ConvergenceError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(4)
+    def command(d, temperature, fmt, **spec_options):
+        _emit_rows(evaluator(_spec(name, d, temperature, **spec_options)), fmt)
     return command
 
 
@@ -247,13 +260,10 @@ _single_value_command(
               help="Plate separation, m.")
 @click.option("--dt", "--dT", "dt", type=float, default=0.1, show_default=True,
               help="Half-width of the temperature bracket, K.")
-@click.option("--approach", type=click.Choice([a.value for a in ZeroFreqApproach]),
-              default="plasma-bcs", show_default=True)
+@_approach_option
 @click.option("--all", "all_approaches", is_flag=True,
               help="Evaluate all three prescriptions.")
-@click.option("--membrane", "preset", type=click.Choice(["small", "big"]),
-              default="small", show_default=True)
-@click.option("--membrane-config", type=click.Path(), default=None)
+@_add_options(_membrane_options)
 @click.option("--f0", type=float, default=None,
               help="Resonance frequency for the predicted shift, Hz "
                    "(defaults to the membrane fundamental).")
@@ -278,15 +288,11 @@ def jump(d, dt, approach, all_approaches, preset, membrane_config, f0,
                   ("membrane", preset if membrane_config is None else membrane_config)]
                  + _sc_header(params))
     rows = []
-    try:
-        for ap in approaches:
-            value = tc_jump(d, tc_value, dt, ap, params, quad_cfg)
-            df = membrane.predicted_frequency_jump(value, spec_m, f0)
-            rows.append((f"gradient_jump[{ap.value}]", value, "Pa/m"))
-            rows.append((f"frequency_shift[{ap.value}]", df, "Hz"))
-    except ConvergenceError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(4)
+    for ap in approaches:
+        value = tc_jump(d, tc_value, dt, ap, params, quad_cfg)
+        df = membrane.predicted_frequency_jump(value, spec_m, f0)
+        rows.append((f"gradient_jump[{ap.value}]", value, "Pa/m"))
+        rows.append((f"frequency_shift[{ap.value}]", df, "Hz"))
     _emit_rows(rows, fmt)
 
 
@@ -297,9 +303,7 @@ def jump(d, dt, approach, all_approaches, preset, membrane_config, f0,
               help="Big-gap reference sweep CSV.")
 @click.option("--window", nargs=2, type=float, required=True,
               help="Fit window (lo hi), K; must sit below the transition.")
-@click.option("--membrane", "preset", type=click.Choice(["small", "big"]),
-              default="small", show_default=True)
-@click.option("--membrane-config", type=click.Path(), default=None)
+@_add_options(_membrane_options)
 @click.option("--factors-config", type=click.Path(), default=None,
               help="FEM conversion factors (key=value file).")
 @click.option("--combine", type=click.Choice(["add", "quadrature"]), default="add",
@@ -310,23 +314,13 @@ def jump(d, dt, approach, all_approaches, preset, membrane_config, f0,
 def sweep(small_path, big_path, window, preset, membrane_config, factors_config,
           combine, out_path, fmt):
     """Run the calibrate/subtract/convert pipeline on two sweep files."""
-    try:
-        small_records = membrane.load_sweep_csv(small_path)
-        big_records = membrane.load_sweep_csv(big_path)
-    except (OSError, ParseError) as exc:
-        _fail_input(str(exc))
+    small_records = membrane.load_sweep_csv(small_path)
+    big_records = membrane.load_sweep_csv(big_path)
     spec_m = _membrane_spec(preset, membrane_config)
-    factors = None
-    if factors_config is not None:
-        try:
-            factors = conversion_from_config(read_config(factors_config))
-        except (OSError, ParseError) as exc:
-            _fail_input(str(exc))
-    try:
-        report = analysis.sweep_pipeline(small_records, big_records, tuple(window),
-                                         spec_m, factors=factors, combine=combine)
-    except ValueError as exc:
-        _fail_input(str(exc))
+    factors = (None if factors_config is None
+               else conversion_from_config(read_config(factors_config)))
+    report = analysis.sweep_pipeline(small_records, big_records, tuple(window),
+                                     spec_m, factors=factors, combine=combine)
 
     _echo_header([
         ("command", "sweep"), ("small", small_path), ("big", big_path),
@@ -347,16 +341,12 @@ def sweep(small_path, big_path, window, preset, membrane_config, factors_config,
     small_by_t = {t: (v, s) for t, v, s in report.small.records}
     lines = ["T_K,dw2_small,sigma_small,dw2_casimir,sigma_casimir,"
              "dPprime_Pa_per_m,dF_N,dP_Pa,dz_m"]
-    for t, dw2, sig in report.differential:
+    for (t, dw2, sig), conv in itertools.zip_longest(report.differential,
+                                                     report.point_conversions):
         dw2_small, sig_small = small_by_t[t]
         gradient = membrane.gradient_from_dw2(dw2, spec_m)
-        if factors is not None:
-            shift = dw2 if factors.basis.value == "angular-squared" \
-                else dw2 / (4.0 * math.pi ** 2)
-            conv = analysis.convert_fem(shift, factors)
-            extra = f",{conv.dF:.8e},{conv.dP:.8e},{conv.dz:.8e}"
-        else:
-            extra = ",nan,nan,nan"
+        extra = (",nan,nan,nan" if conv is None
+                 else f",{conv.dF:.8e},{conv.dP:.8e},{conv.dz:.8e}")
         lines.append(f"{t:.8e},{dw2_small:.8e},{sig_small:.8e},{dw2:.8e},"
                      f"{sig:.8e},{gradient:.8e}" + extra)
     text = "\n".join(lines) + "\n"
@@ -386,9 +376,7 @@ def sweep(small_path, big_path, window, preset, membrane_config, factors_config,
 @click.option("--t-max", type=float, default=14.675, show_default=True)
 @click.option("--n-points", type=int, default=31, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--membrane", "preset", type=click.Choice(["small", "big"]),
-              default="small", show_default=True)
-@click.option("--membrane-config", type=click.Path(), default=None)
+@_add_options(_membrane_options)
 def generate_sweep_cmd(out_path, slope, intercept, jump_dw2, jump_gradient, tc_step,
                        noise_f, t_min, t_max, n_points, seed, preset, membrane_config):
     """Write a deterministic synthetic sweep CSV for pipeline tests."""
@@ -404,10 +392,7 @@ def generate_sweep_cmd(out_path, slope, intercept, jump_dw2, jump_gradient, tc_s
     grid = tuple(t_min + i * (t_max - t_min) / (n_points - 1) for i in range(n_points))
     truth = analysis.SweepTruth(slope=slope, intercept=intercept, jump=jump_dw2,
                                 Tc=tc_step, noise_f=noise_f, grid=grid)
-    try:
-        records = analysis.generate_sweep(truth, seed=seed)
-    except ValueError as exc:
-        _fail_input(str(exc))
+    records = analysis.generate_sweep(truth, seed=seed)
     # full float precision: these files round-trip through the pipeline
     with_sigma = noise_f > 0.0
     lines = ["T_K,f_Hz,sigma_f_Hz" if with_sigma else "T_K,f_Hz"]
@@ -422,34 +407,13 @@ def generate_sweep_cmd(out_path, slope, intercept, jump_dw2, jump_gradient, tc_s
 @main.command("lcpd-fit")
 @click.option("--csv", "csv_path", type=click.Path(), required=True,
               help="Voltage sweep CSV with header V_volt,f_Hz.")
-@click.option("--membrane", "preset", type=click.Choice(["small", "big"]),
-              default="small", show_default=True)
-@click.option("--membrane-config", type=click.Path(), default=None)
+@_add_options(_membrane_options)
 @_format_option
 def lcpd_fit_cmd(csv_path, preset, membrane_config, fmt):
     """Fit the electrostatic parabola: compensation voltage, stress, density."""
-    import csv as csv_mod
     spec_m = _membrane_spec(preset, membrane_config)
-    points = []
-    try:
-        with open(csv_path, newline="", encoding="utf-8") as fh:
-            reader = csv_mod.reader(fh)
-            header = [h.strip() for h in next(reader, [])]
-            if header != ["V_volt", "f_Hz"]:
-                raise ParseError(f"expected header V_volt,f_Hz, got {header!r}", line=1)
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                try:
-                    points.append((float(row[0]), float(row[1])))
-                except (ValueError, IndexError):
-                    raise ParseError(f"bad row {row!r}", line=lineno) from None
-    except (OSError, ParseError) as exc:
-        _fail_input(str(exc))
-    try:
-        result = membrane.lcpd_fit(points, spec_m)
-    except FitError as exc:
-        _fail_input(f"fit failed: {exc}")
+    points = [values for _, values in read_csv(csv_path, ("V_volt", "f_Hz"))]
+    result = membrane.lcpd_fit(points, spec_m)
     _echo_header([("command", "lcpd-fit"), ("csv", csv_path),
                   ("n_points", str(len(points)))])
     _emit_rows([("V0", result.V0, "V"), ("V0_err", result.V0_err, "V"),
@@ -466,14 +430,8 @@ def lcpd_fit_cmd(csv_path, preset, membrane_config, fmt):
 @_format_option
 def dynes_fit_cmd(csv_path, temperature, fmt):
     """Fit gap, broadening, and scale to tunneling-conductance data."""
-    try:
-        points = analysis.load_dynes_csv(csv_path)
-    except (OSError, ParseError) as exc:
-        _fail_input(str(exc))
-    try:
-        result = analysis.dynes_fit(points, T=temperature)
-    except FitError as exc:
-        _fail_input(f"fit failed: {exc}")
+    points = analysis.load_dynes_csv(csv_path)
+    result = analysis.dynes_fit(points, T=temperature)
     _echo_header([("command", "dynes-fit"), ("csv", csv_path),
                   ("T_K", repr(temperature)), ("n_points", str(len(points)))])
     _emit_rows([("Delta", result.Delta, "eV"), ("gamma", result.gamma, "eV"),
@@ -501,7 +459,11 @@ def tables(flag_above, fmt):
                     experiments.recompute_sphere_row)
     _echo_header([("command", "tables"), ("flag_above", repr(flag_above))])
 
-    def emit(section, geom_name, data, avg, med, avg_rec, med_rec):
+    def emit(section, geom_name, data, exclude=None):
+        kept = [r for r in data if r[0] != exclude]
+        table, ideal = [r[3] for r in kept], [r[4] for r in kept]
+        avg, avg_rec = sum(table) / len(table), sum(ideal) / len(ideal)
+        med, med_rec = statistics.median(table), statistics.median(ideal)
         if fmt == "csv":
             click.echo(f"# {section}")
             click.echo(f"ref,{geom_name},min_sep_m,force_table_N,force_ideal_N,"
@@ -521,13 +483,8 @@ def tables(flag_above, fmt):
             click.echo(f"{'median':<{width}}  {'':>9}  {'':>9}  {med:.4g}  {med_rec:.4g}")
 
     emit("plate-plate (average/median exclude This work)", "area_m2", plate,
-         experiments.plate_average_force(), experiments.plate_median_force(),
-         experiments.plate_average_force(recomputed=True),
-         experiments.plate_median_force(recomputed=True))
-    emit("sphere-plate", "radius_m", sphere,
-         experiments.sphere_average_force(), experiments.sphere_median_force(),
-         experiments.sphere_average_force(recomputed=True),
-         experiments.sphere_median_force(recomputed=True))
+         exclude="This work")
+    emit("sphere-plate", "radius_m", sphere)
     suspects = [r[0] for r in plate + sphere if r[6] == "SUSPECT"]
     click.echo(f"# rows deviating more than {flag_above:.1%}: "
                + (", ".join(suspects) if suspects else "none"))

@@ -20,10 +20,6 @@ __all__ = [
     "SPHERE_PLATE_ROWS",
     "recompute_plate_row",
     "recompute_sphere_row",
-    "plate_average_force",
-    "plate_median_force",
-    "sphere_average_force",
-    "sphere_median_force",
 ]
 
 
@@ -94,30 +90,3 @@ def recompute_plate_row(row: PlateRow) -> float:
 def recompute_sphere_row(row: SphereRow) -> float:
     return ideal_casimir_force(SpherePlate(radius=row.radius, d=row.d))
 
-
-def plate_average_force(exclude: str = "This work", recomputed: bool = False) -> float:
-    rows = [r for r in PLATE_PLATE_ROWS if r.ref != exclude]
-    vals = [recompute_plate_row(r) if recomputed else r.force for r in rows]
-    return sum(vals) / len(vals)
-
-
-def plate_median_force(exclude: str = "This work", recomputed: bool = False) -> float:
-    rows = [r for r in PLATE_PLATE_ROWS if r.ref != exclude]
-    vals = sorted(recompute_plate_row(r) if recomputed else r.force for r in rows)
-    n = len(vals)
-    mid = n // 2
-    return vals[mid] if n % 2 else 0.5 * (vals[mid - 1] + vals[mid])
-
-
-def sphere_average_force(recomputed: bool = False) -> float:
-    vals = [recompute_sphere_row(r) if recomputed else r.force
-            for r in SPHERE_PLATE_ROWS]
-    return sum(vals) / len(vals)
-
-
-def sphere_median_force(recomputed: bool = False) -> float:
-    vals = sorted(recompute_sphere_row(r) if recomputed else r.force
-                  for r in SPHERE_PLATE_ROWS)
-    n = len(vals)
-    mid = n // 2
-    return vals[mid] if n % 2 else 0.5 * (vals[mid - 1] + vals[mid])

@@ -164,29 +164,20 @@ def _ratio(t: float, power: int) -> float:
     return t / ((1.0 - t) * (1.0 - t))
 
 
-def _static_tm_integral(power: int, cfg: QuadratureConfig) -> float:
-    """Dimensionless static transverse-magnetic integral (unit reflection).
-
-    Shared by every prescription, so the universality of the static TM
-    term is exact by construction.
-    """
-
-    def f(y: float) -> float:
-        return y ** power * _ratio(math.exp(-y), power)
-
-    val, _ = quad(f, 0.0, _Y_SPAN, epsabs=0.0, epsrel=cfg.rel_tol, limit=200)
-    return val
+# static TM integrals with unit reflection, t = exp(-y): Int y^2 t/(1-t) dy
+# = 2 zeta(3) and Int y^3 t/(1-t)^2 dy = 6 zeta(3).  Every prescription
+# shares them, so the universality of the static TM term is exact.
+_STATIC_TM = {2: 2.0 * CONSTANTS.zeta3, 3: 6.0 * CONSTANTS.zeta3}
 
 
 def _static_te_integral(d: float, omega_eff: float, power: int,
                         cfg: QuadratureConfig) -> float:
     if omega_eff == 0.0:
         return 0.0
-    y_p = 2.0 * d * omega_eff / _HBAR_C
+    inv_2d = 0.5 / d
 
     def f(y: float) -> float:
-        s = math.hypot(y, y_p)
-        r = (y - s) / (y + s)
+        r = static_te_reflection(y * inv_2d, omega_eff)
         return y ** power * _ratio(r * r * math.exp(-y), power)
 
     val, _ = quad(f, 0.0, _Y_SPAN, epsabs=0.0, epsrel=cfg.rel_tol, limit=200)
@@ -234,9 +225,8 @@ def _static_te_omega(spec: LifshitzSpec) -> float:
 
 def _matsubara_sum(spec: LifshitzSpec, power: int, prefactor: float) -> LifshitzDetail:
     cfg = spec.quad
-    tm0 = _static_tm_integral(power, cfg)
     te0 = _static_te_integral(spec.d, _static_te_omega(spec), power, cfg)
-    zero = 0.5 * (tm0 + te0)
+    zero = 0.5 * (_STATIC_TM[power] + te0)
 
     terms = [zero]
     running = zero

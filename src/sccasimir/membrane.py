@@ -9,16 +9,14 @@ N/m spring constant.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
 
 from .errors import FitError, ParseError
-from .physcore import CONSTANTS, MembraneSpec
+from .physcore import CONSTANTS, MembraneSpec, read_csv
 
 __all__ = [
     "SweepRecord",
@@ -57,44 +55,20 @@ class SweepRecord:
 
 
 _SWEEP_HEADERS = (
-    ["T_K", "f_Hz"],
-    ["T_K", "f_Hz", "sigma_f_Hz"],
-    ["T_K", "f_Hz", "sigma_f_Hz", "Q"],
+    ("T_K", "f_Hz"),
+    ("T_K", "f_Hz", "sigma_f_Hz"),
+    ("T_K", "f_Hz", "sigma_f_Hz", "Q"),
 )
 
 
 def load_sweep_csv(path) -> list[SweepRecord]:
     """Read sweep records from CSV with header ``T_K,f_Hz[,sigma_f_Hz][,Q]``."""
-    path = Path(path)
     records: list[SweepRecord] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    for lineno, values in read_csv(path, *_SWEEP_HEADERS):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path.name} is empty", line=1) from None
-        header = [h.strip() for h in header]
-        if header not in [list(h) for h in _SWEEP_HEADERS]:
-            raise ParseError(
-                f"unrecognized header {header!r}; expected one of "
-                f"{['/'.join(h) for h in _SWEEP_HEADERS]}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(row)}", line=lineno)
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                raise ParseError(f"non-numeric field in {row!r}", line=lineno) from None
-            kwargs = dict(zip(("T", "f", "sigma_f", "Q"), values))
-            try:
-                records.append(SweepRecord(**kwargs))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-    if not records:
-        raise ParseError(f"{path.name} contains no data rows", line=2)
+            records.append(SweepRecord(*values))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
     return records
 
 

@@ -15,9 +15,10 @@ formulas (emitted in Pa) never need repeated conversions.
 
 from __future__ import annotations
 
+import csv
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError
@@ -33,6 +34,7 @@ __all__ = [
     "small_gap_membrane",
     "big_gap_membrane",
     "read_config",
+    "read_csv",
     "write_config",
 ]
 
@@ -240,6 +242,38 @@ def read_config(path) -> dict:
     return out
 
 
+def read_csv(path, *headers: tuple[str, ...]) -> list[tuple[int, tuple[float, ...]]]:
+    """Read a numeric CSV file whose first line is exactly one of ``headers``.
+
+    Blank lines are skipped; every other row must hold one number per
+    header column.  Returns ``(line, values)`` pairs so callers can report
+    a rejected record against the line it came from.  Every
+    :class:`ParseError` names the offending line.
+    """
+    path = Path(path)
+    rows = []
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = tuple(h.strip() for h in next(reader, ()))
+        if header not in headers:
+            expected = " or ".join(",".join(h) for h in headers)
+            raise ParseError(f"expected header {expected}, got {','.join(header)!r}",
+                             line=1)
+        for lineno, row in enumerate(reader, start=2):
+            if all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}",
+                                 line=lineno)
+            try:
+                rows.append((lineno, tuple(float(cell) for cell in row)))
+            except ValueError:
+                raise ParseError(f"non-numeric field in {row!r}", line=lineno) from None
+    if not rows:
+        raise ParseError(f"{path.name} contains no data rows", line=2)
+    return rows
+
+
 def _pick(config: dict, keymap: dict, kind: str) -> dict:
     picked = {}
     for file_key, field in keymap.items():
@@ -254,8 +288,16 @@ def _pick(config: dict, keymap: dict, kind: str) -> dict:
     return picked
 
 
+def _record(cls, fields: dict):
+    """Build a parameter record, reporting a rejected value as bad input."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def superconductor_from_config(config: dict) -> SuperconductorParams:
-    return replace(SuperconductorParams(), **_pick(config, _SC_KEYS, "superconductor"))
+    return _record(SuperconductorParams, _pick(config, _SC_KEYS, "superconductor"))
 
 
 def membrane_from_config(config: dict) -> MembraneSpec:
@@ -263,7 +305,7 @@ def membrane_from_config(config: dict) -> MembraneSpec:
     for required in ("L", "h", "d", "sigma", "rho"):
         if required not in picked:
             raise ParseError(f"membrane configuration is missing {required}")
-    return MembraneSpec(**picked)
+    return _record(MembraneSpec, picked)
 
 
 def conversion_from_config(config: dict) -> ConversionFactors:

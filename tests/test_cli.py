@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from sccasimir import __version__
 from sccasimir.cli import main
 from sccasimir.membrane import dw2_from_gradient, fundamental_frequency
 from sccasimir.physcore import CONSTANTS, small_gap_membrane
@@ -28,6 +29,41 @@ def csv_values(output):
 
 
 FAST = ["--rel-tol", "1e-7", "--term-stop", "1e-8"]
+LOOSE = ["--rel-tol", "1e-4", "--term-stop", "1e-4"]
+
+
+class TestMain:
+    def test_version(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert __version__ in result.output
+
+    @pytest.mark.parametrize("args, code", [
+        (["pressure", "--d", "-1", "--t", "10"], 2),
+        (["gradient", "--d", "190e-9", "--t", "0"], 2),
+        (["jump", "--dt", "20"], 2),
+        (["noise", "--f0", "1", "--q", "0", "--noise-to-signal", "0.1", "--tau", "1"], 2),
+        (["pressure", "--d", "190e-9", "--t", "10", "--rel-tol", "0"], 2),
+        (["pressure", "--d", "190e-9", "--t", "10", "--max-matsubara", "0"], 2),
+        (["pressure", "--d", "190e-9", "--t", "10", "--tc", "-1"], 2),
+        (["pressure", "--ideal", "--d", "-1", "--area", "1"], 2),
+        (["pressure", "--ideal-zero-t", "--d", "0"], 2),
+        (["jump", "--dt", "0", "--f0", "-5", *LOOSE], 2),
+        (["pressure", "--d", "190e-9", "--t", "10", "--config", "{sc}"], 3),
+        (["jump", "--dt", "0", "--membrane-config", "{membrane}", *LOOSE], 3),
+    ])
+    def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
+        sc = tmp_path / "sc.cfg"
+        sc.write_text("Omega_eV = -1\n")
+        membrane_cfg = tmp_path / "membrane.cfg"
+        membrane_cfg.write_text("L_m = -1\nh_m = 155e-9\nd_m = 190e-9\n"
+                                "sigma_Pa = 677e6\nrho_kgm3 = 4992\n")
+        args = [arg.format(sc=sc, membrane=membrane_cfg) for arg in args]
+        result = runner.invoke(main, args)
+        assert result.exit_code == code
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
 
 
 class TestPressureCommand:

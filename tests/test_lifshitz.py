@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from sccasimir.errors import ConvergenceError
 from sccasimir.physcore import CONSTANTS, SuperconductorParams
@@ -14,7 +15,6 @@ from sccasimir.lifshitz import (
     SpherePlate,
     ZeroFreqApproach,
     _dynamic_integral,
-    _static_tm_integral,
     casimir_pressure,
     casimir_pressure_detail,
     casimir_pressure_gradient,
@@ -132,17 +132,19 @@ class TestIdealForce:
 
 
 class TestEngine:
-    def test_zero_term_matches_zeta3(self):
-        # static transverse-magnetic integrals have closed forms
-        cfg = QuadratureConfig()
-        assert _static_tm_integral(2, cfg) == pytest.approx(
-            2.0 * CONSTANTS.zeta3, rel=1e-8)
-        assert _static_tm_integral(3, cfg) == pytest.approx(
-            6.0 * CONSTANTS.zeta3, rel=1e-8)
+    @pytest.mark.parametrize("detail, power", [
+        (casimir_pressure_detail, 2), (casimir_pressure_gradient_detail, 3),
+    ], ids=["P", "Pprime"])
+    def test_zero_term_is_unit_reflection_integral(self, sc_params, detail, power):
+        # above Tc the Drude pairing has no static TE reflection, so the
+        # l = 0 term is half the static TM integral with unit reflection
+        def integrand(y):
+            return y ** power * math.exp(-y) / (-math.expm1(-y)) ** (power - 1)
 
-    def test_tm_term_is_prescription_independent(self):
-        cfg = QuadratureConfig()
-        assert _static_tm_integral(2, cfg) == _static_tm_integral(2, cfg)
+        oracle, _ = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-12)
+        spec = LifshitzSpec(d=2e-6, T=20.0, model=drude(sc_params),
+                            approach=ZeroFreqApproach.DRUDE_BCS, quad=FAST)
+        assert detail(spec).zero_term == pytest.approx(0.5 * oracle, rel=1e-11)
 
     def test_classical_limit_of_full_engine(self, sc_params):
         # the classical asymptote needs d >> hbar c / kB T = 161 um at

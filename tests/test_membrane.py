@@ -4,8 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from sccasimir.analysis import load_dynes_csv
 from sccasimir.errors import FitError, ParseError
-from sccasimir.physcore import CONSTANTS, MembraneSpec
+from sccasimir.physcore import CONSTANTS, MembraneSpec, read_csv
 from sccasimir.membrane import (
     SweepRecord,
     cte_alpha,
@@ -231,6 +232,14 @@ class TestFrequencyNoise:
             frequency_noise(0.0, 1e5, 0.01, 0.1)
 
 
+# sweep, conductance and voltage-sweep files share one header-checked reader
+READERS = [
+    ("T_K,f_Hz", load_sweep_csv),
+    ("V_volt,G_arb", load_dynes_csv),
+    ("V_volt,f_Hz", lambda path: read_csv(path, ("V_volt", "f_Hz"))),
+]
+
+
 class TestSweepCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -245,24 +254,35 @@ class TestSweepCsv:
         assert load_sweep_csv(path)[0].sigma_f is None
 
     def test_bad_header(self, tmp_path):
-        path = tmp_path / "sweep.csv"
+        path = tmp_path / "data.csv"
         path.write_text("temp,freq\n4.5,352800.0\n")
-        with pytest.raises(ParseError) as err:
-            load_sweep_csv(path)
-        assert err.value.line == 1
+        for _, load in READERS:
+            with pytest.raises(ParseError) as err:
+                load(path)
+            assert err.value.line == 1
 
     def test_bad_row_reports_line(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        path.write_text("T_K,f_Hz\n4.5,352800.0\n5.0,oops\n")
-        with pytest.raises(ParseError) as err:
-            load_sweep_csv(path)
-        assert err.value.line == 3
+        path = tmp_path / "data.csv"
+        # a non-numeric field, then one field too many
+        for bad_row in ("5.0,oops", "5.0,352800.0,7.0"):
+            for header, load in READERS:
+                path.write_text(f"{header}\n4.5,352800.0\n{bad_row}\n")
+                with pytest.raises(ParseError) as err:
+                    load(path)
+                assert err.value.line == 3
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        for header, load in READERS:
+            path.write_text(f"{header}\n\n4.5,352800.0\n , \n5.0,352799.0\n\n")
+            assert len(load(path)) == 2
 
     def test_empty_file(self, tmp_path):
-        path = tmp_path / "sweep.csv"
+        path = tmp_path / "data.csv"
         path.write_text("")
-        with pytest.raises(ParseError):
-            load_sweep_csv(path)
+        for _, load in READERS:
+            with pytest.raises(ParseError):
+                load(path)
 
     def test_record_validation(self):
         with pytest.raises(ValueError):

@@ -146,6 +146,17 @@ class TestConfigFiles:
         p = superconductor_from_config(read_config(path))
         assert p.Tc == 9.2 and p.Omega == 4.0
 
+    @pytest.mark.parametrize("text, from_config", [
+        ("Omega_eV = -1\n", superconductor_from_config),
+        ("L_m = -1\nh_m = 155e-9\nd_m = 190e-9\nsigma_Pa = 677e6\nrho_kgm3 = 4992\n",
+         membrane_from_config),
+    ], ids=["superconductor", "membrane"])
+    def test_rejected_record_value_is_parse_error(self, tmp_path, text, from_config):
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="must be > 0"):
+            from_config(read_config(path))
+
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("Tc_K = 9.2\nnot a pair\n")
