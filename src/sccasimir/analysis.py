@@ -15,7 +15,14 @@ from scipy.optimize import least_squares
 
 from .errors import FitError
 from .membrane import SweepRecord, gradient_from_dw2
-from .physcore import CONSTANTS, Basis, ConversionFactors, MembraneSpec, read_csv
+from .physcore import (
+    CONSTANTS,
+    Basis,
+    ConversionFactors,
+    MembraneSpec,
+    SuperconductorParams,
+    read_csv,
+)
 
 __all__ = [
     "CalibratedResiduals",
@@ -305,17 +312,19 @@ class SweepReport:
 
 def sweep_pipeline(small_records, big_records, window, m: MembraneSpec,
                    factors: ConversionFactors | None = None,
-                   combine: str = "add") -> SweepReport:
+                   combine: str = "add",
+                   Tc: float = SuperconductorParams().Tc) -> SweepReport:
     """calibrate -> subtract -> average above the window -> convert.
 
+    The fit window must sit entirely below the transition at ``Tc``.
     The headline jump is the plain mean of the differential residual over
     temperatures above the fit window; its uncertainty is the mean of the
     combined per-point uncertainties.  With ``factors``, the headline jump
     and every differential row are converted to force, pressure, and
     deflection.
     """
-    small = calibrate_thermal(small_records, window)
-    big = calibrate_thermal(big_records, window)
+    small = calibrate_thermal(small_records, window, Tc)
+    big = calibrate_thermal(big_records, window, Tc)
     diff = differential_subtract(small, big, combine=combine)
     above = [(t, v, s) for t, v, s in diff if t > window[1]]
     if not above:

@@ -180,7 +180,11 @@ def _static_te_integral(d: float, omega_eff: float, power: int,
         r = static_te_reflection(y * inv_2d, omega_eff)
         return y ** power * _ratio(r * r * math.exp(-y), power)
 
-    val, _ = quad(f, 0.0, _Y_SPAN, epsabs=0.0, epsrel=cfg.rel_tol, limit=200)
+    # the reflection switches on across y ~ y_p, a layer that near Tc is
+    # too narrow for the adaptive rule to find unaided
+    y_p = 2.0 * d * omega_eff / _HBAR_C
+    val, _ = quad(f, 0.0, _Y_SPAN, epsabs=0.0, epsrel=cfg.rel_tol, limit=200,
+                  points=[y_p] if y_p < _Y_SPAN else None)
     return val
 
 

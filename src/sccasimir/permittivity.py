@@ -18,15 +18,13 @@ with Drude exactly.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from .physcore import CONSTANTS, SuperconductorParams
 
@@ -151,71 +149,53 @@ def effective_plasma_frequency(T: float, p: SuperconductorParams) -> float:
     return superfluid_weight(T, p) * p.Omega
 
 
-def _g_integrand(eps: float, xi: float, delta: float, gamma: float,
-                 kT: float) -> float:
-    e_qp = math.hypot(eps, delta)
-    # principal-branch sqrt keeps Re >= 0, which makes Re[G+] decay at
-    # large eps and the integral converge
-    qp = cmath.sqrt((e_qp + 1j * xi) ** 2 - delta * delta)
-    ap = e_qp * (e_qp + 1j * xi) + delta * delta
-    w = qp + 1j * gamma
-    g_plus = (eps * eps * qp + w * ap) / (qp * (eps * eps - w * w))
-    th = 1.0 if kT == 0.0 else math.tanh(min(e_qp / (2.0 * kT), 60.0))
-    return th / e_qp * g_plus.real
+# 16-node Gauss-Legendre rule on [-1, 1], mapped onto every panel
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-_LOG_NODES, _LOG_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def _bcs_g_impl(xi: float, T: float, p: SuperconductorParams,
-                rel_tol: float) -> float:
+def _bcs_g_impl(xi: float, T: float, p: SuperconductorParams) -> float:
     delta = bcs_gap(T, p)
     if delta == 0.0:
         return 0.0
-    gamma = p.gamma
     kT = _KB * T
     emax = max(200.0 * delta, 200.0 * xi, 50.0 * kT)
-    # all integrand structure sits below ~30x the largest energy scale;
-    # beyond that the 1/eps^3 tail is within rounding noise of Re[G+],
-    # so the adaptive rule is restricted to the head
-    e_head = min(emax, 30.0 * max(delta, xi, gamma, kT))
-    # subdivision anchors: the quasiparticle edge and the narrow
-    # sqrt(delta*xi) layer that carries the condensate weight at small xi
-    pts = sorted({delta, xi, gamma, math.sqrt(delta * xi)})
-    pts = [x for x in pts if 0.0 < x < e_head]
-    with warnings.catch_warnings():
-        # for xi >> delta the layer and the continuum cancel to near the
-        # rounding floor of Re[G+]; quadpack then flags roundoff although
-        # its estimate is already as good as double precision allows
-        warnings.simplefilter("ignore", IntegrationWarning)
-        head, _ = quad(_g_integrand, 0.0, e_head, args=(xi, delta, gamma, kT),
-                       points=pts, limit=300, epsabs=0.0, epsrel=rel_tol)
-    tail = 0.0
-    if emax > e_head:
-        # fixed-order log-spaced rule: exact enough for a smooth algebraic
-        # tail and immune to the cancellation noise out there
-        lo, hi = math.log(e_head), math.log(emax)
-        u = 0.5 * (hi - lo) * (_LOG_NODES + 1.0) + lo
-        eps = np.exp(u)
-        vals = np.array([_g_integrand(e, xi, delta, gamma, kT) for e in eps])
-        tail = 0.5 * (hi - lo) * float(np.dot(_LOG_WEIGHTS, vals * eps))
-    return 2.0 * (head + tail)
+    # the first panel resolves the narrow sqrt(delta*xi) layer that carries
+    # the condensate weight at small xi; panel widths then double, which
+    # keeps every panel as wide as its distance from the origin
+    a = 0.25 * min(delta, math.sqrt(delta * xi))
+    n = math.ceil(math.log2(emax / a))
+    edges = np.concatenate(([0.0], a * np.exp2(np.arange(n)), [emax]))
+    half = 0.5 * np.diff(edges)[:, None]
+    eps = (edges[:-1, None] + half * (_GL_NODES + 1.0)).ravel()
+    weights = (half * _GL_WEIGHTS).ravel()
+
+    e_qp = np.hypot(eps, delta)
+    # principal-branch sqrt keeps Re >= 0, which makes Re[G+] decay at
+    # large eps and the integral converge
+    qp = np.sqrt((e_qp + 1j * xi) ** 2 - delta * delta)
+    ap = e_qp * (e_qp + 1j * xi) + delta * delta
+    w = qp + 1j * p.gamma
+    g_plus = (eps * eps * qp + w * ap) / (qp * (eps * eps - w * w))
+    th = 1.0 if kT == 0.0 else np.tanh(e_qp / (2.0 * kT))
+    return 2.0 * float(np.dot(weights, th / e_qp * g_plus.real))
 
 
 @lru_cache(maxsize=200_000)
-def _bcs_g_cached(xi: float, T: float, p: SuperconductorParams,
-                  rel_tol: float) -> float:
-    return _bcs_g_impl(xi, T, p, rel_tol)
+def _bcs_g_cached(xi: float, T: float, p: SuperconductorParams) -> float:
+    return _bcs_g_impl(xi, T, p)
 
 
-def bcs_g(xi: float, T: float, p: SuperconductorParams,
-          rel_tol: float = 1e-8) -> float:
+def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
     """Dimensionless pairing correction ``g(xi; T)`` to the Drude response.
 
     The epsilon integral is folded onto [0, inf) and doubled using the even
     symmetry of the integrand, then truncated at
-    ``max(200 Delta, 200 xi, 50 kB T)``.  Returns 0 at and above the
-    transition.
+    ``max(200 Delta, 200 xi, 50 kB T)``.  The window is covered by a fixed
+    composite Gauss-Legendre rule with 16 nodes per panel: a first panel
+    [0, a] with ``a = min(Delta, sqrt(Delta xi)) / 4``, then panels that
+    double in width, the last one ending at the cut-off.  The integrand is
+    evaluated once, as one array over all nodes.  Returns 0 at and above
+    the transition.
 
     Parameters
     ----------
@@ -230,7 +210,7 @@ def bcs_g(xi: float, T: float, p: SuperconductorParams,
         raise ValueError(f"bcs_g requires xi > 0, got {xi}")
     if T < 0.0:
         raise ValueError(f"temperature must be >= 0, got {T} K")
-    return _bcs_g_cached(float(xi), float(T), p, float(rel_tol))
+    return _bcs_g_cached(float(xi), float(T), p)
 
 
 def permittivity_iw(model: DielectricModel, xi: float, T: float) -> float:

@@ -321,6 +321,11 @@ class TestSweepPipeline:
         assert one.gradient_jump == pytest.approx(
             2.0 * half.gradient_jump, rel=1e-6)
 
+    def test_window_must_sit_below_transition(self, small_gap):
+        small, big = self._pair(dw2_from_gradient(12.1e3, small_gap))
+        with pytest.raises(ValueError, match="transition"):
+            sweep_pipeline(small, big, (14.3, 14.6), small_gap)
+
     def test_conversion_attached(self, small_gap):
         jump = dw2_from_gradient(12.1e3, small_gap)
         report = sweep_pipeline(*self._pair(jump), WINDOW, small_gap,

@@ -245,6 +245,18 @@ class TestSweepPipelineCommands:
         assert result.exit_code == 3
         assert "error:" in result.output
 
+    def test_window_above_transition_is_input_error(self, runner, tmp_path):
+        paths = [tmp_path / "small.csv", tmp_path / "big.csv"]
+        for path in paths:
+            runner.invoke(main, ["generate-sweep", "--out", str(path),
+                                 "--jump-dw2", "0"])
+        result = runner.invoke(main, ["sweep", "--small", str(paths[0]),
+                                      "--big", str(paths[1]),
+                                      "--window", "14.3", "14.6"])
+        assert result.exit_code == 3
+        assert result.output.count("error:") == 1
+        assert "transition" in result.output
+
     def test_malformed_row_reports_line(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("T_K,f_Hz\n13.2,352800.0\n13.3,not-a-number\n")

@@ -1,13 +1,20 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from sccasimir.errors import ConvergenceError
 from sccasimir.physcore import CONSTANTS, SuperconductorParams
-from sccasimir.permittivity import bcs, drude, plasma, permittivity_iw
+from sccasimir.permittivity import (
+    bcs,
+    drude,
+    effective_plasma_frequency,
+    permittivity_iw,
+    plasma,
+)
 from sccasimir.lifshitz import (
     LifshitzSpec,
     PlatePlate,
@@ -15,6 +22,7 @@ from sccasimir.lifshitz import (
     SpherePlate,
     ZeroFreqApproach,
     _dynamic_integral,
+    _static_te_integral,
     casimir_pressure,
     casimir_pressure_detail,
     casimir_pressure_gradient,
@@ -86,6 +94,15 @@ class TestStaticTE:
     def test_range(self):
         for k in np.geomspace(1.0, 1e10, 30):
             assert -1.0 <= static_te_reflection(k, 5.33) <= 0.0
+
+    @pytest.mark.parametrize("d", [50e-9, 100e-9, 190e-9])
+    def test_integral_resolves_condensate_layer_near_tc(self, sc_params, d):
+        # a microkelvin below Tc the reflection switches on in a layer at
+        # y ~ 1e-3, far narrower than the integration span
+        w = effective_plasma_frequency(sc_params.Tc - 1e-6, sc_params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            assert _static_te_integral(d, w, 2, QuadratureConfig()) > 0.0
 
 
 class TestClassicalTerms:
@@ -247,6 +264,15 @@ class TestTcJump:
             tc_jump(190e-9, 14.2, -0.1, ZeroFreqApproach.PLASMA_BCS, sc_params)
         with pytest.raises(ValueError):
             tc_jump(190e-9, 14.2, 14.2, ZeroFreqApproach.PLASMA_BCS, sc_params)
+
+    @pytest.mark.parametrize("approach, printed", [
+        (ZeroFreqApproach.PLASMA_BCS, 5942.0),
+        (ZeroFreqApproach.PLASMA_PLASMA, 66.40),
+        (ZeroFreqApproach.DRUDE_BCS, -17.15),
+    ])
+    def test_headline_jumps_to_printed_digits(self, sc_params, approach, printed):
+        value = tc_jump(190e-9, 14.2, 0.1, approach, sc_params)
+        assert float(f"{value:.4g}") == printed
 
     @pytest.mark.slow
     def test_directional_continuity(self, sc_params):

@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
-from sccasimir.physcore import SuperconductorParams
+from sccasimir.physcore import CONSTANTS, SuperconductorParams
 from sccasimir.permittivity import (
     bcs,
     bcs_g,
@@ -27,6 +28,7 @@ G_AT_GAP_HALF_TC = 0.009869080603076319          # defaults
 G_AT_GAP_HALF_TC_MEV = 0.10314678206075656       # gamma0 = 0.465e-3 eV
 
 P_MEV = SuperconductorParams(gamma0=0.465e-3)
+TC = SuperconductorParams().Tc
 
 
 def brute_force_g(xi, T, p, n=100_000):
@@ -45,6 +47,35 @@ def brute_force_g(xi, T, p, n=100_000):
     g_plus = (eps**2 * qp + w * ap) / (qp * (eps**2 - w * w))
     th = np.tanh(e_qp / (2.0 * 8.617333262e-5 * T))
     return 2.0 * simpson(th / e_qp * g_plus.real, x=eps)
+
+
+def quad_g(xi, T, p):
+    """Adaptive oracle: the scalar pairing integrand under ``quad`` at
+    epsrel 1e-12 over the same truncation window, with the quasiparticle
+    edge, the frequency, the relaxation energy and the condensate layer
+    as breakpoints.
+
+    Once xi is well above the gap, g is the small remainder of cancelling
+    contributions and quadpack reports that roundoff keeps it from 1e-12;
+    ``full_output`` returns that report instead of raising it.  Up to
+    0.2 eV quadpack's own error estimate stays below 1e-6 relative.
+    """
+    delta = bcs_gap(T, p)
+    kT = CONSTANTS.kB_eV * T
+
+    def integrand(eps):
+        e_qp = math.hypot(eps, delta)
+        qp = cmath.sqrt((e_qp + 1j * xi) ** 2 - delta * delta)
+        ap = e_qp * (e_qp + 1j * xi) + delta * delta
+        w = qp + 1j * p.gamma
+        g_plus = (eps * eps * qp + w * ap) / (qp * (eps * eps - w * w))
+        return math.tanh(e_qp / (2.0 * kT)) / e_qp * g_plus.real
+
+    emax = max(200.0 * delta, 200.0 * xi, 50.0 * kT)
+    pts = sorted(x for x in {delta, xi, p.gamma, math.sqrt(delta * xi)} if x < emax)
+    val = quad(integrand, 0.0, emax, points=pts, limit=500, epsabs=0.0,
+               epsrel=1e-12, full_output=1)[0]
+    return 2.0 * val
 
 
 class TestGap:
@@ -134,6 +165,14 @@ class TestPairingFunction:
         for xi in (0.3 * GAP_HALF_TC, GAP_HALF_TC, 5.0 * GAP_HALF_TC):
             assert bcs_g(xi, t, sc_params) == pytest.approx(
                 brute_force_g(xi, t, sc_params), rel=2e-5)
+
+    @pytest.mark.parametrize("t", [0.5 * TC, 0.99 * TC, TC - 0.01])
+    def test_against_adaptive_oracle(self, sc_params, t):
+        # above ~0.2 eV g is a ~1e-9 remainder of cancellation and the
+        # oracle itself stops converging there
+        for xi in np.geomspace(1e-3 * bcs_gap(t, sc_params), 0.2, 25):
+            assert bcs_g(xi, t, sc_params) == pytest.approx(
+                quad_g(xi, t, sc_params), rel=1e-6)
 
     def test_small_frequency_limit_is_condensate_fraction(self, sc_params):
         # numerical limit extrapolation: the xi*log(xi) correction dies out
