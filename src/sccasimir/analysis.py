@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _KB = CONSTANTS.kB_eV
+_TC = SuperconductorParams().Tc
 
 
 @dataclass(frozen=True)
@@ -312,19 +313,18 @@ class SweepReport:
 
 def sweep_pipeline(small_records, big_records, window, m: MembraneSpec,
                    factors: ConversionFactors | None = None,
-                   combine: str = "add",
-                   Tc: float = SuperconductorParams().Tc) -> SweepReport:
+                   combine: str = "add") -> SweepReport:
     """calibrate -> subtract -> average above the window -> convert.
 
-    The fit window must sit entirely below the transition at ``Tc``.
+    The fit window must sit entirely below the film's transition (14.2 K).
     The headline jump is the plain mean of the differential residual over
     temperatures above the fit window; its uncertainty is the mean of the
     combined per-point uncertainties.  With ``factors``, the headline jump
     and every differential row are converted to force, pressure, and
     deflection.
     """
-    small = calibrate_thermal(small_records, window, Tc)
-    big = calibrate_thermal(big_records, window, Tc)
+    small = calibrate_thermal(small_records, window, _TC)
+    big = calibrate_thermal(big_records, window, _TC)
     diff = differential_subtract(small, big, combine=combine)
     above = [(t, v, s) for t, v, s in diff if t > window[1]]
     if not above:

@@ -1,10 +1,9 @@
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from sccasimir.errors import ConvergenceError
 from sccasimir.physcore import CONSTANTS, SuperconductorParams
@@ -95,14 +94,19 @@ class TestStaticTE:
         for k in np.geomspace(1.0, 1e10, 30):
             assert -1.0 <= static_te_reflection(k, 5.33) <= 0.0
 
-    @pytest.mark.parametrize("d", [50e-9, 100e-9, 190e-9])
-    def test_integral_resolves_condensate_layer_near_tc(self, sc_params, d):
+    # values from a 30-digit evaluation of the same integral
+    @pytest.mark.parametrize("d, expected", [
+        (50e-9, 2.34668455642e-13),
+        (100e-9, 1.87577447439e-12),
+        (190e-9, 1.28481406297e-11),
+    ])
+    def test_integral_resolves_condensate_layer_near_tc(self, sc_params, d,
+                                                        expected):
         # a microkelvin below Tc the reflection switches on in a layer at
-        # y ~ 1e-3, far narrower than the integration span
+        # y ~ 1e-4, far narrower than the integration span
         w = effective_plasma_frequency(sc_params.Tc - 1e-6, sc_params)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", IntegrationWarning)
-            assert _static_te_integral(d, w, 2, QuadratureConfig()) > 0.0
+        assert _static_te_integral(d, w, 2, QuadratureConfig()) == pytest.approx(
+            expected, rel=1e-9)
 
 
 class TestClassicalTerms:
