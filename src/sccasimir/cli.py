@@ -77,11 +77,6 @@ def _membrane_spec(preset: str, membrane_config: str | None):
     return small_gap_membrane() if preset == "small" else big_gap_membrane()
 
 
-def _quad_config(rel_tol, term_stop, max_matsubara) -> QuadratureConfig:
-    return QuadratureConfig(rel_tol=rel_tol, term_stop_rel=term_stop,
-                            max_matsubara=max_matsubara)
-
-
 def _echo_header(pairs):
     for key, value in pairs:
         click.echo(f"# {key} = {value}")
@@ -105,12 +100,12 @@ def _sc_header(p: SuperconductorParams):
 
 
 def _spec(command, d, temperature, model, approach, config_path, omega, gamma0,
-          rrr, tc, rel_tol, term_stop, max_matsubara) -> LifshitzSpec:
+          rrr, tc, term_stop, max_matsubara) -> LifshitzSpec:
     """Resolve one Lifshitz evaluation and echo it as the ``#`` header."""
     params = _sc_params(_load_config(config_path), omega, gamma0, rrr, tc)
     spec = LifshitzSpec(d=d, T=temperature, model=_MODELS[model](params),
                         approach=ZeroFreqApproach(approach),
-                        quad=_quad_config(rel_tol, term_stop, max_matsubara))
+                        quad=QuadratureConfig(term_stop, max_matsubara))
     _echo_header([("command", command), ("d_m", repr(d)), ("T_K", repr(temperature)),
                   ("model", model), ("approach", approach)] + _sc_header(params))
     return spec
@@ -136,8 +131,6 @@ _sc_options = [
 ]
 
 _quad_options = [
-    click.option("--rel-tol", type=float, default=1e-8, show_default=True,
-                 help="Relative tolerance of the momentum integrals."),
     click.option("--term-stop", type=float, default=1e-10, show_default=True,
                  help="Per-term stopping ratio of the Matsubara sum."),
     click.option("--max-matsubara", type=int, default=100_000, show_default=True,
@@ -271,25 +264,24 @@ _single_value_command(
 @_add_options(_quad_options)
 @_format_option
 def jump(d, dt, approach, all_approaches, preset, membrane_config, f0,
-         config_path, omega, gamma0, rrr, tc, rel_tol, term_stop, max_matsubara, fmt):
+         config_path, omega, gamma0, rrr, tc, term_stop, max_matsubara, fmt):
     """Pressure-gradient change across the transition and the predicted
     frequency shift.  The transition temperature is the resolved Tc."""
     params = _sc_params(_load_config(config_path), omega, gamma0, rrr, tc)
-    tc_value = params.Tc
     spec_m = _membrane_spec(preset, membrane_config)
     if f0 is None:
         f0 = membrane.fundamental_frequency(spec_m)
-    quad_cfg = _quad_config(rel_tol, term_stop, max_matsubara)
+    quad_cfg = QuadratureConfig(term_stop, max_matsubara)
     approaches = ([ZeroFreqApproach.PLASMA_BCS, ZeroFreqApproach.PLASMA_PLASMA,
                    ZeroFreqApproach.DRUDE_BCS] if all_approaches
                   else [ZeroFreqApproach(approach)])
-    _echo_header([("command", "jump"), ("d_m", repr(d)), ("Tc_K", repr(tc_value)),
+    _echo_header([("command", "jump"), ("d_m", repr(d)), ("Tc_K", repr(params.Tc)),
                   ("dT_K", repr(dt)), ("f0_Hz", repr(f0)),
                   ("membrane", preset if membrane_config is None else membrane_config)]
                  + _sc_header(params))
     rows = []
     for ap in approaches:
-        value = tc_jump(d, tc_value, dt, ap, params, quad_cfg)
+        value = tc_jump(d, params.Tc, dt, ap, params, quad_cfg)
         df = membrane.predicted_frequency_jump(value, spec_m, f0)
         rows.append((f"gradient_jump[{ap.value}]", value, "Pa/m"))
         rows.append((f"frequency_shift[{ap.value}]", df, "Hz"))

@@ -24,12 +24,14 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConvergenceError
 from .physcore import CONSTANTS, SuperconductorParams, matsubara_frequency
 from .permittivity import (
     DielectricModel,
+    _doubling_panels,
     bcs,
     drude,
     effective_plasma_frequency,
@@ -58,6 +60,8 @@ __all__ = [
 _HBAR_C = CONSTANTS.hbar_c_eVm
 # integration span above the lower photon edge; exp(-y) < 2e-22 beyond it
 _Y_SPAN = 50.0
+# Pa; a pressure term this small counts as small whatever the sum
+_ABS_TOL_PRESSURE = 1e-9
 
 
 class ZeroFreqApproach(enum.Enum):
@@ -75,16 +79,16 @@ class ZeroFreqApproach(enum.Enum):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and caps for the Matsubara sum and momentum integrals."""
+    """Stopping rule and cap of the Matsubara sum.  Its momentum integrals
+    take no tolerance: each is one fixed 136-node Gauss-Legendre rule (see
+    ``_dynamic_integral``), checked to 1e-9 against adaptive quadrature."""
 
-    rel_tol: float = 1e-8            # per-term integral tolerance
-    abs_tol_pressure: float = 1e-9   # Pa; absolute floor, pressure mode only
-    max_matsubara: int = 100_000     # hard cap on the mode index
     term_stop_rel: float = 1e-10     # per-term stopping ratio
+    max_matsubara: int = 100_000     # hard cap on the mode index
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol_pressure <= 0 or self.term_stop_rel <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.term_stop_rel <= 0:
+            raise ValueError("term_stop_rel must be positive")
         if self.max_matsubara < 1:
             raise ValueError("max_matsubara must be >= 1")
 
@@ -119,6 +123,11 @@ class LifshitzDetail:
     truncation_bound: float  # relative truncation estimate (10x last term)
 
 
+# (r_te, r_tm) from the vacuum and medium wave numbers, scalars or arrays
+def _fresnel(epsilon, q, s):
+    return (q - s) / (q + s), (epsilon * q - s) / (epsilon * q + s)
+
+
 def fresnel_iw(epsilon: float, xi: float, k_perp: float) -> tuple[float, float]:
     """Fresnel reflection coefficients ``(r_te, r_tm)`` of a thick slab at
     imaginary frequency.
@@ -136,9 +145,7 @@ def fresnel_iw(epsilon: float, xi: float, k_perp: float) -> tuple[float, float]:
     # same arithmetic form for q and s so vacuum gives exact zeros
     q = math.sqrt(x * x + k_perp * k_perp)
     s = math.sqrt(epsilon * (x * x) + k_perp * k_perp)
-    r_te = (q - s) / (q + s)
-    r_tm = (epsilon * q - s) / (epsilon * q + s)
-    return r_te, r_tm
+    return _fresnel(epsilon, q, s)
 
 
 def static_te_reflection(k_perp: float, omega_eff: float) -> float:
@@ -154,14 +161,13 @@ def static_te_reflection(k_perp: float, omega_eff: float) -> float:
     if omega_eff == 0.0:
         return 0.0
     kp = omega_eff / _HBAR_C
-    root = math.hypot(k_perp, kp)
-    return (k_perp - root) / (k_perp + root)
+    # (k - hypot(k, kp)) / (k + hypot(k, kp)) without the cancellation
+    # that loses the small coefficient at k >> kp
+    return -kp * kp / (k_perp + math.hypot(k_perp, kp)) ** 2
 
 
-def _ratio(t: float, power: int) -> float:
-    if power == 2:
-        return t / (1.0 - t)
-    return t / ((1.0 - t) * (1.0 - t))
+def _ratio(t, power: int):
+    return t / (1.0 - t) ** (power - 1)
 
 
 # static TM integrals with unit reflection, t = exp(-y): Int y^2 t/(1-t) dy
@@ -170,8 +176,7 @@ def _ratio(t: float, power: int) -> float:
 _STATIC_TM = {2: 2.0 * CONSTANTS.zeta3, 3: 6.0 * CONSTANTS.zeta3}
 
 
-def _static_te_integral(d: float, omega_eff: float, power: int,
-                        cfg: QuadratureConfig) -> float:
+def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
     if omega_eff == 0.0:
         return 0.0
     inv_2d = 0.5 / d
@@ -180,33 +185,40 @@ def _static_te_integral(d: float, omega_eff: float, power: int,
         r = static_te_reflection(y * inv_2d, omega_eff)
         return y ** power * _ratio(r * r * math.exp(-y), power)
 
-    # the reflection switches on across y ~ y_p, a layer that near Tc is
-    # too narrow for the adaptive rule to find unaided
+    # the reflection switches on across y ~ y_p, a layer too narrow near Tc
+    # for the adaptive rule to find unaided; y_p 4^k follow its decay
     y_p = 2.0 * d * omega_eff / _HBAR_C
-    val, _ = quad(f, 0.0, _Y_SPAN, epsabs=0.0, epsrel=cfg.rel_tol, limit=200,
-                  points=[y_p] if y_p < _Y_SPAN else None)
+    points = []
+    while y_p < _Y_SPAN:
+        points.append(y_p)
+        y_p *= 4.0
+    val, _ = quad(f, 0.0, _Y_SPAN, epsabs=0.0, epsrel=1e-8, limit=200,
+                  points=points or None)
     return val
+
+
+# the first panel sits at the photon edge, next to the branch point of s
+_U_NODES, _U_WEIGHTS = _doubling_panels(1e-3, _Y_SPAN, 8)
 
 
 def _dynamic_integral(d: float, T: float, model: DielectricModel, xi: float,
-                      power: int, cfg: QuadratureConfig) -> float:
+                      power: int) -> float:
+    """Momentum integral of one ``l >= 1`` term over ``[y0, y0 + 50]``, as
+    one array evaluation on a fixed rule in ``u = y - y0``: 8 Gauss-Legendre
+    nodes per panel, a first panel [0, 1e-3], then panels doubling in width
+    (136 nodes).  Against adaptive quadrature at ``epsrel`` 1e-13 it agrees
+    to 1e-9 relative (worst seen 1.5e-11) for d in [50 nm, 5 um], T in
+    [0.1, 20] K, Drude, plasma and BCS responses of dirty and clean films,
+    both powers and every ``l`` up to ``y0 = 50``."""
     eps = permittivity_iw(model, xi, T)
     x = xi / _HBAR_C
-    y0 = 2.0 * d * x
-    em1_x2 = (eps - 1.0) * x * x
-    inv_2d = 0.5 / d
-
-    def f(y: float) -> float:
-        q = y * inv_2d
-        s = math.sqrt(q * q + em1_x2)
-        e = math.exp(-y)
-        r_te = (q - s) / (q + s)
-        r_tm = (eps * q - s) / (eps * q + s)
-        return y ** power * (_ratio(r_te * r_te * e, power)
-                             + _ratio(r_tm * r_tm * e, power))
-
-    val, _ = quad(f, y0, y0 + _Y_SPAN, epsabs=0.0, epsrel=cfg.rel_tol, limit=200)
-    return val
+    y = 2.0 * d * x + _U_NODES
+    q = y * (0.5 / d)
+    s = np.sqrt(q * q + (eps - 1.0) * x * x)
+    e = np.exp(-y)
+    r_te, r_tm = _fresnel(eps, q, s)
+    f = y ** power * (_ratio(r_te * r_te * e, power) + _ratio(r_tm * r_tm * e, power))
+    return float(np.dot(_U_WEIGHTS, f))
 
 
 def _static_te_omega(spec: LifshitzSpec) -> float:
@@ -229,7 +241,7 @@ def _static_te_omega(spec: LifshitzSpec) -> float:
 
 def _matsubara_sum(spec: LifshitzSpec, power: int, prefactor: float) -> LifshitzDetail:
     cfg = spec.quad
-    te0 = _static_te_integral(spec.d, _static_te_omega(spec), power, cfg)
+    te0 = _static_te_integral(spec.d, _static_te_omega(spec), power)
     zero = 0.5 * (_STATIC_TM[power] + te0)
 
     terms = [zero]
@@ -241,12 +253,12 @@ def _matsubara_sum(spec: LifshitzSpec, power: int, prefactor: float) -> Lifshitz
     while l < cfg.max_matsubara:
         l += 1
         xi = matsubara_frequency(l, spec.T)
-        term = _dynamic_integral(spec.d, spec.T, spec.model, xi, power, cfg)
+        term = _dynamic_integral(spec.d, spec.T, spec.model, xi, power)
         terms.append(term)
         running += term
         last = abs(term)
         small = last <= cfg.term_stop_rel * abs(running)
-        if power == 2 and abs(prefactor) * last <= cfg.abs_tol_pressure:
+        if power == 2 and abs(prefactor) * last <= _ABS_TOL_PRESSURE:
             small = True
         consec = consec + 1 if small else 0
         if consec >= 3:

@@ -58,10 +58,6 @@ class DielectricModel:
     kind: ModelKind
     params: SuperconductorParams
 
-    @property
-    def gamma(self) -> float:
-        return self.params.gamma
-
 
 def drude(params: SuperconductorParams = SuperconductorParams()) -> DielectricModel:
     return DielectricModel(ModelKind.DRUDE, params)
@@ -149,10 +145,21 @@ def effective_plasma_frequency(T: float, p: SuperconductorParams) -> float:
     return superfluid_weight(T, p) * p.Omega
 
 
-# 16-node Gauss-Legendre rule on [-1, 1], mapped onto every panel
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Gauss-Legendre rules on [-1, 1] for the pairing kernel and Lifshitz terms
+_GAUSS_LEGENDRE = {n: np.polynomial.legendre.leggauss(n) for n in (8, 16)}
 
 
+def _doubling_panels(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on [0, b]: a first panel
+    [0, a], then panels as wide as their distance from 0, the last ending at b."""
+    nodes, weights = _GAUSS_LEGENDRE[n_nodes]
+    n = math.ceil(math.log2(b / a))
+    edges = np.concatenate(([0.0], a * np.exp2(np.arange(n)), [b]))
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (nodes + 1.0)).ravel(), (half * weights).ravel()
+
+
+@lru_cache(maxsize=200_000)
 def _bcs_g_impl(xi: float, T: float, p: SuperconductorParams) -> float:
     delta = bcs_gap(T, p)
     if delta == 0.0:
@@ -160,14 +167,8 @@ def _bcs_g_impl(xi: float, T: float, p: SuperconductorParams) -> float:
     kT = _KB * T
     emax = max(200.0 * delta, 200.0 * xi, 50.0 * kT)
     # the first panel resolves the narrow sqrt(delta*xi) layer that carries
-    # the condensate weight at small xi; panel widths then double, which
-    # keeps every panel as wide as its distance from the origin
-    a = 0.25 * min(delta, math.sqrt(delta * xi))
-    n = math.ceil(math.log2(emax / a))
-    edges = np.concatenate(([0.0], a * np.exp2(np.arange(n)), [emax]))
-    half = 0.5 * np.diff(edges)[:, None]
-    eps = (edges[:-1, None] + half * (_GL_NODES + 1.0)).ravel()
-    weights = (half * _GL_WEIGHTS).ravel()
+    # the condensate weight at small xi
+    eps, weights = _doubling_panels(0.25 * min(delta, math.sqrt(delta * xi)), emax, 16)
 
     e_qp = np.hypot(eps, delta)
     # principal-branch sqrt keeps Re >= 0, which makes Re[G+] decay at
@@ -178,11 +179,6 @@ def _bcs_g_impl(xi: float, T: float, p: SuperconductorParams) -> float:
     g_plus = (eps * eps * qp + w * ap) / (qp * (eps * eps - w * w))
     th = 1.0 if kT == 0.0 else np.tanh(e_qp / (2.0 * kT))
     return 2.0 * float(np.dot(weights, th / e_qp * g_plus.real))
-
-
-@lru_cache(maxsize=200_000)
-def _bcs_g_cached(xi: float, T: float, p: SuperconductorParams) -> float:
-    return _bcs_g_impl(xi, T, p)
 
 
 def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
@@ -210,7 +206,7 @@ def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
         raise ValueError(f"bcs_g requires xi > 0, got {xi}")
     if T < 0.0:
         raise ValueError(f"temperature must be >= 0, got {T} K")
-    return _bcs_g_cached(float(xi), float(T), p)
+    return _bcs_g_impl(float(xi), float(T), p)
 
 
 def permittivity_iw(model: DielectricModel, xi: float, T: float) -> float:

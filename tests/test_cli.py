@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ def csv_values(output):
     return out
 
 
-FAST = ["--rel-tol", "1e-7", "--term-stop", "1e-8"]
-LOOSE = ["--rel-tol", "1e-4", "--term-stop", "1e-4"]
+FAST = ["--term-stop", "1e-8"]
+LOOSE = ["--term-stop", "1e-4"]
 
 
 class TestMain:
@@ -43,7 +44,7 @@ class TestMain:
         (["gradient", "--d", "190e-9", "--t", "0"], 2),
         (["jump", "--dt", "20"], 2),
         (["noise", "--f0", "1", "--q", "0", "--noise-to-signal", "0.1", "--tau", "1"], 2),
-        (["pressure", "--d", "190e-9", "--t", "10", "--rel-tol", "0"], 2),
+        (["pressure", "--d", "190e-9", "--t", "10", "--term-stop", "0"], 2),
         (["pressure", "--d", "190e-9", "--t", "10", "--max-matsubara", "0"], 2),
         (["pressure", "--d", "190e-9", "--t", "10", "--tc", "-1"], 2),
         (["pressure", "--ideal", "--d", "-1", "--area", "1"], 2),
@@ -106,6 +107,15 @@ class TestPressureCommand:
                                       "--model", "drude", "--max-matsubara", "3",
                                       "--skip-exponent"])
         assert result.exit_code == 4
+
+    def test_just_below_transition_is_quiet(self, runner):
+        # shown as a user sees it: every warning printed, none raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["pressure", "--d", "190e-9", "--t",
+                                          "14.19999999", "--skip-exponent"])
+        assert result.exit_code == 0
+        assert result.stderr == ""
 
     def test_config_file_and_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "sc.cfg"

@@ -34,7 +34,7 @@ from sccasimir.lifshitz import (
     tc_jump,
 )
 
-FAST = QuadratureConfig(rel_tol=1e-7, term_stop_rel=1e-8)
+FAST = QuadratureConfig(term_stop_rel=1e-8)
 
 
 class TestFresnel:
@@ -105,8 +105,17 @@ class TestStaticTE:
         # a microkelvin below Tc the reflection switches on in a layer at
         # y ~ 1e-4, far narrower than the integration span
         w = effective_plasma_frequency(sc_params.Tc - 1e-6, sc_params)
-        assert _static_te_integral(d, w, 2, QuadratureConfig()) == pytest.approx(
-            expected, rel=1e-9)
+        assert _static_te_integral(d, w, 2) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("power", [2, 3])
+    def test_integral_stays_resolved_up_to_tc(self, sc_params, power):
+        # from a kelvin to 1e-13 K below Tc the layer y_p shrinks by six
+        # decades; the pyproject filter turns any quadpack warning into
+        # a failure here
+        for below in np.geomspace(1e-13, 1.0, 11):
+            w = effective_plasma_frequency(sc_params.Tc - below, sc_params)
+            for d in np.geomspace(50e-9, 5e-6, 6):
+                assert _static_te_integral(d, w, power) > 0.0
 
 
 class TestClassicalTerms:
@@ -152,6 +161,56 @@ class TestIdealForce:
             ideal_casimir_force("plate")
 
 
+def quad_term(d, T, model, xi, power):
+    """One l >= 1 momentum integral by adaptive quadrature of a scalar
+    integrand written out independently of the engine."""
+    eps = permittivity_iw(model, xi, T)
+    x = xi / CONSTANTS.hbar_c_eVm
+    y0 = 2.0 * d * x
+
+    def integrand(y):
+        q = y / (2.0 * d)
+        s = math.sqrt(q * q + (eps - 1.0) * x * x)
+        total = 0.0
+        for r in ((q - s) / (q + s), (eps * q - s) / (eps * q + s)):
+            t = r * r * math.exp(-y)
+            total += t / (1.0 - t) ** (power - 1)
+        return y ** power * total
+
+    value, _ = quad(integrand, y0, y0 + 50.0, epsabs=0.0, epsrel=1e-13, limit=500)
+    return value
+
+
+class TestMomentumRule:
+    CLEAN = {"gamma0": 0.465e-3}  # gamma comparable to the gap
+    MODELS = {
+        "drude-dirty": (drude, {}),
+        "drude-clean": (drude, CLEAN),
+        "plasma": (plasma, {}),
+        "plasma-ideal": (plasma, {"Omega": 1e4}),
+        "bcs-dirty": (bcs, {}),
+        "bcs-clean": (bcs, CLEAN),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_against_adaptive_oracle(self, sc_params, name):
+        make, overrides = self.MODELS[name]
+        model = make(replace(sc_params, **overrides))
+        worst = 0.0
+        for d in np.geomspace(50e-9, 5e-6, 5):
+            for T in (0.1, 4.0, sc_params.Tc - 1e-6, 20.0):
+                # l from 1 up to where the photon edge y0 reaches the span
+                xi_1 = 2.0 * math.pi * CONSTANTS.kB_eV * T
+                l_max = 50.0 * CONSTANTS.hbar_c_eVm / (2.0 * d * xi_1)
+                for l in np.unique(np.geomspace(1.0, l_max, 13).astype(int)):
+                    for power in (2, 3):
+                        xi = l * xi_1
+                        got = _dynamic_integral(d, T, model, xi, power)
+                        want = quad_term(d, T, model, xi, power)
+                        worst = max(worst, abs(got / want - 1.0))
+        assert worst <= 1e-9
+
+
 class TestEngine:
     @pytest.mark.parametrize("detail, power", [
         (casimir_pressure_detail, 2), (casimir_pressure_gradient_detail, 3),
@@ -189,10 +248,8 @@ class TestEngine:
         assert local_exponent(spec) == pytest.approx(4.0, abs=0.01)
 
     def test_term_magnitudes_decay(self, sc_params):
-        cfg = QuadratureConfig()
         terms = [_dynamic_integral(190e-9, 14.2, drude(sc_params),
-                                   2.0 * math.pi * l * CONSTANTS.kB_eV * 14.2,
-                                   2, cfg)
+                                   2.0 * math.pi * l * CONSTANTS.kB_eV * 14.2, 2)
                  for l in range(1, 81)]
         # the transverse-electric share grows over the first ~16 modes
         # before the overall exponential decay takes over
@@ -252,7 +309,7 @@ class TestEngine:
         with pytest.raises(ValueError):
             LifshitzSpec(d=1e-7, T=-1.0, model=drude(sc_params))
         with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0)
+            QuadratureConfig(term_stop_rel=0.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_matsubara=0)
 
