@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError
 from .physcore import CONSTANTS, SuperconductorParams, matsubara_frequency
@@ -80,8 +79,11 @@ class ZeroFreqApproach(enum.Enum):
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Stopping rule and cap of the Matsubara sum.  Its momentum integrals
-    take no tolerance: each is one fixed 136-node Gauss-Legendre rule (see
-    ``_dynamic_integral``), checked to 1e-9 against adaptive quadrature."""
+    take no tolerance: each ``l >= 1`` term is one fixed 136-node
+    Gauss-Legendre rule (``_dynamic_integral``) and the static TE term the
+    same rule or, near Tc, one refined at the condensate layer
+    (``_static_te_integral``); both are checked to 1e-9 against adaptive
+    quadrature."""
 
     term_stop_rel: float = 1e-10     # per-term stopping ratio
     max_matsubara: int = 100_000     # hard cap on the mode index
@@ -148,6 +150,12 @@ def fresnel_iw(epsilon: float, xi: float, k_perp: float) -> tuple[float, float]:
     return _fresnel(epsilon, q, s)
 
 
+# static TE coefficient (k - hypot(k, kp)) / (k + hypot(k, kp)) without the
+# cancellation that loses the small coefficient at k >> kp; scalars or arrays
+def _static_te(k, kp):
+    return -kp * kp / (k + np.hypot(k, kp)) ** 2
+
+
 def static_te_reflection(k_perp: float, omega_eff: float) -> float:
     """Static transverse-electric reflection coefficient, in [-1, 0].
 
@@ -160,10 +168,7 @@ def static_te_reflection(k_perp: float, omega_eff: float) -> float:
         raise ValueError("k_perp and omega_eff must be >= 0")
     if omega_eff == 0.0:
         return 0.0
-    kp = omega_eff / _HBAR_C
-    # (k - hypot(k, kp)) / (k + hypot(k, kp)) without the cancellation
-    # that loses the small coefficient at k >> kp
-    return -kp * kp / (k_perp + math.hypot(k_perp, kp)) ** 2
+    return float(_static_te(k_perp, omega_eff / _HBAR_C))
 
 
 def _ratio(t, power: int):
@@ -176,29 +181,27 @@ def _ratio(t, power: int):
 _STATIC_TM = {2: 2.0 * CONSTANTS.zeta3, 3: 6.0 * CONSTANTS.zeta3}
 
 
-def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
-    if omega_eff == 0.0:
-        return 0.0
-    inv_2d = 0.5 / d
-
-    def f(y: float) -> float:
-        r = static_te_reflection(y * inv_2d, omega_eff)
-        return y ** power * _ratio(r * r * math.exp(-y), power)
-
-    # the reflection switches on across y ~ y_p, a layer too narrow near Tc
-    # for the adaptive rule to find unaided; y_p 4^k follow its decay
-    y_p = 2.0 * d * omega_eff / _HBAR_C
-    points = []
-    while y_p < _Y_SPAN:
-        points.append(y_p)
-        y_p *= 4.0
-    val, _ = quad(f, 0.0, _Y_SPAN, epsabs=0.0, epsrel=1e-8, limit=200,
-                  points=points or None)
-    return val
-
-
 # the first panel sits at the photon edge, next to the branch point of s
 _U_NODES, _U_WEIGHTS = _doubling_panels(1e-3, _Y_SPAN, 8)
+
+
+def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
+    """Momentum integral of the static TE term over ``[0, 50]``, as one
+    array evaluation on a fixed rule in ``y``.  The reflection switches on
+    across the condensate layer ``y_p = 2 d omega_eff / hbar_c``; for
+    ``y_p >= 4e-3`` the ``l >= 1`` rule resolves it; below that, which
+    happens only near Tc, 8 Gauss-Legendre nodes per panel on a first panel
+    ``[0, y_p / 4]`` and panels doubling in width (312 nodes at
+    ``y_p = 1e-9``).  Against adaptive quadrature at ``epsrel`` 1e-13 it
+    agrees to 1e-9 relative for d in [50 nm, 5 um], both powers, and
+    ``omega_eff`` from 0.1 K to 1e-13 K below Tc up to ``Omega = 1e4`` eV."""
+    if omega_eff == 0.0:
+        return 0.0
+    y_p = 2.0 * d * omega_eff / _HBAR_C
+    y, weights = (_U_NODES, _U_WEIGHTS) if y_p >= 4e-3 else _doubling_panels(
+        0.25 * y_p, _Y_SPAN, 8)
+    r = _static_te(y, y_p)
+    return float(np.dot(weights, y ** power * _ratio(r * r * np.exp(-y), power)))
 
 
 def _dynamic_integral(d: float, T: float, model: DielectricModel, xi: float,

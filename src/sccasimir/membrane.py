@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import FitError, ParseError
 from .physcore import CONSTANTS, MembraneSpec, read_csv
@@ -190,20 +189,16 @@ def cte_alpha(T: float, A: float, B: float) -> float:
     return A * T + B * T ** 3
 
 
-def thermal_stress(T1: float, T2: float, m: MembraneSpec,
-                   alpha_sub=None) -> float:
+def thermal_stress(T1: float, T2: float, m: MembraneSpec) -> float:
     """Film stress accumulated between ``T1`` and ``T2`` in Pa.
 
-    ``E/(1-nu) * integral of (alpha_film - alpha_sub)``; the substrate
-    coefficient defaults to zero when unknown.
+    ``E/(1-nu)`` times the integral of :func:`cte_alpha`, in closed form:
+    ``E/(1-nu) * (A (T2**2 - T1**2)/2 + B (T2**4 - T1**4)/4)``.
     """
-    sub = alpha_sub if alpha_sub is not None else (lambda T: 0.0)
-
-    def integrand(T: float) -> float:
-        return cte_alpha(T, m.cte_A, m.cte_B) - sub(T)
-
-    val, _ = quad(integrand, T1, T2, limit=200)
-    return m.E / (1.0 - m.nu) * val
+    if T1 < 0.0 or T2 < 0.0:
+        raise ValueError(f"temperatures must be >= 0, got {T1} and {T2}")
+    return m.E / (1.0 - m.nu) * (m.cte_A * (T2 ** 2 - T1 ** 2) / 2.0
+                                 + m.cte_B * (T2 ** 4 - T1 ** 4) / 4.0)
 
 
 def frequency_noise(f0: float, Q: float, noise_to_signal: float, tau: float) -> float:

@@ -108,14 +108,22 @@ class TestPressureCommand:
                                       "--skip-exponent"])
         assert result.exit_code == 4
 
-    def test_just_below_transition_is_quiet(self, runner):
-        # shown as a user sees it: every warning printed, none raised
-        with warnings.catch_warnings():
+    # a small gamma0 makes the condensate fraction a small difference of
+    # two large terms
+    @pytest.mark.parametrize("args", [
+        ["--t", "14.19999999"],
+        ["--t", "14.19999999", "--gamma0", "1e-10"],
+        ["--t", "2.788363636363636", "--gamma0", "1e-6"],
+    ], ids=["dirty", "clean-near-tc", "clean-low-t"])
+    def test_just_below_transition_is_quiet(self, runner, args):
+        # every warning recorded rather than raised, as a user would see it
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = runner.invoke(main, ["pressure", "--d", "190e-9", "--t",
-                                          "14.19999999", "--skip-exponent"])
+            result = runner.invoke(main, ["pressure", "--d", "190e-9", *args,
+                                          "--skip-exponent"])
         assert result.exit_code == 0
         assert result.stderr == ""
+        assert [str(w.message) for w in caught] == []
 
     def test_config_file_and_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "sc.cfg"

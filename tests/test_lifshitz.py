@@ -75,6 +75,25 @@ class TestFresnel:
             fresnel_iw(2.0, 0.0, 0.0)
 
 
+def quad_static_te(d, omega_eff, power):
+    """The static TE momentum integral by adaptive quadrature of a scalar
+    integrand written out independently of the engine, with the condensate
+    layer ``y_p`` and its doublings as breakpoints."""
+    kp = omega_eff / CONSTANTS.hbar_c_eVm
+
+    def integrand(y):
+        q = y / (2.0 * d)
+        r = -(kp / (q + math.sqrt(q * q + kp * kp))) ** 2
+        t = r * r * math.exp(-y)
+        return y ** power * t / (1.0 - t) ** (power - 1)
+
+    y_p = 2.0 * d * kp
+    points = [y_p * 2.0 ** k for k in range(64) if y_p * 2.0 ** k < 50.0]
+    value, _ = quad(integrand, 0.0, 50.0, epsabs=0.0, epsrel=1e-13, limit=500,
+                    points=points or None)
+    return value
+
+
 class TestStaticTE:
     def test_grazing_limit(self):
         assert static_te_reflection(0.0, 5.33) == -1.0
@@ -109,13 +128,20 @@ class TestStaticTE:
 
     @pytest.mark.parametrize("power", [2, 3])
     def test_integral_stays_resolved_up_to_tc(self, sc_params, power):
-        # from a kelvin to 1e-13 K below Tc the layer y_p shrinks by six
-        # decades; the pyproject filter turns any quadpack warning into
-        # a failure here
-        for below in np.geomspace(1e-13, 1.0, 11):
-            w = effective_plasma_frequency(sc_params.Tc - below, sc_params)
+        # from 0.1 K to 1e-13 K below Tc the condensate layer y_p shrinks
+        # by more than ten decades; bare and huge plasma energies put it
+        # at or past the end of the span
+        omegas = [sc_params.Omega, 1e4]
+        for p in (sc_params, replace(sc_params, gamma0=0.465e-3)):
+            for below in np.geomspace(1e-13, p.Tc - 0.1, 15):
+                omegas.append(effective_plasma_frequency(p.Tc - below, p))
+        worst = 0.0
+        for omega_eff in omegas:
             for d in np.geomspace(50e-9, 5e-6, 6):
-                assert _static_te_integral(d, w, power) > 0.0
+                got = _static_te_integral(d, omega_eff, power)
+                want = quad_static_te(d, omega_eff, power)
+                worst = max(worst, abs(got / want - 1.0))
+        assert worst <= 1e-9
 
 
 class TestClassicalTerms:

@@ -207,9 +207,9 @@ class TestCte:
             + small_gap.cte_B * (t2**4 - t1**4) / 4.0)
         assert thermal_stress(t1, t2, small_gap) == pytest.approx(expected, rel=1e-10)
 
-    def test_thermal_stress_substrate_cancels(self, small_gap):
-        film = lambda T: cte_alpha(T, small_gap.cte_A, small_gap.cte_B)
-        assert thermal_stress(4.0, 14.0, small_gap, alpha_sub=film) == 0.0
+    def test_thermal_stress_rejects_negative_temperature(self, small_gap):
+        with pytest.raises(ValueError):
+            thermal_stress(-1.0, 14.2, small_gap)
 
 
 class TestFrequencyNoise:

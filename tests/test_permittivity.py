@@ -132,6 +132,18 @@ class TestCondensateWeight:
         with pytest.raises(ValueError):
             superfluid_weight(1.5 * sc_params.Tc, sc_params)
 
+    # near Tc the fraction tends to c * Delta**2; for a clean film it is the
+    # difference of two terms about 7 kB T / gamma times larger (9e7 at
+    # gamma0 = 1e-10 eV)
+    @pytest.mark.parametrize("gamma0", [0.465, 0.465e-3, 1e-6, 1e-10])
+    def test_continuous_up_to_tc(self, gamma0):
+        p = SuperconductorParams(gamma0=gamma0)
+        temps = [p.Tc - below for below in np.geomspace(1e-4, 1e-14, 21)]
+        temps.append(math.nextafter(p.Tc, 0.0))
+        ratios = [condensate_fraction(t, p) / bcs_gap(t, p) ** 2 for t in temps]
+        assert min(ratios) > 0.0
+        assert max(ratios) - min(ratios) <= 1e-5 * min(ratios)
+
     def test_effective_plasma_frequency_gates_off(self, sc_params):
         assert effective_plasma_frequency(sc_params.Tc, sc_params) == 0.0
         below = effective_plasma_frequency(0.5 * sc_params.Tc, sc_params)
