@@ -324,14 +324,13 @@ def classical_terms(d: float, T: float) -> tuple[float, float]:
     return -amp / d ** 3, 3.0 * amp / d ** 4
 
 
-def local_exponent(spec: LifshitzSpec, step_ratio: float = 1.01) -> float:
+def local_exponent(spec: LifshitzSpec) -> float:
     """Local power-law exponent ``n = -d dln|P|/dd`` by symmetric
-    log-spaced differencing."""
-    if step_ratio <= 1.0:
-        raise ValueError("step_ratio must exceed 1")
-    p_up = casimir_pressure(replace(spec, d=spec.d * step_ratio))
-    p_dn = casimir_pressure(replace(spec, d=spec.d / step_ratio))
-    return -(math.log(abs(p_up)) - math.log(abs(p_dn))) / (2.0 * math.log(step_ratio))
+    log-spaced differencing at ``d * 1.01**(+-1)``."""
+    step = 1.01
+    p_up = casimir_pressure(replace(spec, d=spec.d * step))
+    p_dn = casimir_pressure(replace(spec, d=spec.d / step))
+    return -(math.log(abs(p_up)) - math.log(abs(p_dn))) / (2.0 * math.log(step))
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ def superfluid_weight(T: float, p: SuperconductorParams) -> float:
     if fraction <= 0.0:
         # near Tc the fraction is the difference of two terms ~7 kB T/gamma
         # times larger, beyond double precision once gamma0 < ~1e-17 eV
-        raise ArithmeticError(
+        raise ValueError(
             f"condensate fraction lost to rounding at T={T} K (Tc={p.Tc} K)")
     return math.sqrt(fraction)
 

@@ -1,11 +1,17 @@
+import cmath
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import sccasimir
 from sccasimir.errors import FitError, ParseError
 from sccasimir.membrane import SweepRecord, dw2_from_gradient
-from sccasimir.physcore import Basis, ConversionFactors
+from sccasimir.physcore import CONSTANTS, Basis, ConversionFactors
 from sccasimir.analysis import (
     DynesParams,
     SweepTruth,
@@ -223,6 +229,38 @@ class TestDynesConductance:
             np.linspace(-300 * d, 300 * d, 20001))
         assert abs(at_300) < abs(at_100)
 
+    @pytest.mark.parametrize("delta, gamma, T", [
+        (2.6e-3, 0.465e-3, 4.6),
+        (2.6e-3, 2.6e-5, 1.0),
+        (2.6e-3, 1e-4, 0.3),
+        (1e-3, 5e-4, 8.0),
+        (2.6e-3, 2.6e-9, 0.05),
+    ])
+    def test_against_adaptive_oracle(self, delta, gamma, T):
+        p = DynesParams(Delta=delta, gamma=gamma, T=T, A=1.0)
+        kT = CONSTANTS.kB_eV * T
+
+        def oracle(V):
+            width = abs(V) + 30.0 * kT + 10.0 * delta
+
+            def integrand(E):
+                x = (E + V) / (2.0 * kT)
+                if abs(x) > 300.0:
+                    return 0.0
+                z = complex(E, -gamma)
+                # cmath.sqrt, not ** 0.5: complex pow loses ~1e-11 of the
+                # in-gap real part at gamma / Delta ~ 1e-6
+                return (abs((z / cmath.sqrt(z * z - delta * delta)).real)
+                        / (4.0 * kT * math.cosh(x) ** 2))
+
+            pts = [x for x in (-delta, -V, delta) if -width < x < width]
+            val, _ = quad(integrand, -width, width, points=sorted(set(pts)),
+                          limit=300, epsabs=0.0, epsrel=1e-13)
+            return val
+
+        for v in np.linspace(-4 * delta, 4 * delta, 33):
+            assert dynes_conductance(v, p) == pytest.approx(oracle(v), rel=1e-12, abs=0.0)
+
     def test_density_even_and_positive(self):
         for e in np.linspace(-10e-3, 10e-3, 41):
             n = dynes_density(e, 2.6e-3, 0.465e-3)
@@ -260,6 +298,14 @@ class TestDynesFit:
     def test_narrow_bias_range_rejected(self):
         with pytest.raises(FitError):
             dynes_fit(synthetic_conductance(DYNES_REF, n=25, span=1.2), T=4.6)
+
+    def test_cli_import_loads_no_scipy(self):
+        src = Path(sccasimir.__file__).resolve().parent.parent
+        code = ("import sys, sccasimir.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_csv_loader(self, tmp_path):
         path = tmp_path / "dynes.csv"
