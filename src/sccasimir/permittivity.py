@@ -217,7 +217,8 @@ def permittivity_iw(model: DielectricModel, xi: float, T: float) -> float:
         raise ValueError(f"permittivity requires xi > 0, got {xi}")
     p = model.params
     if model.kind is ModelKind.PLASMA:
-        return 1.0 + (p.Omega / xi) ** 2
+        r = p.Omega / xi  # r * r overflows to inf where ** would raise
+        return 1.0 + r * r
     if model.kind is ModelKind.DRUDE:
         return 1.0 + p.Omega ** 2 / (xi * (xi + p.gamma))
     g = bcs_g(xi, T, p)

@@ -54,6 +54,11 @@ class TestMain:
         (["jump", "--dt", "0", "--membrane-config", "{membrane}", *LOOSE], 3),
         (["pressure", "--d", "190e-9", "--t", "14.0", "--gamma0", "1e-18",
           "--skip-exponent"], 2),
+        (["pressure", "--d", "190e-9", "--t", "1e-300", "--skip-exponent"], 2),
+        (["pressure", "--d", "190e-9", "--t", "1e-300", "--model", "plasma",
+          "--approach", "plasma-plasma", "--skip-exponent"], 2),
+        (["pressure", "--d", "190e-9", "--t", "1e-149", "--model", "plasma",
+          "--approach", "plasma-plasma", "--skip-exponent"], 2),
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
         sc = tmp_path / "sc.cfg"

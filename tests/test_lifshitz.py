@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from sccasimir.errors import ConvergenceError
-from sccasimir.physcore import CONSTANTS, SuperconductorParams
+from sccasimir.physcore import CONSTANTS, SuperconductorParams, matsubara_frequency
 from sccasimir.permittivity import (
     bcs,
     drude,
@@ -14,14 +14,20 @@ from sccasimir.permittivity import (
     permittivity_iw,
     plasma,
 )
+from sccasimir import lifshitz
 from sccasimir.lifshitz import (
     LifshitzSpec,
     PlatePlate,
     QuadratureConfig,
     SpherePlate,
     ZeroFreqApproach,
-    _dynamic_integral,
+    _ABS_TOL_PRESSURE,
+    _STATIC_TM,
+    _U_NODES,
+    _U_WEIGHTS,
+    _dynamic_integrals,
     _static_te_integral,
+    _static_te_omega,
     casimir_pressure,
     casimir_pressure_detail,
     casimir_pressure_gradient,
@@ -35,6 +41,7 @@ from sccasimir.lifshitz import (
 )
 
 FAST = QuadratureConfig(term_stop_rel=1e-8)
+LOOSE = QuadratureConfig(term_stop_rel=1e-6)
 
 
 class TestFresnel:
@@ -207,6 +214,37 @@ def quad_term(d, T, model, xi, power):
     return value
 
 
+def per_term_sum(spec, power):
+    """The Matsubara sum one scalar momentum integral at a time, with the
+    engine's stopping rule: the reference for its blocked head.  Returns
+    ``(n_terms, value, converged)``, the value in Pa or Pa/m."""
+    d, T, cfg = spec.d, spec.T, spec.quad
+    pref = CONSTANTS.kB_J * T / (8.0 * math.pi * d ** (power + 1))
+    zero = 0.5 * (_STATIC_TM[power] + _static_te_integral(d, _static_te_omega(spec), power))
+    terms, running, consec, l = [zero], zero, 0, 0
+    while consec < 3 and l < cfg.max_matsubara:
+        l += 1
+        xi = matsubara_frequency(l, T)
+        eps = permittivity_iw(spec.model, xi, T)
+        x = xi / CONSTANTS.hbar_c_eVm
+        y = 2.0 * d * x + _U_NODES
+        q = y * (0.5 / d)
+        s = np.sqrt(q * q + (eps - 1.0) * x * x)
+        f = 0.0
+        for r in ((q - s) / (q + s), (eps * q - s) / (eps * q + s)):
+            t = r * r * np.exp(-y)
+            f = f + t / (1.0 - t) ** (power - 1)
+        term = float(np.dot(_U_WEIGHTS, y ** power * f))
+        terms.append(term)
+        running += term
+        small = abs(term) <= cfg.term_stop_rel * abs(running)
+        if power == 2 and pref * abs(term) <= _ABS_TOL_PRESSURE:
+            small = True
+        consec = consec + 1 if small else 0
+    sign = -1.0 if power == 2 else 1.0
+    return l, sign * pref * math.fsum(terms), consec >= 3
+
+
 class TestMomentumRule:
     CLEAN = {"gamma0": 0.465e-3}  # gamma comparable to the gap
     MODELS = {
@@ -228,12 +266,11 @@ class TestMomentumRule:
                 # l from 1 up to where the photon edge y0 reaches the span
                 xi_1 = 2.0 * math.pi * CONSTANTS.kB_eV * T
                 l_max = 50.0 * CONSTANTS.hbar_c_eVm / (2.0 * d * xi_1)
-                for l in np.unique(np.geomspace(1.0, l_max, 13).astype(int)):
-                    for power in (2, 3):
-                        xi = l * xi_1
-                        got = _dynamic_integral(d, T, model, xi, power)
-                        want = quad_term(d, T, model, xi, power)
-                        worst = max(worst, abs(got / want - 1.0))
+                ls = np.unique(np.geomspace(1.0, l_max, 13).astype(int))
+                for power in (2, 3):
+                    got = _dynamic_integrals(d, T, model, ls, power)
+                    want = [quad_term(d, T, model, l * xi_1, power) for l in ls]
+                    worst = max(worst, np.max(np.abs(got / want - 1.0)))
         assert worst <= 1e-9
 
 
@@ -274,14 +311,52 @@ class TestEngine:
         assert local_exponent(spec) == pytest.approx(4.0, abs=0.01)
 
     def test_term_magnitudes_decay(self, sc_params):
-        terms = [_dynamic_integral(190e-9, 14.2, drude(sc_params),
-                                   2.0 * math.pi * l * CONSTANTS.kB_eV * 14.2, 2)
-                 for l in range(1, 81)]
+        terms = list(_dynamic_integrals(190e-9, 14.2, drude(sc_params),
+                                        range(1, 81), 2))
         # the transverse-electric share grows over the first ~16 modes
         # before the overall exponential decay takes over
         tail = terms[19:]
         assert all(a > b for a, b in zip(tail, tail[1:]))
         assert max(terms) == terms[15]
+
+    @pytest.mark.parametrize("power", [2, 3], ids=["P", "Pprime"])
+    @pytest.mark.parametrize("make", [drude, plasma, bcs], ids=["drude", "plasma", "bcs"])
+    def test_blocked_head_matches_per_term_sum(self, sc_params, make, power):
+        detail = {2: casimir_pressure_detail, 3: casimir_pressure_gradient_detail}[power]
+        # sums at small d and low T run past 100,000 terms, so the grid
+        # pairs the small separations with the high temperatures
+        for d, T in ((50e-9, 20.0), (190e-9, sc_params.Tc - 1e-6), (5e-6, 0.1)):
+            spec = LifshitzSpec(d=d, T=T, model=make(sc_params), quad=LOOSE)
+            got = detail(spec)
+            n_terms, value, converged = per_term_sum(spec, power)
+            assert converged
+            assert got.n_terms == n_terms
+            assert got.value == pytest.approx(value, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("cap", [1, 5, 33, 70])
+    def test_cap_bounds_the_evaluated_indices(self, sc_params, monkeypatch, cap):
+        spec = LifshitzSpec(d=190e-9, T=4.0, model=bcs(sc_params),
+                            quad=QuadratureConfig(max_matsubara=cap))
+        seen = []
+        monkeypatch.setattr(lifshitz, "permittivity_iw",
+                            lambda model, xi, T: seen.append(xi) or permittivity_iw(model, xi, T))
+        with pytest.raises(ConvergenceError) as err:
+            casimir_pressure_gradient(spec)
+        assert err.value.n_terms == cap
+        assert seen == [matsubara_frequency(l, 4.0) for l in range(1, cap + 1)]
+        n_terms, value, converged = per_term_sum(spec, 3)
+        assert not converged and n_terms == cap
+        assert err.value.partial == pytest.approx(value, rel=1e-14, abs=0.0)
+
+    def test_converged_sum_overruns_by_less_than_a_block(self, sc_params, monkeypatch):
+        calls = []
+        monkeypatch.setattr(lifshitz, "permittivity_iw",
+                            lambda *args: calls.append(args) or permittivity_iw(*args))
+        for d in (50e-9, 190e-9, 5e-6):
+            for detail in (casimir_pressure_detail, casimir_pressure_gradient_detail):
+                calls.clear()
+                got = detail(LifshitzSpec(d=d, T=4.0, model=drude(sc_params)))
+                assert got.n_terms <= len(calls) <= got.n_terms + 31
 
     def test_prescription_equivalence_above_transition(self, sc_params):
         # the three prescriptions may only differ in the l = 0 term
