@@ -258,8 +258,7 @@ def dynes_fit(points, T: float) -> DynesParams:
     sol = least_squares(resid, x0, bounds=(lower, upper), max_nfev=400,
                         xtol=1e-12, ftol=1e-12, gtol=1e-12)
     if not sol.success:
-        raise FitError(f"no convergence after {sol.nfev} evaluations: {sol.message}",
-                       last_iterate=tuple(sol.x))
+        raise FitError(f"no convergence after {sol.nfev} evaluations: {sol.message}")
     return DynesParams(Delta=float(sol.x[0]), gamma=float(sol.x[1]),
                        T=T, A=float(sol.x[2]))
 

@@ -13,7 +13,6 @@ non-convergence of the Matsubara sum.  Every failure prints one
 
 from __future__ import annotations
 
-import itertools
 import os
 import statistics
 from dataclasses import replace
@@ -330,12 +329,11 @@ def sweep(small_path, big_path, window, preset, membrane_config, factors_config,
                  ("deflection_change", report.conversion.dz, "m")]
     _emit_rows(rows, fmt)
 
-    small_by_t = {t: (v, s) for t, v, s in report.small.records}
     lines = ["T_K,dw2_small,sigma_small,dw2_casimir,sigma_casimir,"
              "dPprime_Pa_per_m,dF_N,dP_Pa,dz_m"]
-    for (t, dw2, sig), conv in itertools.zip_longest(report.differential,
-                                                     report.point_conversions):
-        dw2_small, sig_small = small_by_t[t]
+    conversions = report.point_conversions or [None] * len(report.differential)
+    for (t, dw2_small, sig_small), (_, dw2, sig), conv in zip(
+            report.small.records, report.differential, conversions):
         gradient = membrane.gradient_from_dw2(dw2, spec_m)
         extra = (",nan,nan,nan" if conv is None
                  else f",{conv.dF:.8e},{conv.dP:.8e},{conv.dz:.8e}")

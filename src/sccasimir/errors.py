@@ -18,10 +18,6 @@ class ConvergenceError(RuntimeError):
 class FitError(RuntimeError):
     """A least-squares fit failed (degenerate data or no convergence)."""
 
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-
 
 class ParseError(ValueError):
     """A data file could not be parsed; ``line`` is the 1-based line number."""

@@ -81,13 +81,13 @@ class ZeroFreqApproach(enum.Enum):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Stopping rule and cap of the Matsubara sum; no index above the cap
-    is evaluated.  Its momentum integrals take no tolerance: the ``l >= 1``
-    terms are one fixed 136-node Gauss-Legendre rule, a block of indices at
-    a time (``_dynamic_integrals``), and the static TE term the same rule
-    or, near Tc, one refined at the condensate layer
-    (``_static_te_integral``); both are checked to 1e-9 against adaptive
-    quadrature."""
+    """Stopping rule and cap of the Matsubara sum: no index above the cap
+    is evaluated, and a sum that stops with ``truncation_bound >= 1`` is
+    not converged.  Its momentum integrals take no tolerance: each is one
+    fixed Gauss-Legendre rule, the same 136 nodes for every ``l >= 1`` term
+    and, unless its condensate layer is thin, the static TE term
+    (``_dynamic_integrals``, ``_static_te_integral``); both are checked to
+    1e-9 against adaptive quadrature."""
 
     term_stop_rel: float = 1e-10     # per-term stopping ratio
     max_matsubara: int = 100_000     # hard cap on the mode index
@@ -111,10 +111,11 @@ class LifshitzSpec:
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
-        if self.d <= 0.0:
-            raise ValueError(f"separation must be > 0, got {self.d} m")
-        if self.T <= 0.0:
-            raise ValueError(f"temperature must be > 0, got {self.T} K")
+        # d**4 divides the gradient; the product overflows to inf where ** raises
+        if not (self.d > 0.0 and 0.0 < self.d * self.d * self.d * self.d < math.inf):
+            raise ValueError(f"separation must have 0 < d**4 < inf, got {self.d} m")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"temperature must be finite and > 0, got {self.T} K")
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,9 @@ class LifshitzDetail:
     truncation_bound: float  # relative truncation estimate (10x last term)
 
 
-# (r_te, r_tm) from the vacuum and medium wave numbers, scalars or arrays
-def _fresnel(epsilon, q, s):
+# (r_te, r_tm) from q and x = xi/hbar_c; vacuum gives 0 as sqrt(q*q) == q
+def _fresnel(epsilon, q, x):
+    s = np.sqrt(q * q + (epsilon - 1.0) * x * x)
     return (q - s) / (q + s), (epsilon * q - s) / (epsilon * q + s)
 
 
@@ -138,8 +140,9 @@ def fresnel_iw(epsilon: float, xi: float, k_perp: float) -> tuple[float, float]:
     """Fresnel reflection coefficients ``(r_te, r_tm)`` of a thick slab at
     imaginary frequency.
 
-    ``q = sqrt((xi/hbar_c)^2 + k^2)`` and ``s = sqrt(eps (xi/hbar_c)^2 + k^2)``
-    with ``xi`` in eV and ``k_perp`` in 1/m; both coefficients lie in [-1, 1].
+    ``q = sqrt(x^2 + k^2)`` and ``s = sqrt(q^2 + (eps - 1) x^2)`` with
+    ``x = xi/hbar_c``, ``xi`` in eV and ``k_perp`` in 1/m, the arithmetic of
+    the Matsubara terms; both coefficients lie in [-1, 1].
     """
     if epsilon < 1.0:
         raise ValueError(f"epsilon must be >= 1, got {epsilon}")
@@ -148,10 +151,7 @@ def fresnel_iw(epsilon: float, xi: float, k_perp: float) -> tuple[float, float]:
     if xi == 0.0 and k_perp == 0.0:
         raise ValueError("xi and k_perp cannot both vanish")
     x = xi / _HBAR_C
-    # same arithmetic form for q and s so vacuum gives exact zeros
-    q = math.sqrt(x * x + k_perp * k_perp)
-    s = math.sqrt(epsilon * (x * x) + k_perp * k_perp)
-    return _fresnel(epsilon, q, s)
+    return tuple(map(float, _fresnel(epsilon, math.sqrt(x * x + k_perp * k_perp), x)))
 
 
 # static TE coefficient (k - hypot(k, kp)) / (k + hypot(k, kp)) without the
@@ -175,10 +175,6 @@ def static_te_reflection(k_perp: float, omega_eff: float) -> float:
     return float(_static_te(k_perp, omega_eff / _HBAR_C))
 
 
-def _ratio(t, power: int):
-    return t / (1.0 - t) ** (power - 1)
-
-
 # static TM integrals with unit reflection, t = exp(-y): Int y^2 t/(1-t) dy
 # = 2 zeta(3) and Int y^3 t/(1-t)^2 dy = 6 zeta(3).  Every prescription
 # shares them, so the universality of the static TM term is exact.
@@ -189,23 +185,28 @@ _STATIC_TM = {2: 2.0 * CONSTANTS.zeta3, 3: 6.0 * CONSTANTS.zeta3}
 _U_NODES, _U_WEIGHTS = _doubling_panels(1e-3, _Y_SPAN, 8)
 
 
+# y^power Sum_r t/(1 - t)^(power - 1), t = r^2 exp(-y): every term's integrand
+def _integrand(y, power: int, *reflections):
+    e = np.exp(-y)
+    return y ** power * sum(t / (1.0 - t) ** (power - 1)
+                            for t in (r * r * e for r in reflections))
+
+
 def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
-    """Momentum integral of the static TE term over ``[0, 50]``, as one
-    array evaluation on a fixed rule in ``y``.  The reflection switches on
-    across the condensate layer ``y_p = 2 d omega_eff / hbar_c``; for
-    ``y_p >= 4e-3`` the ``l >= 1`` rule resolves it; below that, which
-    happens only near Tc, 8 Gauss-Legendre nodes per panel on a first panel
-    ``[0, y_p / 4]`` and panels doubling in width (312 nodes at
-    ``y_p = 1e-9``).  Against adaptive quadrature at ``epsrel`` 1e-13 it
-    agrees to 1e-9 relative for d in [50 nm, 5 um], both powers, and
-    ``omega_eff`` from 0.1 K to 1e-13 K below Tc up to ``Omega = 1e4`` eV."""
+    """Momentum integral of the static TE term over ``[0, 50]`` on one
+    fixed rule in ``y``: 8 Gauss-Legendre nodes per panel, a first panel
+    ``[0, min(1e-3, y_p / 4)]`` with ``y_p = 2 d omega_eff / hbar_c`` the
+    condensate layer where the reflection switches on, then panels doubling
+    in width.  That is the ``l >= 1`` rule for ``y_p >= 4e-3``, and finer
+    only near Tc (312 nodes at ``y_p = 1e-9``).  Against adaptive quadrature
+    at ``epsrel`` 1e-13 it agrees to 1e-9 relative for d in [50 nm, 5 um],
+    both powers, and ``omega_eff`` from 0.1 K to 1e-13 K below Tc up to
+    ``Omega = 1e4`` eV."""
     if omega_eff == 0.0:
         return 0.0
     y_p = 2.0 * d * omega_eff / _HBAR_C
-    y, weights = (_U_NODES, _U_WEIGHTS) if y_p >= 4e-3 else _doubling_panels(
-        0.25 * y_p, _Y_SPAN, 8)
-    r = _static_te(y, y_p)
-    return float(np.dot(weights, y ** power * _ratio(r * r * np.exp(-y), power)))
+    y, weights = _doubling_panels(min(1e-3, 0.25 * y_p), _Y_SPAN, 8)
+    return float(np.dot(weights, _integrand(y, power, _static_te(y, y_p))))
 
 
 def _dynamic_integrals(d: float, T: float, model: DielectricModel, ls,
@@ -226,12 +227,7 @@ def _dynamic_integrals(d: float, T: float, model: DielectricModel, ls,
     # an overflow gives a non-finite term, which is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         y = 2.0 * d * x + _U_NODES
-        q = y * (0.5 / d)
-        s = np.sqrt(q * q + (eps - 1.0) * x * x)
-        e = np.exp(-y)
-        r_te, r_tm = _fresnel(eps, q, s)
-        f = y ** power * (_ratio(r_te * r_te * e, power) + _ratio(r_tm * r_tm * e, power))
-    terms = f @ _U_WEIGHTS
+        terms = _integrand(y, power, *_fresnel(eps, y * (0.5 / d), x)) @ _U_WEIGHTS
     if not np.isfinite(terms).all():
         raise ValueError(f"temperature {T} K is too small: Matsubara terms overflow")
     return terms
@@ -284,7 +280,8 @@ def _matsubara_sum(spec: LifshitzSpec, power: int, prefactor: float) -> Lifshitz
 
     total = math.fsum(terms)  # fixed ascending order, compensated
     achieved = last / abs(total) if total != 0.0 else math.inf
-    if not converged:
+    # _ABS_TOL_PRESSURE can stop a sum whose last term is still >= 10% of it
+    if not converged or 10.0 * achieved >= 1.0:
         raise ConvergenceError(
             f"Matsubara sum not converged after {l} terms "
             f"(last relative term {achieved:.3e})",

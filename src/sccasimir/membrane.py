@@ -121,7 +121,7 @@ class LcpdResult:
     rho_err: float
 
 
-def lcpd_fit(points, m: MembraneSpec, with_holes: bool = True) -> LcpdResult:
+def lcpd_fit(points, m: MembraneSpec) -> LcpdResult:
     """Recover (V0, stress, density) from a backgate-voltage sweep.
 
     Fits ``f^2`` against ``V_bg`` with a concave parabola (linear in the
@@ -134,20 +134,19 @@ def lcpd_fit(points, m: MembraneSpec, with_holes: bool = True) -> LcpdResult:
     if len(pts) < 5:
         raise FitError(f"need at least 5 points, got {len(pts)}")
     v = np.array([p[0] for p in pts])
+    if len(np.unique(v)) < 3:
+        raise FitError(f"need at least 3 distinct voltages, got {len(np.unique(v))}")
     f2 = np.array([p[1] ** 2 for p in pts])
     coeffs, cov = np.polyfit(v, f2, 2, cov=True)
     a, b, c = coeffs
     if a >= 0.0:
-        raise FitError("convex fit: data do not show an electrostatic parabola",
-                       last_iterate=tuple(coeffs))
+        raise FitError("convex fit: data do not show an electrostatic parabola")
     v0 = -b / (2.0 * a)
     if not (v.min() < v0 < v.max()):
-        raise FitError(f"apex {v0:.4g} V outside the sampled voltage range",
-                       last_iterate=tuple(coeffs))
+        raise FitError(f"apex {v0:.4g} V outside the sampled voltage range")
     f2_apex = c - b * b / (4.0 * a)
     rho = -CONSTANTS.eps0 / (4.0 * math.pi ** 2 * a * m.h * m.d ** 3)
-    y = m.Y_ratio if with_holes else 1.0
-    sigma = 2.0 * m.L ** 2 * rho * f2_apex / y
+    sigma = 2.0 * m.L ** 2 * rho * f2_apex / m.Y_ratio
 
     # linearized propagation through v0 = -b/2a, rho ~ 1/a, sigma ~ f2_apex/a
     da, db, dc = (math.sqrt(max(cov[i, i], 0.0)) for i in range(3))

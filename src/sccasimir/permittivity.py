@@ -159,7 +159,29 @@ def _doubling_panels(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.n
 
 
 @lru_cache(maxsize=200_000)
-def _bcs_g_impl(xi: float, T: float, p: SuperconductorParams) -> float:
+def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
+    """Dimensionless pairing correction ``g(xi; T)`` to the Drude response.
+
+    The epsilon integral is folded onto [0, inf) and doubled using the even
+    symmetry of the integrand, then truncated at
+    ``max(200 Delta, 200 xi, 50 kB T)``.  The window is covered by a fixed
+    composite Gauss-Legendre rule with 16 nodes per panel: a first panel
+    [0, a] with ``a = min(Delta, sqrt(Delta xi)) / 4``, then panels that
+    double in width, the last one ending at the cut-off.  The integrand is
+    evaluated once, as one array over all nodes, and the result is cached
+    per ``(xi, T, p)``.  Returns 0 at and above the transition.
+
+    Parameters
+    ----------
+    xi : float
+        Imaginary-frequency energy in eV, > 0.  The zero-frequency
+        behavior is handled by the static reflection coefficients of the
+        Lifshitz module, not here.
+    T : float
+        Temperature in K, >= 0 (``bcs_gap`` rejects a negative one).
+    """
+    if xi <= 0.0:
+        raise ValueError(f"bcs_g requires xi > 0, got {xi}")
     delta = bcs_gap(T, p)
     if delta == 0.0:
         return 0.0
@@ -180,34 +202,6 @@ def _bcs_g_impl(xi: float, T: float, p: SuperconductorParams) -> float:
     return 2.0 * float(np.dot(weights, th / e_qp * g_plus.real))
 
 
-def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
-    """Dimensionless pairing correction ``g(xi; T)`` to the Drude response.
-
-    The epsilon integral is folded onto [0, inf) and doubled using the even
-    symmetry of the integrand, then truncated at
-    ``max(200 Delta, 200 xi, 50 kB T)``.  The window is covered by a fixed
-    composite Gauss-Legendre rule with 16 nodes per panel: a first panel
-    [0, a] with ``a = min(Delta, sqrt(Delta xi)) / 4``, then panels that
-    double in width, the last one ending at the cut-off.  The integrand is
-    evaluated once, as one array over all nodes.  Returns 0 at and above
-    the transition.
-
-    Parameters
-    ----------
-    xi : float
-        Imaginary-frequency energy in eV, > 0.  The zero-frequency
-        behavior is handled by the static reflection coefficients of the
-        Lifshitz module, not here.
-    T : float
-        Temperature in K, >= 0.
-    """
-    if xi <= 0.0:
-        raise ValueError(f"bcs_g requires xi > 0, got {xi}")
-    if T < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {T} K")
-    return _bcs_g_impl(float(xi), float(T), p)
-
-
 def permittivity_iw(model: DielectricModel, xi: float, T: float) -> float:
     """Dielectric function at imaginary frequency ``i*xi``; real and >= 1.
 
@@ -219,11 +213,9 @@ def permittivity_iw(model: DielectricModel, xi: float, T: float) -> float:
     if model.kind is ModelKind.PLASMA:
         r = p.Omega / xi  # r * r overflows to inf where ** would raise
         return 1.0 + r * r
-    if model.kind is ModelKind.DRUDE:
-        return 1.0 + p.Omega ** 2 / (xi * (xi + p.gamma))
-    g = bcs_g(xi, T, p)
+    # a closed gap (g == 0) takes the Drude arithmetic, so BCS equals Drude
+    # bit-exactly at T >= Tc
+    g = 0.0 if model.kind is ModelKind.DRUDE else bcs_g(xi, T, p)
     if g == 0.0:
-        # closed gap: reuse the Drude arithmetic so the coincidence at
-        # T >= Tc is bit-exact, not merely within rounding
         return 1.0 + p.Omega ** 2 / (xi * (xi + p.gamma))
     return 1.0 + (p.Omega ** 2 / xi) * (1.0 / (xi + p.gamma) + g / xi)

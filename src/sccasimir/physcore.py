@@ -266,9 +266,13 @@ def read_csv(path, *headers: tuple[str, ...]) -> list[tuple[int, tuple[float, ..
                 raise ParseError(f"expected {len(header)} fields, got {len(row)}",
                                  line=lineno)
             try:
-                rows.append((lineno, tuple(float(cell) for cell in row)))
+                values = tuple(float(cell) for cell in row)
+                if not all(map(math.isfinite, values)):
+                    raise ValueError
             except ValueError:
-                raise ParseError(f"non-numeric field in {row!r}", line=lineno) from None
+                raise ParseError(f"non-numeric or non-finite field in {row!r}",
+                                 line=lineno) from None
+            rows.append((lineno, values))
     if not rows:
         raise ParseError(f"{path.name} contains no data rows", line=2)
     return rows

@@ -59,6 +59,17 @@ class TestMain:
           "--approach", "plasma-plasma", "--skip-exponent"], 2),
         (["pressure", "--d", "190e-9", "--t", "1e-149", "--model", "plasma",
           "--approach", "plasma-plasma", "--skip-exponent"], 2),
+        (["pressure", "--d", "1e-300", "--t", "10", "--skip-exponent"], 2),
+        (["gradient", "--d", "1e-90", "--t", "10"], 2),
+        (["gradient", "--d", "1e80", "--t", "10"], 2),
+        (["pressure", "--d", "inf", "--t", "10", "--skip-exponent"], 2),
+        (["pressure", "--d", "nan", "--t", "10", "--skip-exponent"], 2),
+        (["pressure", "--d", "190e-9", "--t", "nan", "--skip-exponent"], 2),
+        (["pressure", "--d", "190e-9", "--t", "inf", "--skip-exponent"], 2),
+        # every pressure term is below the absolute tolerance, yet each is
+        # still ~30% of the sum
+        (["exponent", "--d", "1213e-9", "--t", "1e-4", "--model", "plasma",
+          "--approach", "plasma-plasma"], 4),
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
         sc = tmp_path / "sc.cfg"
@@ -291,6 +302,15 @@ class TestSweepPipelineCommands:
         assert result.exit_code == 3
         assert "line 3" in result.output
 
+    def test_non_finite_field_reports_line(self, runner, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("T_K,f_Hz\n13.2,352800.0\n13.3,nan\n")
+        result = runner.invoke(main, ["sweep", "--small", str(bad),
+                                      "--big", str(bad),
+                                      "--window", "13.2", "14.15"])
+        assert result.exit_code == 3
+        assert "line 3" in result.output
+
 
 class TestFitCommands:
     def test_lcpd_fit(self, runner, tmp_path):
@@ -315,6 +335,15 @@ class TestFitCommands:
         path.write_text("volts,hertz\n0,1\n")
         result = runner.invoke(main, ["lcpd-fit", "--csv", str(path)])
         assert result.exit_code == 3
+
+    def test_lcpd_two_voltages_is_fit_error(self, runner, tmp_path):
+        path = tmp_path / "lcpd.csv"
+        path.write_text("V_volt,f_Hz\n" + "".join(
+            f"{v},{352800 + i}\n" for i, v in enumerate((0.1, 0.2) * 3)))
+        result = runner.invoke(main, ["lcpd-fit", "--csv", str(path)])
+        assert result.exit_code == 3
+        assert result.stderr == ("error: fit failed: need at least 3 distinct "
+                                 "voltages, got 2\n")
 
     @pytest.mark.slow
     def test_dynes_fit(self, runner, tmp_path):

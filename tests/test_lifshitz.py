@@ -394,6 +394,18 @@ class TestEngine:
         assert detail.n_terms > 10
         assert detail.last_term >= 0.0
 
+    def test_sum_stopped_at_unit_bound_is_not_converged(self, sc_params):
+        # every pressure term is below _ABS_TOL_PRESSURE from the first,
+        # so the rule stops after 3 terms that are each ~30% of the sum;
+        # a truncation bound >= 1 is no result
+        spec = LifshitzSpec(d=1213e-9, T=1e-4, model=plasma(sc_params),
+                            approach=ZeroFreqApproach.PLASMA_PLASMA)
+        with pytest.raises(ConvergenceError) as err:
+            casimir_pressure(spec)
+        assert err.value.n_terms == 3
+        assert 10.0 * err.value.achieved_rel == pytest.approx(2.857, rel=1e-3)
+        assert abs(err.value.partial) <= 3 * _ABS_TOL_PRESSURE
+
     def test_convergence_error_carries_partial(self, sc_params):
         spec = LifshitzSpec(d=190e-9, T=14.2, model=drude(sc_params),
                             approach=ZeroFreqApproach.PLASMA_BCS,
@@ -409,6 +421,13 @@ class TestEngine:
             LifshitzSpec(d=0.0, T=10.0, model=drude(sc_params))
         with pytest.raises(ValueError):
             LifshitzSpec(d=1e-7, T=-1.0, model=drude(sc_params))
+        # d**4 must be finite and nonzero, so no prefactor divides by zero
+        for d in (1e-90, 1e80, math.inf, math.nan):
+            with pytest.raises(ValueError, match="separation"):
+                LifshitzSpec(d=d, T=10.0, model=drude(sc_params))
+        for T in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="temperature"):
+                LifshitzSpec(d=1e-7, T=T, model=drude(sc_params))
         with pytest.raises(ValueError):
             QuadratureConfig(term_stop_rel=0.0)
         with pytest.raises(ValueError):

@@ -146,6 +146,13 @@ class TestLcpdFit:
         with pytest.raises(FitError):
             lcpd_fit(synthetic_voltage_sweep(small_gap, 0.2572, n=4), small_gap)
 
+    @pytest.mark.parametrize("voltages", [(0.1,) * 6, (0.1, 0.3) * 3])
+    def test_too_few_distinct_voltages(self, small_gap, voltages):
+        # a parabola needs three abscissae; fewer used to warn and exit 2
+        points = [(v, 352800.0 + i) for i, v in enumerate(voltages)]
+        with pytest.raises(FitError, match="3 distinct voltages"):
+            lcpd_fit(points, small_gap)
+
     def test_convex_data_rejected(self, small_gap):
         points = [(v, 1e5 + 1e4 * v * v) for v in np.linspace(-1, 1, 21)]
         with pytest.raises(FitError):
@@ -270,6 +277,15 @@ class TestSweepCsv:
                 with pytest.raises(ParseError) as err:
                     load(path)
                 assert err.value.line == 3
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_field_reports_line(self, tmp_path, field):
+        path = tmp_path / "data.csv"
+        for header, load in READERS:
+            path.write_text(f"{header}\n4.5,352800.0\n5.0,{field}\n")
+            with pytest.raises(ParseError, match="non-finite") as err:
+                load(path)
+            assert err.value.line == 3
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "data.csv"
