@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import FitError
 from .membrane import SweepRecord, gradient_from_dw2
-from .permittivity import _doubling_panels
+from .permittivity import _GAUSS_LEGENDRE, _doubling_panels
 from .physcore import (
     CONSTANTS,
     Basis,
@@ -41,6 +41,9 @@ __all__ = [
 
 _KB = CONSTANTS.kB_eV
 _TC = SuperconductorParams().Tc
+# biases per array evaluation in dynes_conductance; keeps the temporaries of
+# a typical fit under about 1 MB
+_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,9 @@ def calibrate_thermal(records, window, Tc: float | None = None) -> CalibratedRes
         raise ValueError(
             f"need >= 3 points inside the fit window, found {len(in_window)}")
     t_fit = np.array([r.T for r in in_window])
+    if t_fit[0] == t_fit[-1]:
+        raise ValueError(f"need >= 2 distinct temperatures inside the fit window, "
+                         f"all {len(t_fit)} points are at {t_fit[0]} K")
     w2_fit = np.array([(2.0 * math.pi * r.f) ** 2 for r in in_window])
     slope, intercept = np.polyfit(t_fit, w2_fit, 1)
     out = []
@@ -111,6 +117,9 @@ def differential_subtract(small: CalibratedResiduals, big: CalibratedResiduals,
     sb = np.array([r[2] for r in big.records])
     if len(tb) < 2:
         raise ValueError("big-gap residual needs >= 2 points to interpolate")
+    repeated = tb[1:][np.diff(tb) == 0.0]
+    if repeated.size:
+        raise ValueError(f"big-gap residual repeats the temperature {repeated[0]} K")
     out = []
     for t, dw2, sig in small.records:
         if t < tb[0] or t > tb[-1]:
@@ -165,6 +174,11 @@ class DynesParams:
     A: float = 1.0  # normal-state conductance scale, arbitrary units
 
     def __post_init__(self):
+        for name in ("Delta", "gamma", "T", "A"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)  # fits pass NumPy scalars
         if self.Delta <= 0.0 or self.gamma <= 0.0:
             raise ValueError("Delta and gamma must be > 0")
         if self.T <= 0.0:
@@ -179,33 +193,74 @@ def dynes_density(E, Delta: float, gamma: float):
     return np.abs((z / np.sqrt(z * z - Delta * Delta)).real)
 
 
-def dynes_conductance(V: float, p: DynesParams) -> float:
+def dynes_conductance(V, p: DynesParams) -> float | np.ndarray:
     """Thermally broadened tunneling conductance at bias ``V`` (volts).
 
-    Convolution of the broadened density of states with the derivative of
-    the Fermi occupation over ``|E| <= |V| + 30 kB T + 10 Delta``; tends to
-    ``A`` as ``|V| -> infinity``.  One array evaluation on a fixed rule: the
-    window is broken at its edges and at ``-Delta, -V, Delta``, each gap
-    between breaks is halved, and each half is covered by 16-node
-    Gauss-Legendre panels doubling in width away from its own break, the
-    first ``min(gamma, kB T) / 4`` wide.  Against adaptive quadrature at
+    ``V`` is a scalar, which gives a ``float``, or an array, which gives one
+    value per bias.  Convolution of the broadened density of states with the
+    derivative of the Fermi occupation over ``|E| <= |V| + 30 kB T + 10
+    Delta``; tends to ``A`` as ``|V| -> infinity``.  Each bias has its own
+    fixed rule: the window is broken at its edges and at ``-Delta, -V,
+    Delta``, each gap between breaks is halved, and each half is covered by
+    16-node Gauss-Legendre panels doubling in width away from its own break,
+    the first ``min(gamma, kB T) / 4`` wide.  Against adaptive quadrature at
     ``epsrel`` 1e-13 it agrees to 1e-12 relative (worst seen 1.9e-13) over
     33 biases in +-4 Delta, gamma / Delta in [1e-6, 0.5], T in [0.05, 8] K.
+    Biases are evaluated in blocks of ``_BLOCK``, and each is summed on
+    its own, so a value does not depend on the other biases in the call.
     """
+    v = np.asarray(V, dtype=float)
+    flat = v.ravel()
+    out = np.empty(flat.size)
+    for i in range(0, flat.size, _BLOCK):
+        out[i:i + _BLOCK] = _conductance_block(flat[i:i + _BLOCK], p)
+    return float(out[0]) if v.ndim == 0 else out.reshape(v.shape)
+
+
+def _conductance_block(v: np.ndarray, p: DynesParams) -> np.ndarray:
+    """``dynes_conductance`` of the 1-D biases ``v``: the density and the
+    Fermi kernel are evaluated once over the nodes of every bias, laid out
+    bias after bias, gap after gap, lower half before upper half."""
     kT = _KB * p.T
-    width = abs(V) + 30.0 * kT + 10.0 * p.Delta
-    breaks = sorted({-width, -p.Delta, -V, p.Delta, width})  # width > |V| and > Delta
     first = 0.25 * min(p.gamma, kT)
-    nodes, weights = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        x, w = _doubling_panels(first, 0.5 * (hi - lo), 16)
-        nodes += [lo + x, hi - x]
-        weights += [w, w]
-    E = np.concatenate(nodes)
-    x = np.clip((E + V) / (2.0 * kT), -300.0, 300.0)  # keeps cosh(x)**2 finite
-    kern = 1.0 / (4.0 * kT * np.cosh(x) ** 2)
-    return p.A * float(np.dot(np.concatenate(weights),
-                              dynes_density(E, p.Delta, p.gamma) * kern))
+    gaps = []  # (bias index, lo, hi, half width, doubling panels) per gap
+    for i, bias in enumerate(v.tolist()):
+        width = abs(bias) + 30.0 * kT + 10.0 * p.Delta  # > |V| and > Delta
+        breaks = sorted({-width, -p.Delta, -bias, p.Delta, width})
+        for lo, hi in zip(breaks[:-1], breaks[1:]):
+            half = 0.5 * (hi - lo)  # each half is [0, half] from its own break
+            ratio = half / first if first > 0.0 else math.inf
+            if not math.isfinite(ratio):
+                raise ValueError(f"T={p.T} K, V={bias} V: the conductance window is "
+                                 f"not a finite multiple of its first panel "
+                                 f"min(gamma, kB T) / 4")
+            # the panel count of _doubling_panels(first, half, 16)
+            gaps.append((i, lo, hi, half, max(math.ceil(math.log2(ratio)), 0)))
+    owner, lo, hi, half, k = map(np.array, zip(*gaps))
+    # a half with k doubling panels takes the first 16 k nodes of the shared
+    # prefix [0, first], [first, 2 first], ... and then a last panel of its own
+    x_pre, w_pre = _doubling_panels(first, math.ldexp(first, int(k.max()) - 1), 16)
+    start = np.where(k > 0, np.ldexp(first, k - 1), 0.0)
+    last = 0.5 * (half - start)[:, None]
+    nodes, weights = _GAUSS_LEGENDRE[16]
+    x_last, w_last = start[:, None] + last * (nodes + 1.0), last * weights
+    # lo + x on the lower half, hi + (-x) = hi - x on the upper
+    x_pre_neg, x_last_neg = -x_pre, -x_last
+    xs, ws = [], []
+    for g, n in enumerate((16 * k).tolist()):
+        xs += [x_pre[:n], x_last[g], x_pre_neg[:n], x_last_neg[g]]
+        ws += [w_pre[:n], w_last[g], w_pre[:n], w_last[g]]
+    E = np.repeat(np.column_stack([lo, hi]).ravel(), np.repeat(16 * (k + 1), 2))
+    E += np.concatenate(xs)
+    per_gap = 32 * (k + 1)
+    x = np.clip((E + np.repeat(v[owner], per_gap)) / (2.0 * kT), -300.0, 300.0)
+    kern = 1.0 / (4.0 * kT * np.cosh(x) ** 2)  # the clip keeps cosh(x)**2 finite
+    del x  # before the density's complex temporaries
+    f = dynes_density(E, p.Delta, p.gamma) * kern
+    w = np.concatenate(ws)
+    # each bias is its own dot product over its own nodes, in the order above
+    end = np.cumsum(np.bincount(owner, per_gap)).astype(int).tolist()
+    return p.A * np.array([np.dot(w[s:e], f[s:e]) for s, e in zip([0] + end[:-1], end)])
 
 
 def load_dynes_csv(path) -> list[tuple[float, float]]:
@@ -248,8 +303,7 @@ def dynes_fit(points, T: float) -> DynesParams:
 
     def resid(theta):
         delta, gamma, a = theta
-        p = DynesParams(Delta=delta, gamma=gamma, T=T, A=a)
-        return np.array([dynes_conductance(vi, p) for vi in v]) - g
+        return dynes_conductance(v, DynesParams(Delta=delta, gamma=gamma, T=T, A=a)) - g
 
     from scipy.optimize import least_squares  # only this command needs scipy
 

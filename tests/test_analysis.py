@@ -9,10 +9,13 @@ import pytest
 from scipy.integrate import quad
 
 import sccasimir
+from sccasimir import analysis
 from sccasimir.errors import FitError, ParseError
 from sccasimir.membrane import SweepRecord, dw2_from_gradient
+from sccasimir.permittivity import _doubling_panels
 from sccasimir.physcore import CONSTANTS, Basis, ConversionFactors
 from sccasimir.analysis import (
+    _BLOCK,
     DynesParams,
     SweepTruth,
     calibrate_thermal,
@@ -98,6 +101,12 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate_thermal(records, WINDOW, Tc=14.0)
 
+    def test_window_needs_two_distinct_temperatures(self):
+        records = [SweepRecord(T=13.2, f=352800.0 + i, sigma_f=None) for i in range(3)]
+        records += line_records(SLOPE, INTERCEPT, (14.3, 14.4))
+        with pytest.raises(ValueError, match="distinct temperatures"):
+            calibrate_thermal(records, (13.0, 13.5))
+
 
 class TestDifferential:
     def _residuals(self, jump=0.0):
@@ -153,6 +162,13 @@ class TestDifferential:
         with pytest.raises(ValueError):
             differential_subtract(small, big)
 
+    def test_repeated_big_gap_temperature_rejected(self):
+        small = self._residuals()
+        grid = (13.2, 13.3, 13.3, 13.4, 14.3)
+        big = calibrate_thermal(line_records(SLOPE, INTERCEPT, grid), (13.0, 13.5))
+        with pytest.raises(ValueError, match="repeats the temperature 13.3 K"):
+            differential_subtract(small, big)
+
     def test_quadrature_combination_smaller_than_additive(self):
         records = line_records(SLOPE, INTERCEPT, GRID, sigma_f=4.7e-3)
         resid = calibrate_thermal(records, WINDOW)
@@ -182,6 +198,35 @@ class TestConvertFem:
         assert conv.dP == pytest.approx(-0.65e-3, abs=0.07e-3)
 
 
+ORACLE_SETS = [
+    (2.6e-3, 0.465e-3, 4.6),
+    (2.6e-3, 2.6e-5, 1.0),
+    (2.6e-3, 1e-4, 0.3),
+    (1e-3, 5e-4, 8.0),
+    (2.6e-3, 2.6e-9, 0.05),
+]
+
+
+def scalar_rule(V, p):
+    """The conductance rule one bias at a time, each gap between breaks
+    built by its own ``_doubling_panels`` call: the reference the blocked
+    array evaluation must reproduce bit for bit."""
+    kT = CONSTANTS.kB_eV * p.T
+    width = abs(V) + 30.0 * kT + 10.0 * p.Delta
+    breaks = sorted({-width, -p.Delta, -V, p.Delta, width})
+    first = 0.25 * min(p.gamma, kT)
+    nodes, weights = [], []
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        x, w = _doubling_panels(first, 0.5 * (hi - lo), 16)
+        nodes += [lo + x, hi - x]
+        weights += [w, w]
+    E = np.concatenate(nodes)
+    x = np.clip((E + V) / (2.0 * kT), -300.0, 300.0)
+    kern = 1.0 / (4.0 * kT * np.cosh(x) ** 2)
+    return p.A * float(np.dot(np.concatenate(weights),
+                              dynes_density(E, p.Delta, p.gamma) * kern))
+
+
 class TestDynesConductance:
     def test_normal_state_asymptote(self):
         assert dynes_conductance(50 * DYNES_REF.Delta, DYNES_REF) == pytest.approx(
@@ -200,7 +245,7 @@ class TestDynesConductance:
 
     def test_peak_location(self):
         grid = np.linspace(1.5e-3, 6e-3, 91)
-        values = [dynes_conductance(v, DYNES_REF) for v in grid]
+        values = dynes_conductance(grid, DYNES_REF)
         v_peak = grid[int(np.argmax(values))]
         assert DYNES_REF.Delta <= v_peak <= 1.35 * DYNES_REF.Delta
 
@@ -217,8 +262,7 @@ class TestDynesConductance:
             v = np.concatenate([np.linspace(-w, -6 * d, n_out)[:-1],
                                 np.linspace(-6 * d, 6 * d, 481)[:-1],
                                 np.linspace(6 * d, w, n_out)])
-            g = np.array([dynes_conductance(x, DYNES_REF) for x in v])
-            return np.trapezoid(g - 1.0, v)
+            return np.trapezoid(dynes_conductance(v, DYNES_REF) - 1.0, v)
 
         at_100 = windowed(100, 120)
         assert abs(at_100) <= 0.01 * d
@@ -229,13 +273,7 @@ class TestDynesConductance:
             np.linspace(-300 * d, 300 * d, 20001))
         assert abs(at_300) < abs(at_100)
 
-    @pytest.mark.parametrize("delta, gamma, T", [
-        (2.6e-3, 0.465e-3, 4.6),
-        (2.6e-3, 2.6e-5, 1.0),
-        (2.6e-3, 1e-4, 0.3),
-        (1e-3, 5e-4, 8.0),
-        (2.6e-3, 2.6e-9, 0.05),
-    ])
+    @pytest.mark.parametrize("delta, gamma, T", ORACLE_SETS)
     def test_against_adaptive_oracle(self, delta, gamma, T):
         p = DynesParams(Delta=delta, gamma=gamma, T=T, A=1.0)
         kT = CONSTANTS.kB_eV * T
@@ -258,8 +296,25 @@ class TestDynesConductance:
                           limit=300, epsabs=0.0, epsrel=1e-13)
             return val
 
-        for v in np.linspace(-4 * delta, 4 * delta, 33):
-            assert dynes_conductance(v, p) == pytest.approx(oracle(v), rel=1e-12, abs=0.0)
+        bias = np.linspace(-4 * delta, 4 * delta, 33)
+        for v, g in zip(bias, dynes_conductance(bias, p)):
+            assert g == pytest.approx(oracle(v), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("delta, gamma, T", ORACLE_SETS)
+    def test_array_equals_scalar_rule_bitwise(self, delta, gamma, T):
+        p = DynesParams(Delta=delta, gamma=gamma, T=T, A=1.3)
+        special = [delta, -delta, 0.0, 1e-12, -1e-12, 50 * delta, -50 * delta]
+        bias = np.concatenate([special, np.linspace(-4 * delta, 4 * delta, 33)])
+        rule = np.array([scalar_rule(v, p) for v in bias])
+        for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 33, bias.size):
+            assert dynes_conductance(bias[:n], p).tobytes() == rule[:n].tobytes()
+        calls = np.array([dynes_conductance(v, p) for v in bias])
+        assert calls.tobytes() == rule.tobytes()
+
+    def test_scalar_call_returns_float(self):
+        assert type(dynes_conductance(0.0, DYNES_REF)) is float
+        assert type(dynes_conductance(np.float64(1e-3), DYNES_REF)) is float
+        assert dynes_conductance(np.zeros(0), DYNES_REF).shape == (0,)
 
     def test_density_even_and_positive(self):
         for e in np.linspace(-10e-3, 10e-3, 41):
@@ -270,7 +325,7 @@ class TestDynesConductance:
 
 def synthetic_conductance(params, n=33, span=4.0, noise=0.0, seed=None):
     v = np.linspace(-span * params.Delta, span * params.Delta, n)
-    g = np.array([dynes_conductance(x, params) for x in v])
+    g = dynes_conductance(v, params)
     if noise:
         rng = np.random.default_rng(seed)
         g = g * (1.0 + noise * rng.standard_normal(n))
@@ -290,6 +345,33 @@ class TestDynesFit:
             points = synthetic_conductance(DYNES_REF, noise=0.01, seed=seed)
             fit = dynes_fit(points, T=4.6)
             assert fit.Delta == pytest.approx(DYNES_REF.Delta, rel=0.02)
+
+    def test_one_conductance_call_per_residual(self, monkeypatch):
+        import scipy.optimize
+
+        points = synthetic_conductance(DYNES_REF, noise=0.01, seed=0)
+        biases, residuals = [], []
+        conductance, least_squares = analysis.dynes_conductance, scipy.optimize.least_squares
+
+        def counted_conductance(V, p):
+            biases.append(np.array(V, copy=True))
+            return conductance(V, p)
+
+        def counted_least_squares(fun, *args, **kwargs):
+            def counted_fun(theta):
+                residuals.append(len(biases))
+                return fun(theta)
+            return least_squares(counted_fun, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "dynes_conductance", counted_conductance)
+        monkeypatch.setattr(scipy.optimize, "least_squares", counted_least_squares)
+        dynes_fit(points, T=4.6)
+        assert len(residuals) > 3
+        # the n-th residual evaluation starts after n conductance calls
+        assert residuals == list(range(len(residuals)))
+        assert len(biases) == len(residuals)
+        for v in biases:
+            assert v.tobytes() == np.array([p[0] for p in points]).tobytes()
 
     def test_too_few_points(self):
         with pytest.raises(FitError):

@@ -70,14 +70,21 @@ class TestMain:
         # still ~30% of the sum
         (["exponent", "--d", "1213e-9", "--t", "1e-4", "--model", "plasma",
           "--approach", "plasma-plasma"], 4),
+        (["dynes-fit", "--csv", "{dynes}", "--t", "inf"], 2),
+        (["dynes-fit", "--csv", "{dynes}", "--t", "1e308"], 2),
+        (["dynes-fit", "--csv", "{dynes}", "--t", "nan"], 2),
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
+        from test_analysis import DYNES_REF, synthetic_conductance
         sc = tmp_path / "sc.cfg"
         sc.write_text("Omega_eV = -1\n")
         membrane_cfg = tmp_path / "membrane.cfg"
         membrane_cfg.write_text("L_m = -1\nh_m = 155e-9\nd_m = 190e-9\n"
                                 "sigma_Pa = 677e6\nrho_kgm3 = 4992\n")
-        args = [arg.format(sc=sc, membrane=membrane_cfg) for arg in args]
+        dynes = tmp_path / "dynes.csv"
+        dynes.write_text("V_volt,G_arb\n" + "".join(
+            f"{float(v)!r},{float(g)!r}\n" for v, g in synthetic_conductance(DYNES_REF)))
+        args = [arg.format(sc=sc, membrane=membrane_cfg, dynes=dynes) for arg in args]
         result = runner.invoke(main, args)
         assert result.exit_code == code
         assert isinstance(result.exception, SystemExit)
@@ -292,6 +299,30 @@ class TestSweepPipelineCommands:
         assert result.exit_code == 3
         assert result.output.count("error:") == 1
         assert "transition" in result.output
+
+    @pytest.mark.parametrize("small_rows, big_rows, message", [
+        # every fit-window row at one temperature
+        ("13.2,352800.0\n13.2,352801.0\n13.2,352799.0\n", None,
+         "distinct temperatures"),
+        # the big-gap sweep repeats its first temperature
+        ("13.2,352800.0\n13.3,352801.0\n13.4,352799.0\n",
+         "13.2,352800.0\n13.2,352801.0\n13.3,352799.0\n13.4,352798.0\n",
+         "repeats the temperature 13.2 K"),
+    ], ids=["one-window-temperature", "repeated-big-gap-temperature"])
+    def test_degenerate_temperatures_are_input_errors(self, runner, tmp_path,
+                                                      small_rows, big_rows, message):
+        above = "14.3,352790.0\n14.4,352780.0\n"
+        paths = []
+        for name, rows in (("small.csv", small_rows), ("big.csv", big_rows or small_rows)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text("T_K,f_Hz\n" + rows + above)
+        result = runner.invoke(main, ["sweep", "--small", str(paths[0]),
+                                      "--big", str(paths[1]),
+                                      "--window", "13.0", "13.5"])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert message in result.stderr
 
     def test_malformed_row_reports_line(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
