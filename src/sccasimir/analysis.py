@@ -20,6 +20,7 @@ from .physcore import (
     ConversionFactors,
     MembraneSpec,
     SuperconductorParams,
+    _require_finite,
     read_csv,
 )
 
@@ -336,9 +337,11 @@ class SweepTruth:
     grid: tuple         # ascending temperatures, K
 
     def __post_init__(self):
+        _require_finite(self)
         grid = tuple(self.grid)
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("grid must be strictly ascending")
+        if not (all(map(math.isfinite, grid))
+                and all(a < b for a, b in zip(grid, grid[1:]))):
+            raise ValueError("grid must be finite and strictly ascending")
         object.__setattr__(self, "grid", grid)
 
 

@@ -13,6 +13,7 @@ non-convergence of the Matsubara sum.  Every failure prints one
 
 from __future__ import annotations
 
+import math
 import os
 import statistics
 from dataclasses import replace
@@ -35,15 +36,15 @@ from .lifshitz import (
 )
 from .permittivity import bcs, drude, plasma
 from .physcore import (
+    ConversionFactors,
+    MembraneSpec,
     SuperconductorParams,
     big_gap_membrane,
-    conversion_from_config,
-    membrane_from_config,
+    config_items,
+    from_config,
     read_config,
     read_csv,
     small_gap_membrane,
-    superconductor_from_config,
-    _SC_KEYS,
 )
 
 _MODELS = {"drude": drude, "plasma": plasma, "bcs": bcs}
@@ -60,10 +61,7 @@ def _load_config(config_path: str | None) -> dict:
 
 
 def _sc_params(config: dict, omega, gamma0, rrr, tc) -> SuperconductorParams:
-    if set(config) & set(_SC_KEYS):
-        params = superconductor_from_config(config)
-    else:
-        params = SuperconductorParams()
+    params = from_config(SuperconductorParams, config)
     overrides = {name: value for name, value in
                  (("Omega", omega), ("gamma0", gamma0), ("RRR", rrr), ("Tc", tc))
                  if value is not None}
@@ -72,7 +70,7 @@ def _sc_params(config: dict, omega, gamma0, rrr, tc) -> SuperconductorParams:
 
 def _membrane_spec(preset: str, membrane_config: str | None):
     if membrane_config is not None:
-        return membrane_from_config(read_config(membrane_config))
+        return from_config(MembraneSpec, read_config(membrane_config))
     return small_gap_membrane() if preset == "small" else big_gap_membrane()
 
 
@@ -93,11 +91,6 @@ def _emit_rows(rows, fmt: str):
             click.echo(f"{name:<{width}}  {value:.4g} {unit}")
 
 
-def _sc_header(p: SuperconductorParams):
-    return [("Omega_eV", repr(p.Omega)), ("gamma0_eV", repr(p.gamma0)),
-            ("RRR", repr(p.RRR)), ("Tc_K", repr(p.Tc))]
-
-
 def _spec(command, d, temperature, model, approach, config_path, omega, gamma0,
           rrr, tc, term_stop, max_matsubara) -> LifshitzSpec:
     """Resolve one Lifshitz evaluation and echo it as the ``#`` header."""
@@ -106,7 +99,7 @@ def _spec(command, d, temperature, model, approach, config_path, omega, gamma0,
                         approach=ZeroFreqApproach(approach),
                         quad=QuadratureConfig(term_stop, max_matsubara))
     _echo_header([("command", command), ("d_m", repr(d)), ("T_K", repr(temperature)),
-                  ("model", model), ("approach", approach)] + _sc_header(params))
+                  ("model", model), ("approach", approach)] + config_items(params))
     return spec
 
 
@@ -199,6 +192,8 @@ def main():
 def pressure(d, temperature, ideal, area, radius, ideal_zero_t, skip_exponent, fmt,
              **spec_options):
     """Casimir pressure, gradient, and local power-law exponent."""
+    if ideal and ideal_zero_t:
+        raise ValueError("--ideal and --ideal-zero-t exclude each other")
     if ideal:
         if (area is None) == (radius is None):
             raise click.UsageError("--ideal needs exactly one of --area / --radius")
@@ -277,7 +272,7 @@ def jump(d, dt, approach, all_approaches, preset, membrane_config, f0,
     _echo_header([("command", "jump"), ("d_m", repr(d)), ("Tc_K", repr(params.Tc)),
                   ("dT_K", repr(dt)), ("f0_Hz", repr(f0)),
                   ("membrane", preset if membrane_config is None else membrane_config)]
-                 + _sc_header(params))
+                 + config_items(params))
     rows = []
     for ap in approaches:
         value = tc_jump(d, params.Tc, dt, ap, params, quad_cfg)
@@ -309,7 +304,7 @@ def sweep(small_path, big_path, window, preset, membrane_config, factors_config,
     big_records = membrane.load_sweep_csv(big_path)
     spec_m = _membrane_spec(preset, membrane_config)
     factors = (None if factors_config is None
-               else conversion_from_config(read_config(factors_config)))
+               else from_config(ConversionFactors, read_config(factors_config)))
     report = analysis.sweep_pipeline(small_records, big_records, tuple(window),
                                      spec_m, factors=factors, combine=combine)
 
@@ -434,6 +429,9 @@ def dynes_fit_cmd(csv_path, temperature, fmt):
 @_format_option
 def tables(flag_above, fmt):
     """Ideal-conductor force comparison across published geometries."""
+    if not math.isfinite(flag_above):
+        raise ValueError(f"--flag-above must be finite, got {flag_above}")
+
     def render(rows, geom_col, recompute):
         out = []
         for row in rows:

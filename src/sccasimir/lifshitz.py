@@ -93,8 +93,9 @@ class QuadratureConfig:
     max_matsubara: int = 100_000     # hard cap on the mode index
 
     def __post_init__(self):
-        if self.term_stop_rel <= 0:
-            raise ValueError("term_stop_rel must be positive")
+        if not 0.0 < self.term_stop_rel < math.inf:
+            raise ValueError(f"term_stop_rel must be finite and > 0, "
+                             f"got {self.term_stop_rel}")
         if self.max_matsubara < 1:
             raise ValueError("max_matsubara must be >= 1")
 
@@ -352,8 +353,10 @@ class PlatePlate:
     d: float
 
     def __post_init__(self):
-        if self.area <= 0.0 or self.d <= 0.0:
-            raise ValueError("area and d must be positive")
+        if not (0.0 < self.area < math.inf and self.d > 0.0
+                and 0.0 < self.d * self.d * self.d * self.d < math.inf):
+            raise ValueError(f"need a finite area > 0 and 0 < d**4 < inf, "
+                             f"got area={self.area} m^2, d={self.d} m")
 
 
 @dataclass(frozen=True)
@@ -364,8 +367,10 @@ class SpherePlate:
     d: float
 
     def __post_init__(self):
-        if self.radius <= 0.0 or self.d <= 0.0:
-            raise ValueError("radius and d must be positive")
+        if not (0.0 < self.radius < math.inf and self.d > 0.0
+                and 0.0 < self.d * self.d * self.d < math.inf):
+            raise ValueError(f"need a finite radius > 0 and 0 < d**3 < inf, "
+                             f"got radius={self.radius} m, d={self.d} m")
 
 
 def ideal_casimir_force(geometry) -> float:

@@ -96,8 +96,8 @@ def predicted_frequency_jump(Pprime_jump: float, m: MembraneSpec, f0: float) -> 
 
     ``df = d(omega^2) / (8 pi^2 f0)`` with the sign of the input preserved.
     """
-    if f0 <= 0.0:
-        raise ValueError(f"f0 must be > 0, got {f0}")
+    if not 0.0 < f0 < math.inf:
+        raise ValueError(f"f0 must be finite and > 0, got {f0}")
     return dw2_from_gradient(Pprime_jump, m) / (8.0 * math.pi ** 2 * f0)
 
 
@@ -203,6 +203,7 @@ def thermal_stress(T1: float, T2: float, m: MembraneSpec) -> float:
 def frequency_noise(f0: float, Q: float, noise_to_signal: float, tau: float) -> float:
     """RMS frequency-noise floor in Hz of a phase-locked resonance readout:
     ``(f0 / 2Q) (N/S) sqrt(1 / (2 pi tau))``."""
-    if f0 <= 0.0 or Q <= 0.0 or tau <= 0.0 or noise_to_signal < 0.0:
-        raise ValueError("f0, Q, tau must be > 0 and noise_to_signal >= 0")
+    if not (all(0.0 < x < math.inf for x in (f0, Q, tau))
+            and 0.0 <= noise_to_signal < math.inf):
+        raise ValueError("need finite f0, Q, tau > 0 and a finite noise_to_signal >= 0")
     return f0 / (2.0 * Q) * noise_to_signal * math.sqrt(1.0 / (2.0 * math.pi * tau))

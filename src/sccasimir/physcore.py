@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import ParseError
@@ -33,6 +33,8 @@ __all__ = [
     "matsubara_frequency",
     "small_gap_membrane",
     "big_gap_membrane",
+    "config_items",
+    "from_config",
     "read_config",
     "read_csv",
     "write_config",
@@ -78,6 +80,14 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _require_finite(record) -> None:
+    """Reject a record any of whose float fields is nan or inf."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        _require(not isinstance(value, float) or math.isfinite(value),
+                 f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SuperconductorParams:
     """Optical and gap parameters of the superconducting film.
@@ -103,6 +113,7 @@ class SuperconductorParams:
     c3: float = 0.7735
 
     def __post_init__(self):
+        _require_finite(self)
         _require(self.Omega > 0, f"Omega must be > 0, got {self.Omega}")
         _require(self.gamma0 > 0, f"gamma0 must be > 0, got {self.gamma0}")
         _require(self.RRR >= 1.0, f"RRR must be >= 1, got {self.RRR}")
@@ -140,6 +151,7 @@ class MembraneSpec:
     cte_B: float = 0.0  # 1/K^4
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("L", "h", "d", "sigma", "rho"):
             _require(getattr(self, name) > 0, f"{name} must be > 0")
         _require(0.0 < self.Y_ratio <= 1.0, "Y_ratio must be in (0, 1]")
@@ -195,33 +207,33 @@ class ConversionFactors:
     basis: Basis
 
     def __post_init__(self):
+        _require_finite(self)
         if not isinstance(self.basis, Basis):
             raise ValueError("basis must be declared as a Basis member")
 
 
 # --- flat key=value configuration files -------------------------------------
 #
-# Documented keys (units in the key name where ambiguous):
-#   superconductor: Omega_eV, gamma0_eV, RRR, Tc_K, c1, c2, c3
-#   membrane:       L_m, h_m, d_m, sigma_Pa, rho_kgm3, E_Pa, nu, C1, C_hole,
-#                   Y_ratio, area_ratio, cte_A_perK2, cte_B_perK4
-#   conversion:     force_per_w2_N, pressure_per_w2_Pa, deflection_per_w2_m,
-#                   basis (= "angular-squared" | "linear-squared")
+# The one map from record fields to file keys (units in the key name where
+# ambiguous); ``from_config`` reads a record through it and
+# ``config_items`` writes one.
 
-_SC_KEYS = {
-    "Omega_eV": "Omega", "gamma0_eV": "gamma0", "RRR": "RRR", "Tc_K": "Tc",
-    "c1": "c1", "c2": "c2", "c3": "c3",
-}
-_MEMBRANE_KEYS = {
-    "L_m": "L", "h_m": "h", "d_m": "d", "sigma_Pa": "sigma",
-    "rho_kgm3": "rho", "E_Pa": "E", "nu": "nu", "C1": "C1",
-    "C_hole": "C_hole", "Y_ratio": "Y_ratio", "area_ratio": "area_ratio",
-    "cte_A_perK2": "cte_A", "cte_B_perK4": "cte_B",
-}
-_FACTOR_KEYS = {
-    "force_per_w2_N": "force_per_w2",
-    "pressure_per_w2_Pa": "pressure_per_w2",
-    "deflection_per_w2_m": "deflection_per_w2",
+_FILE_KEYS = {
+    SuperconductorParams: {
+        "Omega": "Omega_eV", "gamma0": "gamma0_eV", "RRR": "RRR", "Tc": "Tc_K",
+        "c1": "c1", "c2": "c2", "c3": "c3",
+    },
+    MembraneSpec: {
+        "L": "L_m", "h": "h_m", "d": "d_m", "sigma": "sigma_Pa", "rho": "rho_kgm3",
+        "E": "E_Pa", "nu": "nu", "C1": "C1", "C_hole": "C_hole",
+        "Y_ratio": "Y_ratio", "area_ratio": "area_ratio",
+        "cte_A": "cte_A_perK2", "cte_B": "cte_B_perK4",
+    },
+    ConversionFactors: {
+        "force_per_w2": "force_per_w2_N", "pressure_per_w2": "pressure_per_w2_Pa",
+        "deflection_per_w2": "deflection_per_w2_m",
+        "basis": "basis",   # "angular-squared" | "linear-squared"
+    },
 }
 
 
@@ -278,71 +290,48 @@ def read_csv(path, *headers: tuple[str, ...]) -> list[tuple[int, tuple[float, ..
     return rows
 
 
-def _pick(config: dict, keymap: dict, kind: str) -> dict:
-    picked = {}
-    for file_key, field in keymap.items():
-        if file_key in config:
-            try:
-                picked[field] = float(config[file_key])
-            except ValueError as exc:
-                raise ParseError(f"key {file_key!r} is not a number: "
-                                 f"{config[file_key]!r}") from exc
-    if not picked:
-        raise ParseError(f"no {kind} keys found in configuration")
-    return picked
+def from_config(cls, config: dict):
+    """Build a ``cls`` record from the file keys in ``config``.
 
-
-def _record(cls, fields: dict):
-    """Build a parameter record, reporting a rejected value as bad input."""
+    Keys of other records are ignored and a missing key takes the field's
+    default.  A missing key without a default, a value that does not
+    parse, and a value the record rejects are each a :class:`ParseError`.
+    """
+    keys, picked = _FILE_KEYS[cls], {}
+    for f in fields(cls):
+        key = keys[f.name]
+        if key not in config:
+            if f.default is MISSING:
+                raise ParseError(f"configuration is missing key {key!r}")
+            continue
+        parse, expected = ((Basis, f"one of {[b.value for b in Basis]}")
+                           if f.type == "Basis" else (float, "a number"))
+        try:
+            picked[f.name] = parse(config[key])
+        except ValueError:
+            raise ParseError(f"key {key!r} is not {expected}: {config[key]!r}") from None
     try:
-        return cls(**fields)
+        return cls(**picked)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
-def superconductor_from_config(config: dict) -> SuperconductorParams:
-    return _record(SuperconductorParams, _pick(config, _SC_KEYS, "superconductor"))
-
-
-def membrane_from_config(config: dict) -> MembraneSpec:
-    picked = _pick(config, _MEMBRANE_KEYS, "membrane")
-    for required in ("L", "h", "d", "sigma", "rho"):
-        if required not in picked:
-            raise ParseError(f"membrane configuration is missing {required}")
-    return _record(MembraneSpec, picked)
-
-
-def conversion_from_config(config: dict) -> ConversionFactors:
-    picked = _pick(config, _FACTOR_KEYS, "conversion factor")
-    if "basis" not in config:
-        raise ParseError("conversion factors need an explicit 'basis' key")
-    try:
-        basis = Basis(config["basis"])
-    except ValueError as exc:
-        raise ParseError(f"unknown basis {config['basis']!r}; use one of "
-                         f"{[b.value for b in Basis]}") from exc
-    missing = set(_FACTOR_KEYS.values()) - set(picked)
-    if missing:
-        raise ParseError(f"conversion factors missing keys for {sorted(missing)}")
-    return ConversionFactors(basis=basis, **picked)
-
-
-def write_config(obj, path) -> None:
-    """Serialize a parameter record to the flat file format.
+def config_items(obj) -> list[tuple[str, str]]:
+    """``(file key, text)`` pairs of a record, in table order.
 
     Floats are written with ``repr`` so a read-back reproduces the record
     bit-exactly.
     """
-    if isinstance(obj, SuperconductorParams):
-        keymap = _SC_KEYS
-    elif isinstance(obj, MembraneSpec):
-        keymap = _MEMBRANE_KEYS
-    elif isinstance(obj, ConversionFactors):
-        keymap = _FACTOR_KEYS
-    else:
+    if type(obj) not in _FILE_KEYS:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    lines = [f"{file_key} = {getattr(obj, field)!r}"
-             for file_key, field in keymap.items()]
-    if isinstance(obj, ConversionFactors):
-        lines.append(f"basis = {obj.basis.value}")
+    items = []
+    for name, key in _FILE_KEYS[type(obj)].items():
+        value = getattr(obj, name)
+        items.append((key, value.value if isinstance(value, Basis) else repr(value)))
+    return items
+
+
+def write_config(obj, path) -> None:
+    """Serialize a parameter record to the flat file format."""
+    lines = [f"{key} = {text}" for key, text in config_items(obj)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -8,7 +8,13 @@ from click.testing import CliRunner
 from sccasimir import __version__
 from sccasimir.cli import main
 from sccasimir.membrane import dw2_from_gradient, fundamental_frequency
-from sccasimir.physcore import CONSTANTS, small_gap_membrane
+from sccasimir.physcore import (
+    CONSTANTS,
+    SuperconductorParams,
+    from_config,
+    read_config,
+    small_gap_membrane,
+)
 
 
 @pytest.fixture
@@ -73,18 +79,51 @@ class TestMain:
         (["dynes-fit", "--csv", "{dynes}", "--t", "inf"], 2),
         (["dynes-fit", "--csv", "{dynes}", "--t", "1e308"], 2),
         (["dynes-fit", "--csv", "{dynes}", "--t", "nan"], 2),
+        # non-finite record fields, from flags (2) and from files (3)
+        (["pressure", "--d", "190e-9", "--t", "10", "--tc", "inf"], 2),
+        (["pressure", "--d", "190e-9", "--t", "10", "--gamma0", "inf"], 2),
+        (["pressure", "--d", "190e-9", "--t", "10", "--rrr", "inf"], 2),
+        (["pressure", "--d", "190e-9", "--t", "10", "--omega", "inf"], 2),
+        (["pressure", "--d", "190e-9", "--t", "10", "--config", "{tc_inf}"], 3),
+        (["pressure", "--d", "190e-9", "--t", "10", "--config", "{gamma0_inf}"], 3),
+        (["jump", "--dt", "0", "--membrane-config", "{membrane_inf}", *LOOSE], 3),
+        (["sweep", "--small", "{sweep}", "--big", "{sweep}", "--window", "13.2", "14.19",
+          "--factors-config", "{factors_nan}"], 3),
+        (["pressure", "--d", "190e-9", "--t", "10", "--term-stop", "nan"], 2),
+        (["generate-sweep", "--out", "{out}", "--slope", "inf"], 3),
+        (["generate-sweep", "--out", "{out}", "--tc-step", "nan"], 3),
+        # closed-form paths and conflicting modes
+        (["pressure", "--ideal", "--d", "nan", "--area", "1"], 2),
+        (["pressure", "--ideal-zero-t", "--d", "inf"], 2),
+        (["pressure", "--ideal-zero-t", "--d", "1e-90"], 2),
+        (["pressure", "--ideal", "--d", "1e-200", "--radius", "1"], 2),
+        (["jump", "--dt", "0", "--f0", "nan", *LOOSE], 2),
+        (["noise", "--f0", "1", "--q", "1", "--noise-to-signal", "nan", "--tau", "1"], 2),
+        (["noise", "--f0", "1", "--q", "inf", "--noise-to-signal", "0.1", "--tau", "1"], 2),
+        (["tables", "--flag-above", "nan"], 2),
+        (["pressure", "--ideal", "--ideal-zero-t", "--d", "190e-9", "--area", "1"], 2),
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
-        sc = tmp_path / "sc.cfg"
-        sc.write_text("Omega_eV = -1\n")
-        membrane_cfg = tmp_path / "membrane.cfg"
-        membrane_cfg.write_text("L_m = -1\nh_m = 155e-9\nd_m = 190e-9\n"
-                                "sigma_Pa = 677e6\nrho_kgm3 = 4992\n")
-        dynes = tmp_path / "dynes.csv"
-        dynes.write_text("V_volt,G_arb\n" + "".join(
-            f"{float(v)!r},{float(g)!r}\n" for v, g in synthetic_conductance(DYNES_REF)))
-        args = [arg.format(sc=sc, membrane=membrane_cfg, dynes=dynes) for arg in args]
+        membrane_keys = "h_m = 155e-9\nd_m = 190e-9\nsigma_Pa = 677e6\nrho_kgm3 = 4992\n"
+        files = {
+            "sc": "Omega_eV = -1\n",
+            "membrane": "L_m = -1\n" + membrane_keys,
+            "dynes": "V_volt,G_arb\n" + "".join(
+                f"{float(v)!r},{float(g)!r}\n" for v, g in synthetic_conductance(DYNES_REF)),
+            "tc_inf": "Tc_K = inf\n",
+            "gamma0_inf": "gamma0_eV = inf\n",
+            "membrane_inf": "L_m = inf\n" + membrane_keys,
+            "factors_nan": "force_per_w2_N = nan\npressure_per_w2_Pa = 1.55e-9\n"
+                           "deflection_per_w2_m = 6.28e-19\nbasis = linear-squared\n",
+            "sweep": "T_K,f_Hz\n" + "".join(f"{13.0 + 0.1 * i!r},{352800.0 - 10.0 * i!r}\n"
+                                             for i in range(20)),
+        }
+        paths = {"out": tmp_path / "out.csv"}
+        for name, text in files.items():
+            paths[name] = tmp_path / name
+            paths[name].write_text(text)
+        args = [arg.format(**paths) for arg in args]
         result = runner.invoke(main, args)
         assert result.exit_code == code
         assert isinstance(result.exception, SystemExit)
@@ -160,6 +199,19 @@ class TestPressureCommand:
         assert result.exit_code == 0
         assert "# Omega_eV = 5.0" in result.output      # flag wins
         assert "# gamma0_eV = 0.3" in result.output     # file value kept
+
+    def test_header_reads_back_as_the_film_record(self, runner, tmp_path):
+        cfg = tmp_path / "sc.cfg"
+        cfg.write_text("c1 = 2.0\ngamma0_eV = 0.3\n")
+        result = runner.invoke(main, [
+            "pressure", "--d", "190e-9", "--t", "10.0", "--config", str(cfg),
+            "--tc", "12.5", "--skip-exponent", "--format", "csv", *LOOSE])
+        assert result.exit_code == 0
+        header = tmp_path / "header.cfg"
+        header.write_text("".join(line[2:] + "\n" for line in result.output.splitlines()
+                                  if line.startswith("# ")))
+        assert from_config(SuperconductorParams, read_config(header)) == \
+            SuperconductorParams(gamma0=0.3, Tc=12.5, c1=2.0)
 
     def test_config_from_environment(self, runner, tmp_path):
         cfg = tmp_path / "sc.cfg"

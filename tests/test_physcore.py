@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -10,14 +12,14 @@ from sccasimir.physcore import (
     MembraneSpec,
     SuperconductorParams,
     big_gap_membrane,
-    conversion_from_config,
+    from_config,
     matsubara_frequency,
-    membrane_from_config,
     read_config,
     small_gap_membrane,
-    superconductor_from_config,
     write_config,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestConstants:
@@ -125,37 +127,46 @@ class TestConfigFiles:
         for spec in (small_gap_membrane(), big_gap_membrane()):
             path = tmp_path / "membrane.cfg"
             write_config(spec, path)
-            assert membrane_from_config(read_config(path)) == spec
+            assert from_config(MembraneSpec, read_config(path)) == spec
 
     def test_superconductor_round_trip(self, tmp_path):
         p = SuperconductorParams(Omega=4.0, gamma0=1e-2, RRR=3.0, Tc=9.2)
         path = tmp_path / "sc.cfg"
         write_config(p, path)
-        assert superconductor_from_config(read_config(path)) == p
+        assert from_config(SuperconductorParams, read_config(path)) == p
 
     def test_conversion_round_trip(self, tmp_path):
         f = ConversionFactors(force_per_w2=7.83e-16, pressure_per_w2=1.55e-9,
                               deflection_per_w2=6.28e-19, basis=Basis.LINEAR_SQUARED)
         path = tmp_path / "factors.cfg"
         write_config(f, path)
-        assert conversion_from_config(read_config(path)) == f
+        assert from_config(ConversionFactors, read_config(path)) == f
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# header\n\nTc_K = 9.2  # inline\nOmega_eV = 4.0\n")
-        p = superconductor_from_config(read_config(path))
+        p = from_config(SuperconductorParams, read_config(path))
         assert p.Tc == 9.2 and p.Omega == 4.0
 
-    @pytest.mark.parametrize("text, from_config", [
-        ("Omega_eV = -1\n", superconductor_from_config),
+    @pytest.mark.parametrize("text, cls, message", [
+        ("Omega_eV = -1\n", SuperconductorParams, "must be > 0"),
         ("L_m = -1\nh_m = 155e-9\nd_m = 190e-9\nsigma_Pa = 677e6\nrho_kgm3 = 4992\n",
-         membrane_from_config),
-    ], ids=["superconductor", "membrane"])
-    def test_rejected_record_value_is_parse_error(self, tmp_path, text, from_config):
+         MembraneSpec, "must be > 0"),
+        ("Tc_K = inf\n", SuperconductorParams, "Tc must be finite"),
+        ("gamma0_eV = inf\n", SuperconductorParams, "gamma0 must be finite"),
+        ("c1 = nan\n", SuperconductorParams, "c1 must be finite"),
+        ("L_m = inf\nh_m = 155e-9\nd_m = 190e-9\nsigma_Pa = 677e6\nrho_kgm3 = 4992\n",
+         MembraneSpec, "L must be finite"),
+        ("force_per_w2_N = nan\npressure_per_w2_Pa = 1e-9\n"
+         "deflection_per_w2_m = 1e-19\nbasis = linear-squared\n",
+         ConversionFactors, "force_per_w2 must be finite"),
+    ], ids=["superconductor", "membrane", "Tc-inf", "gamma0-inf", "c1-nan", "L-inf",
+            "force-nan"])
+    def test_rejected_record_value_is_parse_error(self, tmp_path, text, cls, message):
         path = tmp_path / "c.cfg"
         path.write_text(text)
-        with pytest.raises(ParseError, match="must be > 0"):
-            from_config(read_config(path))
+        with pytest.raises(ParseError, match=message):
+            from_config(cls, read_config(path))
 
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -169,8 +180,40 @@ class TestConfigFiles:
         path.write_text("force_per_w2_N = 1e-15\npressure_per_w2_Pa = 1e-9\n"
                         "deflection_per_w2_m = 1e-19\n")
         with pytest.raises(ParseError):
-            conversion_from_config(read_config(path))
+            from_config(ConversionFactors, read_config(path))
 
     def test_basis_must_be_enum(self):
         with pytest.raises(ValueError):
             ConversionFactors(1.0, 1.0, 1.0, basis="angular-squared")
+
+    def test_readme_combined_file_builds_every_record(self, tmp_path):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        path = tmp_path / "all.cfg"
+        path.write_text(block)
+        config = read_config(path)
+        assert from_config(SuperconductorParams, config) == SuperconductorParams()
+        assert from_config(MembraneSpec, config) == MembraneSpec(
+            L=709e-6, h=155e-9, d=190e-9, sigma=677e6, rho=4992.0)
+        assert from_config(ConversionFactors, config) == ConversionFactors(
+            7.83e-16, 1.55e-9, 6.28e-19, Basis.LINEAR_SQUARED)
+
+    @pytest.mark.parametrize("text, cls, key", [
+        ("h_m = 155e-9\nd_m = 190e-9\nsigma_Pa = 677e6\nrho_kgm3 = 4992\n",
+         MembraneSpec, "L_m"),
+        ("force_per_w2_N = 1e-15\npressure_per_w2_Pa = 1e-9\n"
+         "deflection_per_w2_m = 1e-19\n", ConversionFactors, "basis"),
+    ], ids=["L_m", "basis"])
+    def test_missing_required_key_names_file_key(self, tmp_path, text, cls, key):
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"missing key '{key}'"):
+            from_config(cls, read_config(path))
+
+    def test_file_without_film_keys_gives_defaults(self):
+        assert from_config(SuperconductorParams, {"L_m": "1e-3"}) == SuperconductorParams()
+
+    def test_unknown_basis_names_file_key(self):
+        config = {"force_per_w2_N": "1", "pressure_per_w2_Pa": "1",
+                  "deflection_per_w2_m": "1", "basis": "radians"}
+        with pytest.raises(ParseError, match="key 'basis' is not one of"):
+            from_config(ConversionFactors, config)
