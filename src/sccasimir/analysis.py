@@ -243,8 +243,8 @@ def _conductance_block(v: np.ndarray, p: DynesParams) -> np.ndarray:
     x_pre, w_pre = _doubling_panels(first, math.ldexp(first, int(k.max()) - 1), 16)
     start = np.where(k > 0, np.ldexp(first, k - 1), 0.0)
     last = 0.5 * (half - start)[:, None]
-    nodes, weights = _GAUSS_LEGENDRE[16]
-    x_last, w_last = start[:, None] + last * (nodes + 1.0), last * weights
+    shifted, weights = _GAUSS_LEGENDRE[16]
+    x_last, w_last = start[:, None] + last * shifted, last * weights
     # lo + x on the lower half, hi + (-x) = hi - x on the upper
     x_pre_neg, x_last_neg = -x_pre, -x_last
     xs, ws = [], []

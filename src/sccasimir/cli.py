@@ -198,10 +198,11 @@ def pressure(d, temperature, ideal, area, radius, ideal_zero_t, skip_exponent, f
         if (area is None) == (radius is None):
             raise click.UsageError("--ideal needs exactly one of --area / --radius")
         geometry = PlatePlate(area, d) if area is not None else SpherePlate(radius, d)
+        value = ideal_casimir_force(geometry)
         _echo_header([("command", "pressure --ideal"), ("d_m", repr(d)),
                       ("area_m2" if area is not None else "radius_m",
                        repr(area if area is not None else radius))])
-        _emit_rows([("ideal_force", ideal_casimir_force(geometry), "N")], fmt)
+        _emit_rows([("ideal_force", value, "N")], fmt)
         return
     if ideal_zero_t:
         value = -ideal_casimir_force(PlatePlate(1.0, d))
@@ -265,6 +266,7 @@ def jump(d, dt, approach, all_approaches, preset, membrane_config, f0,
     spec_m = _membrane_spec(preset, membrane_config)
     if f0 is None:
         f0 = membrane.fundamental_frequency(spec_m)
+    membrane.predicted_frequency_jump(0.0, spec_m, f0)  # rejects f0 before any sum
     quad_cfg = QuadratureConfig(term_stop, max_matsubara)
     approaches = ([ZeroFreqApproach.PLASMA_BCS, ZeroFreqApproach.PLASMA_PLASMA,
                    ZeroFreqApproach.DRUDE_BCS] if all_approaches
@@ -487,10 +489,10 @@ def tables(flag_above, fmt):
 @_format_option
 def noise(f0, q, ns, tau, fmt):
     """Noise-limited frequency resolution of the resonance readout."""
+    value = membrane.frequency_noise(f0, q, ns, tau)
     _echo_header([("command", "noise"), ("f0_Hz", repr(f0)), ("Q", repr(q)),
                   ("noise_to_signal", repr(ns)), ("tau_s", repr(tau))])
-    _emit_rows([("frequency_noise", membrane.frequency_noise(f0, q, ns, tau), "Hz")],
-               fmt)
+    _emit_rows([("frequency_noise", value, "Hz")], fmt)
 
 
 if __name__ == "__main__":

@@ -134,7 +134,8 @@ class LifshitzDetail:
 # (r_te, r_tm) from q and x = xi/hbar_c; vacuum gives 0 as sqrt(q*q) == q
 def _fresnel(epsilon, q, x):
     s = np.sqrt(q * q + (epsilon - 1.0) * x * x)
-    return (q - s) / (q + s), (epsilon * q - s) / (epsilon * q + s)
+    eq = epsilon * q
+    return (q - s) / (q + s), (eq - s) / (eq + s)
 
 
 def fresnel_iw(epsilon: float, xi: float, k_perp: float) -> tuple[float, float]:
@@ -186,11 +187,18 @@ _STATIC_TM = {2: 2.0 * CONSTANTS.zeta3, 3: 6.0 * CONSTANTS.zeta3}
 _U_NODES, _U_WEIGHTS = _doubling_panels(1e-3, _Y_SPAN, 8)
 
 
-# y^power Sum_r t/(1 - t)^(power - 1), t = r^2 exp(-y): every term's integrand
+# y^power Sum_r t/(1 - t)^(power - 1), t = r^2 exp(-y): every term's
+# integrand, computed in place in the reflection arrays, which it overwrites
 def _integrand(y, power: int, *reflections):
     e = np.exp(-y)
-    return y ** power * sum(t / (1.0 - t) ** (power - 1)
-                            for t in (r * r * e for r in reflections))
+    for t in reflections:
+        t *= t
+        t *= e
+        den = 1.0 - t
+        if power == 3:
+            den *= den
+        t /= den
+    return y ** power * sum(reflections[1:], reflections[0])
 
 
 def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
@@ -206,7 +214,8 @@ def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
     if omega_eff == 0.0:
         return 0.0
     y_p = 2.0 * d * omega_eff / _HBAR_C
-    y, weights = _doubling_panels(min(1e-3, 0.25 * y_p), _Y_SPAN, 8)
+    y, weights = ((_U_NODES, _U_WEIGHTS) if y_p >= 4e-3
+                  else _doubling_panels(0.25 * y_p, _Y_SPAN, 8))
     return float(np.dot(weights, _integrand(y, power, _static_te(y, y_p))))
 
 
@@ -215,16 +224,16 @@ def _dynamic_integrals(d: float, T: float, model: DielectricModel, ls,
     """Momentum integrals of the ``l >= 1`` terms with Matsubara indices
     ``ls``, each over ``[y0, y0 + 50]`` on one fixed rule in ``u = y - y0``:
     8 Gauss-Legendre nodes per panel, a first panel [0, 1e-3], then panels
-    doubling in width (136 nodes).  The permittivity is evaluated once per
-    index; the Fresnel and momentum arithmetic is one ``(len(ls) x 136)``
-    array.  Against adaptive quadrature at ``epsrel`` 1e-13 it agrees to
-    1e-9 relative (worst seen 1.5e-11) for d in [50 nm, 5 um], T in
-    [0.1, 20] K, Drude, plasma and BCS responses of dirty and clean films,
-    both powers and every ``l`` up to ``y0 = 50``.  Raises ``ValueError``
+    doubling in width (136 nodes).  The energies and the permittivity are
+    one array over ``ls``, the Fresnel and momentum arithmetic one
+    ``(len(ls) x 136)`` array.  Against adaptive quadrature at ``epsrel``
+    1e-13 it agrees to 1e-9 relative (worst seen 1.5e-11) for d in [50 nm,
+    5 um], T in [0.1, 20] K, Drude, plasma and BCS responses of dirty and
+    clean films, both powers and every ``l`` up to ``y0 = 50``.  Raises ``ValueError``
     when T is so small that the permittivity or ``eps * q`` overflows."""
-    xi = [matsubara_frequency(int(l), T) for l in ls]
-    eps = np.array([permittivity_iw(model, v, T) for v in xi])[:, None]
-    x = np.array(xi)[:, None] / _HBAR_C
+    xi = matsubara_frequency(ls, T)
+    eps = permittivity_iw(model, xi, T)[:, None]
+    x = xi[:, None] / _HBAR_C
     # an overflow gives a non-finite term, which is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         y = 2.0 * d * x + _U_NODES
@@ -257,29 +266,27 @@ def _matsubara_sum(spec: LifshitzSpec, power: int, prefactor: float) -> Lifshitz
     te0 = _static_te_integral(spec.d, _static_te_omega(spec), power)
     zero = 0.5 * (_STATIC_TM[power] + te0)
 
-    terms = [zero]
-    running = zero
-    consec = 0
-    last = 0.0
-    l = 0
-    converged = False
+    blocks = [np.array([zero])]
+    running, consec, last, l, converged = zero, 0, 0.0, 0, False
     while not converged and l < cfg.max_matsubara:
-        block = _dynamic_integrals(spec.d, spec.T, spec.model, range(
+        block = _dynamic_integrals(spec.d, spec.T, spec.model, np.arange(
             l + 1, min(l + _BLOCK, cfg.max_matsubara) + 1), power)
-        for term in block.tolist():
-            l += 1
-            terms.append(term)
-            running += term
-            last = abs(term)
-            small = last <= cfg.term_stop_rel * abs(running)
-            if power == 2 and abs(prefactor) * last <= _ABS_TOL_PRESSURE:
-                small = True
-            consec = consec + 1 if small else 0
-            if consec >= 3:
-                converged = True
-                break
+        # running totals in the order of running += term, term by term
+        totals = np.concatenate(([running], block)).cumsum()[1:]
+        mags = np.abs(block)
+        small = mags <= cfg.term_stop_rel * np.abs(totals)
+        if power == 2:
+            small |= abs(prefactor) * mags <= _ABS_TOL_PRESSURE
+        # one byte per term, 1 if small, led by the run carried over
+        run = b"\1" * consec + small.tobytes()
+        stop = run.find(b"\1\1\1")
+        converged = stop >= 0
+        n = stop + 3 - consec if converged else block.size
+        consec = len(run) - len(run.rstrip(b"\1"))
+        blocks.append(block[:n])
+        running, last, l = float(totals[n - 1]), float(mags[n - 1]), l + n
 
-    total = math.fsum(terms)  # fixed ascending order, compensated
+    total = math.fsum(np.concatenate(blocks))  # fixed ascending order, compensated
     achieved = last / abs(total) if total != 0.0 else math.inf
     # _ABS_TOL_PRESSURE can stop a sum whose last term is still >= 10% of it
     if not converged or 10.0 * achieved >= 1.0:
@@ -377,14 +384,19 @@ def ideal_casimir_force(geometry) -> float:
     """Zero-temperature force magnitude in N between perfect conductors.
 
     Plate-plate: ``pi^2 hbar c A / (240 d^4)``; sphere-plate (proximity
-    force approximation): ``pi^3 hbar c R / (360 d^3)``.
+    force approximation): ``pi^3 hbar c R / (360 d^3)``.  A force below
+    the normal float range is a ``ValueError``.
     """
     hbar_c = CONSTANTS.hbar_Js * CONSTANTS.c
     if isinstance(geometry, PlatePlate):
-        return math.pi ** 2 * hbar_c * geometry.area / (240.0 * geometry.d ** 4)
-    if isinstance(geometry, SpherePlate):
-        return math.pi ** 3 * hbar_c * geometry.radius / (360.0 * geometry.d ** 3)
-    raise TypeError(f"unsupported geometry {type(geometry).__name__}")
+        force = math.pi ** 2 * hbar_c * geometry.area / (240.0 * geometry.d ** 4)
+    elif isinstance(geometry, SpherePlate):
+        force = math.pi ** 3 * hbar_c * geometry.radius / (360.0 * geometry.d ** 3)
+    else:
+        raise TypeError(f"unsupported geometry {type(geometry).__name__}")
+    if force < np.finfo(float).tiny:
+        raise ValueError(f"the ideal force underflows to {force} N for {geometry}")
+    return force
 
 
 def tc_jump(d: float, Tc: float, dT: float, approach: ZeroFreqApproach,

@@ -144,18 +144,21 @@ def effective_plasma_frequency(T: float, p: SuperconductorParams) -> float:
     return superfluid_weight(T, p) * p.Omega
 
 
-# Gauss-Legendre rules on [-1, 1] for every fixed-node integral
-_GAUSS_LEGENDRE = {n: np.polynomial.legendre.leggauss(n) for n in (8, 16)}
+# Gauss-Legendre nodes shifted onto [0, 2], and weights, per node count
+_GAUSS_LEGENDRE = {n: (x + 1.0, w) for n in (8, 16)
+                   for x, w in [np.polynomial.legendre.leggauss(n)]}
+# 2**k for every panel count of a finite b / a < 2**1024
+_POW2 = np.exp2(np.arange(1024))
 
 
 def _doubling_panels(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on [0, b]: a first panel
     [0, a], then panels as wide as their distance from 0, the last ending at b."""
-    nodes, weights = _GAUSS_LEGENDRE[n_nodes]
+    shifted, weights = _GAUSS_LEGENDRE[n_nodes]
     n = math.ceil(math.log2(b / a))
-    edges = np.concatenate(([0.0], a * np.exp2(np.arange(n)), [b]))
+    edges = np.concatenate(([0.0], a * _POW2[:max(n, 0)], [b]))
     half = 0.5 * np.diff(edges)[:, None]
-    return (edges[:-1, None] + half * (nodes + 1.0)).ravel(), (half * weights).ravel()
+    return (edges[:-1, None] + half * shifted).ravel(), (half * weights).ravel()
 
 
 @lru_cache(maxsize=200_000)
@@ -194,28 +197,37 @@ def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
     e_qp = np.hypot(eps, delta)
     # principal-branch sqrt keeps Re >= 0, which makes Re[G+] decay at
     # large eps and the integral converge
-    qp = np.sqrt((e_qp + 1j * xi) ** 2 - delta * delta)
-    ap = e_qp * (e_qp + 1j * xi) + delta * delta
+    z = e_qp + 1j * xi
+    qp = np.sqrt(z ** 2 - delta * delta)
+    ap = e_qp * z + delta * delta
     w = qp + 1j * p.gamma
-    g_plus = (eps * eps * qp + w * ap) / (qp * (eps * eps - w * w))
+    eps2 = eps * eps
+    g_plus = (eps2 * qp + w * ap) / (qp * (eps2 - w * w))
     th = 1.0 if kT == 0.0 else np.tanh(e_qp / (2.0 * kT))
     return 2.0 * float(np.dot(weights, th / e_qp * g_plus.real))
 
 
-def permittivity_iw(model: DielectricModel, xi: float, T: float) -> float:
+def permittivity_iw(model: DielectricModel, xi, T: float) -> float | np.ndarray:
     """Dielectric function at imaginary frequency ``i*xi``; real and >= 1.
 
-    ``T`` only matters for the BCS response.
+    An array ``xi`` gives one value per energy; ``T`` only matters for the
+    BCS response, whose ``bcs_g`` is called once per energy.
     """
-    if xi <= 0.0:
-        raise ValueError(f"permittivity requires xi > 0, got {xi}")
+    x = np.asarray(xi, dtype=float)
+    if (x <= 0.0).any():
+        raise ValueError(f"permittivity requires xi > 0, got {x.min()}")
     p = model.params
-    if model.kind is ModelKind.PLASMA:
-        r = p.Omega / xi  # r * r overflows to inf where ** would raise
-        return 1.0 + r * r
-    # a closed gap (g == 0) takes the Drude arithmetic, so BCS equals Drude
-    # bit-exactly at T >= Tc
-    g = 0.0 if model.kind is ModelKind.DRUDE else bcs_g(xi, T, p)
-    if g == 0.0:
-        return 1.0 + p.Omega ** 2 / (xi * (xi + p.gamma))
-    return 1.0 + (p.Omega ** 2 / xi) * (1.0 / (xi + p.gamma) + g / xi)
+    if model.kind is ModelKind.BCS:
+        g = np.array([bcs_g(v, T, p) for v in x.ravel().tolist()]).reshape(x.shape)
+    with np.errstate(all="ignore"):  # tiny energies overflow to inf, silently
+        if model.kind is ModelKind.PLASMA:
+            r = p.Omega / x  # r * r overflows to inf where ** would raise
+            eps = 1.0 + r * r
+        else:
+            eps = 1.0 + p.Omega ** 2 / (x * (x + p.gamma))
+        if model.kind is ModelKind.BCS:
+            # a closed gap (g == 0) keeps the Drude arithmetic, so BCS equals
+            # Drude bit-exactly at T >= Tc
+            eps = np.where(g == 0.0, eps,
+                           1.0 + (p.Omega ** 2 / x) * (1.0 / (x + p.gamma) + g / x))
+    return float(eps) if x.ndim == 0 else eps

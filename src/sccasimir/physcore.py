@@ -21,6 +21,8 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ParseError
 
 __all__ = [
@@ -58,21 +60,23 @@ class Constants:
 CONSTANTS = Constants()
 
 
-def matsubara_frequency(l: int, T: float) -> float:
+def matsubara_frequency(l, T: float) -> float | np.ndarray:
     """Thermal (Matsubara) energy ``2 pi l kB T`` in eV.
 
     Parameters
     ----------
-    l : int
+    l : int or array of int
         Mode index, >= 0. ``l = 0`` returns exactly 0.
     T : float
         Temperature in K, > 0.
     """
-    if l < 0:
-        raise ValueError(f"Matsubara index must be >= 0, got {l}")
+    ls = np.asarray(l)
+    if (ls < 0).any():
+        raise ValueError(f"Matsubara index must be >= 0, got {ls.min()}")
     if T <= 0.0:
         raise ValueError(f"temperature must be positive, got {T} K")
-    return 2.0 * math.pi * l * CONSTANTS.kB_eV * T
+    xi = 2.0 * math.pi * ls * CONSTANTS.kB_eV * T
+    return float(xi) if ls.ndim == 0 else xi
 
 
 def _require(cond: bool, msg: str) -> None:

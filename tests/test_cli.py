@@ -102,6 +102,9 @@ class TestMain:
         (["noise", "--f0", "1", "--q", "inf", "--noise-to-signal", "0.1", "--tau", "1"], 2),
         (["tables", "--flag-above", "nan"], 2),
         (["pressure", "--ideal", "--ideal-zero-t", "--d", "190e-9", "--area", "1"], 2),
+        # closed-form forces that underflow
+        (["pressure", "--ideal", "--d", "190e-9", "--radius", "1e-300"], 2),
+        (["pressure", "--ideal", "--d", "190e-9", "--area", "1e-300"], 2),
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
@@ -129,6 +132,18 @@ class TestMain:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["jump", "--f0", "nan"],
+        ["noise", "--f0", "1", "--q", "0", "--noise-to-signal", "0.1", "--tau", "1"],
+        ["pressure", "--ideal", "--d", "190e-9", "--radius", "1e-300"],
+    ], ids=["jump-f0", "noise-q", "ideal-force"])
+    def test_rejected_value_prints_no_header(self, runner, args):
+        # the value is checked before the header, and before any sum
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
 
 
 class TestPressureCommand:

@@ -22,6 +22,7 @@ from sccasimir.lifshitz import (
     SpherePlate,
     ZeroFreqApproach,
     _ABS_TOL_PRESSURE,
+    _BLOCK,
     _STATIC_TM,
     _U_NODES,
     _U_WEIGHTS,
@@ -193,6 +194,14 @@ class TestIdealForce:
         with pytest.raises(TypeError):
             ideal_casimir_force("plate")
 
+    @pytest.mark.parametrize("geometry", [
+        PlatePlate(area=1e-300, d=190e-9), SpherePlate(radius=1e-300, d=190e-9),
+        PlatePlate(area=1.0, d=1e71),
+    ], ids=["plate-area", "sphere-radius", "plate-separation"])
+    def test_underflowing_force_is_refused(self, geometry):
+        with pytest.raises(ValueError, match="underflows"):
+            ideal_casimir_force(geometry)
+
 
 def quad_term(d, T, model, xi, power):
     """One l >= 1 momentum integral by adaptive quadrature of a scalar
@@ -243,6 +252,96 @@ def per_term_sum(spec, power):
         consec = consec + 1 if small else 0
     sign = -1.0 if power == 2 else 1.0
     return l, sign * pref * math.fsum(terms), consec >= 3
+
+
+def scalar_stop_sum(spec, power):
+    """The Matsubara sum with the stopping rule applied one term at a time
+    over the engine's blocks: the reference for its per-block scan.
+    Returns ``((n_terms, value, last_term, truncation_bound), converged,
+    by_abs_tol)``, the value in Pa or Pa/m; ``by_abs_tol`` says that the
+    absolute pressure tolerance, not the relative one, made the last term
+    small."""
+    cfg = spec.quad
+    pref = CONSTANTS.kB_J * spec.T / (8.0 * math.pi * spec.d ** (power + 1))
+    prefactor = -pref if power == 2 else pref
+    zero = 0.5 * (_STATIC_TM[power] + _static_te_integral(
+        spec.d, _static_te_omega(spec), power))
+    terms, running, consec, last, l = [zero], zero, 0, 0.0, 0
+    converged = by_abs_tol = False
+    while not converged and l < cfg.max_matsubara:
+        block = _dynamic_integrals(spec.d, spec.T, spec.model, range(
+            l + 1, min(l + _BLOCK, cfg.max_matsubara) + 1), power)
+        for term in block.tolist():
+            l += 1
+            terms.append(term)
+            running += term
+            last = abs(term)
+            small = last <= cfg.term_stop_rel * abs(running)
+            by_abs_tol = not small
+            if power == 2 and abs(prefactor) * last <= _ABS_TOL_PRESSURE:
+                small = True
+            consec = consec + 1 if small else 0
+            if consec >= 3:
+                converged = True
+                break
+    total = math.fsum(terms)
+    result = (l, prefactor * total, last, 10.0 * (last / abs(total)))
+    return result, converged, by_abs_tol
+
+
+class TestStoppingRule:
+    """The per-block scan stops where the term-by-term rule stops, with
+    the same value, last term and bound, bit for bit."""
+
+    DETAIL = {2: casimir_pressure_detail, 3: casimir_pressure_gradient_detail}
+
+    # where the stopping run lies, and whether the absolute pressure
+    # tolerance made its last term small
+    @pytest.mark.parametrize("make, d, T, rel, power, where, abs_tol", [
+        (drude, 5e-6, 20.0, 1e-4, 3, "first-block", False),
+        (drude, 5e-6, 20.0, 1e-4, 2, "first-block", True),
+        (drude, 190e-9, 20.0, 1e-4, 2, "across-blocks", False),
+        (plasma, 1213e-9, 4.0, 1e-6, 3, "across-blocks", False),
+        (drude, 1213e-9, 4.0, 1e-10, 2, "later-block", True),
+        (bcs, 1213e-9, 14.058, 1e-6, 3, "later-block", False),
+    ], ids=["first-block-P'", "first-block-abs-tol-P", "across-blocks-P",
+            "across-blocks-P'", "abs-tol-P", "bcs-P'"])
+    def test_equals_term_by_term_rule(self, sc_params, make, d, T, rel, power,
+                                      where, abs_tol):
+        spec = LifshitzSpec(d=d, T=T, model=make(sc_params),
+                            quad=QuadratureConfig(term_stop_rel=rel))
+        want, converged, by_abs_tol = scalar_stop_sum(spec, power)
+        n_terms = want[0]
+        assert converged
+        assert (n_terms <= _BLOCK) == (where == "first-block")
+        # a stop 1 or 2 terms into a block continues a run from the last one
+        assert (n_terms % _BLOCK in (1, 2)) == (where == "across-blocks")
+        assert by_abs_tol == abs_tol
+        got = self.DETAIL[power](spec)
+        assert (got.n_terms, got.value, got.last_term, got.truncation_bound) == want
+
+    @pytest.mark.parametrize("power", [2, 3], ids=["P", "Pprime"])
+    @pytest.mark.parametrize("cap", [5, 33, 70])
+    def test_capped_sum_error_equals_term_by_term_rule(self, sc_params, cap, power):
+        spec = LifshitzSpec(d=190e-9, T=4.0, model=bcs(sc_params),
+                            quad=QuadratureConfig(max_matsubara=cap))
+        (n_terms, partial, last, bound), converged, _ = scalar_stop_sum(spec, power)
+        assert not converged
+        with pytest.raises(ConvergenceError) as err:
+            self.DETAIL[power](spec)
+        assert err.value.n_terms == n_terms == cap
+        assert err.value.partial == partial
+        assert 10.0 * err.value.achieved_rel == bound
+
+    @pytest.mark.parametrize("make", [drude, bcs], ids=["drude", "bcs"])
+    def test_one_permittivity_call_per_block(self, sc_params, monkeypatch, make):
+        calls = []
+        monkeypatch.setattr(lifshitz, "permittivity_iw", lambda model, xi, T:
+                            calls.append(len(xi)) or permittivity_iw(model, xi, T))
+        got = casimir_pressure_gradient_detail(LifshitzSpec(
+            d=190e-9, T=14.0, model=make(sc_params), quad=LOOSE))
+        assert len(calls) == math.ceil(got.n_terms / _BLOCK)
+        assert calls[:-1] == [_BLOCK] * (len(calls) - 1)
 
 
 class TestMomentumRule:
@@ -337,9 +436,10 @@ class TestEngine:
     def test_cap_bounds_the_evaluated_indices(self, sc_params, monkeypatch, cap):
         spec = LifshitzSpec(d=190e-9, T=4.0, model=bcs(sc_params),
                             quad=QuadratureConfig(max_matsubara=cap))
-        seen = []
-        monkeypatch.setattr(lifshitz, "permittivity_iw",
-                            lambda model, xi, T: seen.append(xi) or permittivity_iw(model, xi, T))
+        seen = []  # every energy of every call, flattened
+        monkeypatch.setattr(lifshitz, "permittivity_iw", lambda model, xi, T:
+                            seen.extend(np.ravel(xi).tolist())
+                            or permittivity_iw(model, xi, T))
         with pytest.raises(ConvergenceError) as err:
             casimir_pressure_gradient(spec)
         assert err.value.n_terms == cap
@@ -349,9 +449,10 @@ class TestEngine:
         assert err.value.partial == pytest.approx(value, rel=1e-14, abs=0.0)
 
     def test_converged_sum_overruns_by_less_than_a_block(self, sc_params, monkeypatch):
-        calls = []
-        monkeypatch.setattr(lifshitz, "permittivity_iw",
-                            lambda *args: calls.append(args) or permittivity_iw(*args))
+        calls = []  # every energy of every call, flattened
+        monkeypatch.setattr(lifshitz, "permittivity_iw", lambda model, xi, T:
+                            calls.extend(np.ravel(xi).tolist())
+                            or permittivity_iw(model, xi, T))
         for d in (50e-9, 190e-9, 5e-6):
             for detail in (casimir_pressure_detail, casimir_pressure_gradient_detail):
                 calls.clear()

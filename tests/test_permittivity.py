@@ -273,3 +273,26 @@ class TestPermittivity:
     def test_domain_error(self, sc_params):
         with pytest.raises(ValueError):
             permittivity_iw(drude(sc_params), 0.0, 10.0)
+        with pytest.raises(ValueError, match="got 0.0"):
+            permittivity_iw(drude(sc_params), np.array([0.1, 0.0]), 10.0)
+
+    @pytest.mark.parametrize("factory, T", [
+        (drude, 7.0), (plasma, 7.0), (bcs, 7.0), (bcs, TC), (bcs, 1.5 * TC),
+    ], ids=["drude", "plasma", "bcs-below-tc", "bcs-at-tc", "bcs-above-tc"])
+    def test_array_equals_scalar_calls(self, sc_params, factory, T):
+        # one array call gives the scalar calls' bits; at and above Tc every
+        # element takes the g == 0 (Drude) branch
+        model = factory(sc_params)
+        xi = 2.0 * math.pi * CONSTANTS.kB_eV * T * np.arange(1, 41)
+        got = permittivity_iw(model, xi, T)
+        want = np.array([permittivity_iw(model, v, T) for v in xi.tolist()])
+        assert got.shape == xi.shape
+        assert got.tobytes() == want.tobytes()
+        if T >= TC:
+            assert got.tobytes() == permittivity_iw(drude(sc_params), xi, T).tobytes()
+        assert type(permittivity_iw(model, xi[0], T)) is float
+
+    def test_tiny_energies_overflow_quietly(self, sc_params):
+        # float arithmetic overflows to inf; so does the array form, silently
+        assert permittivity_iw(plasma(sc_params), 1e-310, 10.0) == math.inf
+        assert np.isinf(permittivity_iw(drude(sc_params), np.array([1e-320, 1.0]), 10.0)[0])

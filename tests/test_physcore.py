@@ -2,6 +2,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sccasimir.errors import ParseError
@@ -69,6 +70,17 @@ class TestMatsubara:
             matsubara_frequency(1, -3.0)
         with pytest.raises(ValueError):
             matsubara_frequency(-1, 10.0)
+        with pytest.raises(ValueError, match="got -1"):
+            matsubara_frequency(np.array([2, -1, 3]), 10.0)
+
+    @pytest.mark.parametrize("T", [1e-3, 14.2, 60.0])
+    def test_array_equals_scalar_calls(self, T):
+        ls = np.concatenate([np.arange(0, 40), [1234, 99_999, 500_000]])
+        got = matsubara_frequency(ls, T)
+        want = np.array([matsubara_frequency(int(l), T) for l in ls])
+        assert got.shape == ls.shape
+        assert got.tobytes() == want.tobytes()
+        assert type(matsubara_frequency(np.int64(3), T)) is float
 
 
 class TestSuperconductorParams:
