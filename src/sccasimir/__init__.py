@@ -34,10 +34,8 @@ from .lifshitz import (
     casimir_pressure,
     casimir_pressure_gradient,
     classical_terms,
-    fresnel_iw,
     ideal_casimir_force,
     local_exponent,
-    static_te_reflection,
     tc_jump,
 )
 from .membrane import (

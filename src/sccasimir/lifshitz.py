@@ -42,8 +42,6 @@ __all__ = [
     "QuadratureConfig",
     "LifshitzSpec",
     "LifshitzDetail",
-    "fresnel_iw",
-    "static_te_reflection",
     "casimir_pressure",
     "casimir_pressure_detail",
     "casimir_pressure_gradient",
@@ -100,6 +98,17 @@ class QuadratureConfig:
             raise ValueError("max_matsubara must be >= 1")
 
 
+# the separation and temperature checks of LifshitzSpec and classical_terms
+def _check_d_t(d: float, T: float) -> None:
+    # d**4 divides the gradient; the product overflows to inf where ** raises
+    if not (d > 0.0 and 0.0 < d * d * d * d < math.inf):
+        raise ValueError(f"separation must have 0 < d**4 < inf, got {d} m")
+    # at 1.4e-301 K and below, bcs_g and the condensate fraction overflow
+    # with warnings or tracebacks (a log grid found 1.6e-301 K clean)
+    if not 1e-300 <= T < math.inf:
+        raise ValueError(f"temperature must be finite and >= 1e-300 K, got {T} K")
+
+
 @dataclass(frozen=True)
 class LifshitzSpec:
     """One pressure evaluation: separation, temperature, optical model,
@@ -112,11 +121,7 @@ class LifshitzSpec:
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
 
     def __post_init__(self):
-        # d**4 divides the gradient; the product overflows to inf where ** raises
-        if not (self.d > 0.0 and 0.0 < self.d * self.d * self.d * self.d < math.inf):
-            raise ValueError(f"separation must have 0 < d**4 < inf, got {self.d} m")
-        if not 0.0 < self.T < math.inf:
-            raise ValueError(f"temperature must be finite and > 0, got {self.T} K")
+        _check_d_t(self.d, self.T)
 
 
 @dataclass(frozen=True)
@@ -138,43 +143,10 @@ def _fresnel(epsilon, q, x):
     return (q - s) / (q + s), (eq - s) / (eq + s)
 
 
-def fresnel_iw(epsilon: float, xi: float, k_perp: float) -> tuple[float, float]:
-    """Fresnel reflection coefficients ``(r_te, r_tm)`` of a thick slab at
-    imaginary frequency.
-
-    ``q = sqrt(x^2 + k^2)`` and ``s = sqrt(q^2 + (eps - 1) x^2)`` with
-    ``x = xi/hbar_c``, ``xi`` in eV and ``k_perp`` in 1/m, the arithmetic of
-    the Matsubara terms; both coefficients lie in [-1, 1].
-    """
-    if epsilon < 1.0:
-        raise ValueError(f"epsilon must be >= 1, got {epsilon}")
-    if xi < 0.0 or k_perp < 0.0:
-        raise ValueError("xi and k_perp must be >= 0")
-    if xi == 0.0 and k_perp == 0.0:
-        raise ValueError("xi and k_perp cannot both vanish")
-    x = xi / _HBAR_C
-    return tuple(map(float, _fresnel(epsilon, math.sqrt(x * x + k_perp * k_perp), x)))
-
-
 # static TE coefficient (k - hypot(k, kp)) / (k + hypot(k, kp)) without the
 # cancellation that loses the small coefficient at k >> kp; scalars or arrays
 def _static_te(k, kp):
     return -kp * kp / (k + np.hypot(k, kp)) ** 2
-
-
-def static_te_reflection(k_perp: float, omega_eff: float) -> float:
-    """Static transverse-electric reflection coefficient, in [-1, 0].
-
-    ``omega_eff`` is the effective plasma energy in eV: the full plasma
-    energy for a plasma-prescription normal state, the weighted
-    ``w(T)*Omega`` for the superconducting state, and 0 for a Drude normal
-    state (which makes the coefficient vanish identically).
-    """
-    if k_perp < 0.0 or omega_eff < 0.0:
-        raise ValueError("k_perp and omega_eff must be >= 0")
-    if omega_eff == 0.0:
-        return 0.0
-    return float(_static_te(k_perp, omega_eff / _HBAR_C))
 
 
 # static TM integrals with unit reflection, t = exp(-y): Int y^2 t/(1-t) dy
@@ -230,16 +202,17 @@ def _dynamic_integrals(d: float, T: float, model: DielectricModel, ls,
     1e-13 it agrees to 1e-9 relative (worst seen 1.5e-11) for d in [50 nm,
     5 um], T in [0.1, 20] K, Drude, plasma and BCS responses of dirty and
     clean films, both powers and every ``l`` up to ``y0 = 50``.  Raises ``ValueError``
-    when T is so small that the permittivity or ``eps * q`` overflows."""
+    when a term overflows: the permittivity or ``eps * q`` at tiny T, or
+    ``y**power`` at huge T."""
     xi = matsubara_frequency(ls, T)
     eps = permittivity_iw(model, xi, T)[:, None]
-    x = xi[:, None] / _HBAR_C
     # an overflow gives a non-finite term, which is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
+        x = xi[:, None] / _HBAR_C
         y = 2.0 * d * x + _U_NODES
         terms = _integrand(y, power, *_fresnel(eps, y * (0.5 / d), x)) @ _U_WEIGHTS
     if not np.isfinite(terms).all():
-        raise ValueError(f"temperature {T} K is too small: Matsubara terms overflow")
+        raise ValueError(f"Matsubara terms overflow at T = {T} K, d = {d} m")
     return terms
 
 
@@ -261,35 +234,36 @@ def _static_te_omega(spec: LifshitzSpec) -> float:
     return p.Omega
 
 
-def _matsubara_sum(spec: LifshitzSpec, power: int, prefactor: float) -> LifshitzDetail:
+# the sum times -kB T / (8 pi d^3) (power 2, P) or +kB T / (8 pi d^4) (power 3,
+# P'); it stops after 3 terms in a row that are small against the running total
+def _matsubara_sum(spec: LifshitzSpec, power: int) -> LifshitzDetail:
     cfg = spec.quad
+    pref = CONSTANTS.kB_J * spec.T / (8.0 * math.pi * spec.d ** (power + 1))
+    prefactor = -pref if power == 2 else pref
     te0 = _static_te_integral(spec.d, _static_te_omega(spec), power)
     zero = 0.5 * (_STATIC_TM[power] + te0)
 
+    # the absolute tolerance applies to the pressure only
+    rel, tol = cfg.term_stop_rel, _ABS_TOL_PRESSURE if power == 2 else -math.inf
     blocks = [np.array([zero])]
-    running, consec, last, l, converged = zero, 0, 0.0, 0, False
-    while not converged and l < cfg.max_matsubara:
+    running, consec, last, l = zero, 0, 0.0, 0
+    while consec < 3 and l < cfg.max_matsubara:
         block = _dynamic_integrals(spec.d, spec.T, spec.model, np.arange(
             l + 1, min(l + _BLOCK, cfg.max_matsubara) + 1), power)
-        # running totals in the order of running += term, term by term
-        totals = np.concatenate(([running], block)).cumsum()[1:]
-        mags = np.abs(block)
-        small = mags <= cfg.term_stop_rel * np.abs(totals)
-        if power == 2:
-            small |= abs(prefactor) * mags <= _ABS_TOL_PRESSURE
-        # one byte per term, 1 if small, led by the run carried over
-        run = b"\1" * consec + small.tobytes()
-        stop = run.find(b"\1\1\1")
-        converged = stop >= 0
-        n = stop + 3 - consec if converged else block.size
-        consec = len(run) - len(run.rstrip(b"\1"))
+        for n, term in enumerate(block.tolist(), 1):
+            running += term
+            last = abs(term)
+            small = last <= rel * abs(running) or pref * last <= tol
+            consec = consec + 1 if small else 0
+            if consec == 3:
+                break
         blocks.append(block[:n])
-        running, last, l = float(totals[n - 1]), float(mags[n - 1]), l + n
+        l += n
 
     total = math.fsum(np.concatenate(blocks))  # fixed ascending order, compensated
     achieved = last / abs(total) if total != 0.0 else math.inf
     # _ABS_TOL_PRESSURE can stop a sum whose last term is still >= 10% of it
-    if not converged or 10.0 * achieved >= 1.0:
+    if consec < 3 or 10.0 * achieved >= 1.0:
         raise ConvergenceError(
             f"Matsubara sum not converged after {l} terms "
             f"(last relative term {achieved:.3e})",
@@ -306,8 +280,7 @@ def _matsubara_sum(spec: LifshitzSpec, power: int, prefactor: float) -> Lifshitz
 
 def casimir_pressure_detail(spec: LifshitzSpec) -> LifshitzDetail:
     """Casimir pressure in Pa (negative = attraction) with diagnostics."""
-    pref = CONSTANTS.kB_J * spec.T / (8.0 * math.pi * spec.d ** 3)
-    return _matsubara_sum(spec, power=2, prefactor=-pref)
+    return _matsubara_sum(spec, power=2)
 
 
 def casimir_pressure(spec: LifshitzSpec) -> float:
@@ -321,8 +294,7 @@ def casimir_pressure_gradient_detail(spec: LifshitzSpec) -> LifshitzDetail:
     Evaluated from the closed-form derivative of the Matsubara sum, not by
     numerical differencing; positive for attractive power-law pressures.
     """
-    pref = CONSTANTS.kB_J * spec.T / (8.0 * math.pi * spec.d ** 4)
-    return _matsubara_sum(spec, power=3, prefactor=pref)
+    return _matsubara_sum(spec, power=3)
 
 
 def casimir_pressure_gradient(spec: LifshitzSpec) -> float:
@@ -337,8 +309,7 @@ def classical_terms(d: float, T: float) -> tuple[float, float]:
     ``-kB T zeta(3) / (8 pi d^3)`` and its separation derivative
     ``3 kB T zeta(3) / (8 pi d^4)``.
     """
-    if d <= 0.0 or T <= 0.0:
-        raise ValueError("d and T must be positive")
+    _check_d_t(d, T)
     amp = CONSTANTS.kB_J * T * CONSTANTS.zeta3 / (8.0 * math.pi)
     return -amp / d ** 3, 3.0 * amp / d ** 4
 

@@ -109,9 +109,12 @@ def condensate_fraction(T: float, p: SuperconductorParams) -> float:
     gamma = p.gamma
     eta = gamma / (2.0 * delta)
     t_red = _KB * T / gamma
-    first = math.pi / (2.0 * eta) * math.tanh(1.0 / (4.0 * eta * t_red))
-    a = 1.0 / (2.0 * eta)
+    a = 1.0 / (2.0 * eta) if eta > 0.0 else math.inf
     x_max = 1e4 * max(a, t_red, 1.0)
+    if x_max == math.inf:
+        raise ValueError(f"relaxation energy {gamma:.3g} eV is too small against "
+                         f"the gap {delta:.3g} eV and kB T = {_KB * T:.3g} eV")
+    first = math.pi / (2.0 * eta) * math.tanh(1.0 / (4.0 * eta * t_red))
     # tanh(E/2t) = 1 to double precision once t < a/40, so t below a/1000
     # needs no narrower panel (and T -> 0 no unbounded panel count)
     x, weights = _doubling_panels(0.25 * min(a, max(t_red, 1e-3 * a), 0.5), x_max, 16)

@@ -118,7 +118,8 @@ class SuperconductorParams:
 
     def __post_init__(self):
         _require_finite(self)
-        _require(self.Omega > 0, f"Omega must be > 0, got {self.Omega}")
+        _require(self.Omega > 0 and self.Omega * self.Omega < math.inf,
+                 f"Omega must be > 0 with a finite square, got {self.Omega}")
         _require(self.gamma0 > 0, f"gamma0 must be > 0, got {self.gamma0}")
         _require(self.RRR >= 1.0, f"RRR must be >= 1, got {self.RRR}")
         _require(self.Tc > 0, f"Tc must be > 0, got {self.Tc}")

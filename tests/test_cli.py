@@ -105,6 +105,24 @@ class TestMain:
         # closed-form forces that underflow
         (["pressure", "--ideal", "--d", "190e-9", "--radius", "1e-300"], 2),
         (["pressure", "--ideal", "--d", "190e-9", "--area", "1e-300"], 2),
+        # temperatures below the 1e-300 K floor, which ended in tracebacks
+        # or RuntimeWarnings from bcs_g and the condensate fraction
+        (["pressure", "--d", "190e-9", "--t", "1e-318", "--skip-exponent"], 2),
+        (["pressure", "--d", "190e-9", "--t", "5e-324", "--skip-exponent"], 2),
+        (["pressure", "--d", "190e-9", "--t", "5e-324", "--model", "drude",
+          "--approach", "drude-bcs", "--skip-exponent"], 2),
+        (["pressure", "--d", "190e-9", "--t", "1e-310", "--skip-exponent"], 2),
+        (["pressure", "--d", "190e-9", "--t", "1e-305", "--skip-exponent"], 2),
+        (["pressure", "--d", "190e-9", "--t", "1e-301", "--model", "drude",
+          "--approach", "drude-bcs", "--skip-exponent"], 2),
+        (["gradient", "--d", "190e-9", "--t", "1e-301"], 2),
+        (["gradient", "--d", "190e-9", "--t", "1e-312", "--model", "plasma",
+          "--approach", "plasma-plasma"], 2),
+        # extreme film parameters
+        (["gradient", "--d", "190e-9", "--t", "14.058", "--omega", "1e200"], 2),
+        (["gradient", "--d", "190e-9", "--t", "14.058", "--rrr", "1e308"], 2),
+        (["gradient", "--d", "1e-3", "--t", "1e300", "--model", "drude"], 2),
+        (["gradient", "--d", "190e-9", "--t", "1e306", "--model", "drude"], 2),
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
@@ -132,6 +150,17 @@ class TestMain:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (["--t", "1e-301"], "temperature must be finite and >= 1e-300 K"),
+        (["--t", "1e300", "--model", "drude"], "Matsubara terms overflow at T = 1e+300 K"),
+        (["--t", "14.058", "--omega", "1e200"], "Omega must be > 0 with a finite square"),
+        (["--t", "14.058", "--rrr", "1e308"], "relaxation energy 4.65e-309 eV is too small"),
+    ], ids=["t-floor", "huge-t", "omega", "rrr"])
+    def test_rejected_value_names_its_cause(self, runner, args, message):
+        result = runner.invoke(main, ["gradient", "--d", "1e-3", *args])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("args", [
         ["jump", "--f0", "nan"],

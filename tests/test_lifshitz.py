@@ -27,6 +27,8 @@ from sccasimir.lifshitz import (
     _U_NODES,
     _U_WEIGHTS,
     _dynamic_integrals,
+    _fresnel,
+    _static_te,
     _static_te_integral,
     _static_te_omega,
     casimir_pressure,
@@ -34,10 +36,8 @@ from sccasimir.lifshitz import (
     casimir_pressure_gradient,
     casimir_pressure_gradient_detail,
     classical_terms,
-    fresnel_iw,
     ideal_casimir_force,
     local_exponent,
-    static_te_reflection,
     tc_jump,
 )
 
@@ -46,12 +46,15 @@ LOOSE = QuadratureConfig(term_stop_rel=1e-6)
 
 
 class TestFresnel:
+    # the engine's arguments: x = xi/hbar_c and q = sqrt(x^2 + k^2) >= x
     def test_vacuum_reflects_nothing(self):
-        assert fresnel_iw(1.0, 0.3, 1e7) == (0.0, 0.0)
-        assert fresnel_iw(1.0, 0.0, 1e5) == (0.0, 0.0)
+        x = 0.3 / CONSTANTS.hbar_c_eVm
+        assert _fresnel(1.0, math.hypot(x, 1e7), x) == (0.0, 0.0)
+        assert _fresnel(1.0, 1e5, 0.0) == (0.0, 0.0)
 
     def test_near_perfect_conductor(self):
-        r_te, r_tm = fresnel_iw(1e12, 1.0, 1e6)
+        x = 1.0 / CONSTANTS.hbar_c_eVm
+        r_te, r_tm = _fresnel(1e12, math.hypot(x, 1e6), x)
         assert r_tm == pytest.approx(1.0, abs=1e-5)
         assert r_te == pytest.approx(-1.0, abs=1e-5)
 
@@ -61,7 +64,8 @@ class TestFresnel:
         model = drude(sc_params)
         previous = 1.0
         for xi in (1e-2, 1e-4, 1e-6, 1e-8):
-            r_te, _ = fresnel_iw(permittivity_iw(model, xi, 20.0), xi, k)
+            x = xi / CONSTANTS.hbar_c_eVm
+            r_te, _ = _fresnel(permittivity_iw(model, xi, 20.0), math.hypot(x, k), x)
             assert abs(r_te) < previous
             previous = abs(r_te)
         assert previous < 1e-6
@@ -70,17 +74,11 @@ class TestFresnel:
         rng = np.random.default_rng(7)
         for _ in range(300):
             eps = 10.0 ** rng.uniform(0.0, 8.0)
-            xi = 10.0 ** rng.uniform(-6.0, 1.0)
+            x = 10.0 ** rng.uniform(-6.0, 1.0) / CONSTANTS.hbar_c_eVm
             k = 10.0 ** rng.uniform(0.0, 9.0)
-            r_te, r_tm = fresnel_iw(eps, xi, k)
+            r_te, r_tm = _fresnel(eps, math.hypot(x, k), x)
             assert -1.0 <= r_te <= 0.0
             assert 0.0 <= r_tm <= 1.0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            fresnel_iw(0.99, 1.0, 1e6)
-        with pytest.raises(ValueError):
-            fresnel_iw(2.0, 0.0, 0.0)
 
 
 def quad_static_te(d, omega_eff, power):
@@ -103,23 +101,25 @@ def quad_static_te(d, omega_eff, power):
 
 
 class TestStaticTE:
+    # the engine's arguments: momentum k and kp = omega_eff/hbar_c, in 1/m
+    KP = 5.33 / CONSTANTS.hbar_c_eVm
+
     def test_grazing_limit(self):
-        assert static_te_reflection(0.0, 5.33) == -1.0
+        assert _static_te(0.0, self.KP) == -1.0
 
     def test_large_momentum_limit(self):
-        assert abs(static_te_reflection(1e12, 5.33)) < 2e-5
+        assert abs(_static_te(1e12, self.KP)) < 2e-5
 
     def test_at_plasma_momentum(self):
-        k = 5.33 / CONSTANTS.hbar_c_eVm
         expected = (1.0 - math.sqrt(2.0)) / (1.0 + math.sqrt(2.0))
-        assert static_te_reflection(k, 5.33) == pytest.approx(expected, rel=1e-12)
+        assert _static_te(self.KP, self.KP) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_plasma_energy_means_no_reflection(self):
-        assert static_te_reflection(1e6, 0.0) == 0.0
+        assert _static_te(1e6, 0.0) == 0.0
 
     def test_range(self):
         for k in np.geomspace(1.0, 1e10, 30):
-            assert -1.0 <= static_te_reflection(k, 5.33) <= 0.0
+            assert -1.0 <= _static_te(k, self.KP) <= 0.0
 
     # values from a 30-digit evaluation of the same integral
     @pytest.mark.parametrize("d, expected", [
@@ -172,6 +172,17 @@ class TestClassicalTerms:
         amp = CONSTANTS.kB_J * t * CONSTANTS.zeta3 / (8.0 * math.pi)
         assert p_tm0 == pytest.approx(-amp / d**3, rel=1e-14)
         assert grad == pytest.approx(3.0 * amp / d**4, rel=1e-14)
+
+    # the checks LifshitzSpec makes: 0 < d**4 < inf and 1e-300 <= T < inf
+    @pytest.mark.parametrize("d, T", [
+        (math.nan, 1.0), (1.0, math.inf), (1e-300, 1.0), (1e-90, 1.0), (1e80, 1.0),
+        (1.0, math.nan), (0.0, 1.0), (1.0, 0.0), (1.0, 1e-301),
+    ])
+    def test_rejects_what_the_spec_rejects(self, sc_params, d, T):
+        with pytest.raises(ValueError):
+            classical_terms(d, T)
+        with pytest.raises(ValueError):
+            LifshitzSpec(d=d, T=T, model=drude(sc_params))
 
 
 class TestIdealForce:
@@ -495,6 +506,14 @@ class TestEngine:
         assert detail.n_terms > 10
         assert detail.last_term >= 0.0
 
+    def test_absolute_tolerance_stops_only_the_pressure(self, sc_params):
+        # at 5 um and 20 K the gradient terms fall below 1e-9 Pa/m (at about
+        # 51 terms) before they fall below term_stop_rel of the sum (55)
+        detail = casimir_pressure_gradient_detail(LifshitzSpec(
+            d=5e-6, T=20.0, model=drude(sc_params)))
+        assert detail.n_terms == 55
+        assert detail.truncation_bound <= 10.0 * QuadratureConfig().term_stop_rel
+
     def test_sum_stopped_at_unit_bound_is_not_converged(self, sc_params):
         # every pressure term is below _ABS_TOL_PRESSURE from the first,
         # so the rule stops after 3 terms that are each ~30% of the sum;
@@ -526,9 +545,11 @@ class TestEngine:
         for d in (1e-90, 1e80, math.inf, math.nan):
             with pytest.raises(ValueError, match="separation"):
                 LifshitzSpec(d=d, T=10.0, model=drude(sc_params))
-        for T in (math.inf, math.nan):
+        for T in (math.inf, math.nan, 9.9e-301, 5e-324):
             with pytest.raises(ValueError, match="temperature"):
                 LifshitzSpec(d=1e-7, T=T, model=drude(sc_params))
+        # the floor itself is a valid temperature
+        assert LifshitzSpec(d=1e-7, T=1e-300, model=drude(sc_params)).T == 1e-300
         with pytest.raises(ValueError):
             QuadratureConfig(term_stop_rel=0.0)
         with pytest.raises(ValueError):

@@ -132,6 +132,15 @@ class TestCondensateWeight:
         with pytest.raises(ValueError):
             superfluid_weight(1.5 * sc_params.Tc, sc_params)
 
+    # a relaxation energy far below the gap puts the end of the rule past
+    # the float range; RRR = 1e308 and sub-normal gamma0 both do
+    @pytest.mark.parametrize("overrides", [{"RRR": 1e308}, {"gamma0": 1e-310},
+                                           {"gamma0": 5e-324}])
+    def test_vanishing_relaxation_is_refused(self, overrides):
+        p = SuperconductorParams(**overrides)
+        with pytest.raises(ValueError, match="relaxation energy"):
+            condensate_fraction(0.99 * p.Tc, p)
+
     # near Tc the fraction tends to c * Delta**2; for a clean film it is the
     # difference of two terms about 7 kB T / gamma times larger (9e7 at
     # gamma0 = 1e-10 eV)

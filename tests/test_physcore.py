@@ -99,11 +99,15 @@ class TestSuperconductorParams:
 
     @pytest.mark.parametrize("kwargs", [
         {"Omega": 0.0}, {"Omega": -1.0}, {"gamma0": 0.0}, {"RRR": 0.5},
-        {"Tc": -1.0},
+        {"Tc": -1.0}, {"Omega": 1.4e154}, {"Omega": 1e200},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SuperconductorParams(**kwargs)
+
+    def test_omega_with_a_finite_square_is_accepted(self):
+        # the permittivity squares Omega; 1.3e154 squared is still finite
+        assert SuperconductorParams(Omega=1.3e154).Omega == 1.3e154
 
 
 class TestMembraneSpec:
