@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import FitError
 from .membrane import SweepRecord, gradient_from_dw2
-from .permittivity import _GAUSS_LEGENDRE, _doubling_panels
+from .permittivity import _GAUSS_LEGENDRE
 from .physcore import (
     CONSTANTS,
     Basis,
@@ -42,9 +42,6 @@ __all__ = [
 
 _KB = CONSTANTS.kB_eV
 _TC = SuperconductorParams().Tc
-# biases per array evaluation in dynes_conductance; keeps the temporaries of
-# a typical fit under about 1 MB
-_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -198,70 +195,72 @@ def dynes_conductance(V, p: DynesParams) -> float | np.ndarray:
     """Thermally broadened tunneling conductance at bias ``V`` (volts).
 
     ``V`` is a scalar, which gives a ``float``, or an array, which gives one
-    value per bias.  Convolution of the broadened density of states with the
-    derivative of the Fermi occupation over ``|E| <= |V| + 30 kB T + 10
-    Delta``; tends to ``A`` as ``|V| -> infinity``.  Each bias has its own
-    fixed rule: the window is broken at its edges and at ``-Delta, -V,
-    Delta``, each gap between breaks is halved, and each half is covered by
-    16-node Gauss-Legendre panels doubling in width away from its own break,
-    the first ``min(gamma, kB T) / 4`` wide.  Against adaptive quadrature at
-    ``epsrel`` 1e-13 it agrees to 1e-12 relative (worst seen 1.9e-13) over
-    33 biases in +-4 Delta, gamma / Delta in [1e-6, 0.5], T in [0.05, 8] K.
-    Biases are evaluated in blocks of ``_BLOCK``, and each is summed on
-    its own, so a value does not depend on the other biases in the call.
+    value per bias: ``A`` times the broadened density of states convolved
+    with the derivative of the Fermi occupation, tending to ``A`` as
+    ``|V| -> infinity``.  A call builds one energy rule for all its biases
+    (``_energy_rule``), evaluates the density on it once and gets every bias
+    from one product of the Fermi-kernel matrix ``K(E + V)`` with the
+    weighted density.  Against adaptive quadrature at ``epsrel`` 1e-13 it
+    agrees to 1e-12 relative over 33 biases in +-4 Delta, gamma / Delta in
+    [1e-6, 0.5], T in [0.05, 8] K.  Through the rule, a value depends on
+    the other biases of the call: alone and among 40 others it differs by
+    up to 8e-14 relative.  ``kB T`` below 1e-7 of ``max(Delta, |V|)`` is
+    refused, as the float spacing of ``E`` would blur the kernel.
     """
     v = np.asarray(V, dtype=float)
     flat = v.ravel()
+    kT = _KB * p.T
+    scale = float(np.max(np.abs(flat), initial=p.Delta))
+    if not 1e-7 * scale <= kT < 1e300 * p.gamma:  # 1e300 gamma bounds the panel count
+        raise ValueError(f"T={p.T} K: kB T = {kT:.3g} eV is outside [1e-7 max(Delta, |V|), "
+                         f"1e300 gamma] = [{1e-7 * scale:.3g}, {1e300 * p.gamma:.3g}] eV, "
+                         f"the range the conductance rule resolves")
+    E, w = _energy_rule(flat, p, kT)
+    f = w * dynes_density(E, p.Delta, p.gamma)
     out = np.empty(flat.size)
-    for i in range(0, flat.size, _BLOCK):
-        out[i:i + _BLOCK] = _conductance_block(flat[i:i + _BLOCK], p)
+    rows = max(1, (1 << 19) // max(E.size, 1))  # each kernel matrix under 4 MB
+    for i in range(0, flat.size, rows):
+        # the Fermi kernel 1 / (4 kB T cosh(x)**2) in place; the clip keeps x * x finite
+        x = np.add.outer(flat[i:i + rows], E) / (2.0 * kT)
+        np.cosh(np.clip(x, -300.0, 300.0, out=x), out=x)
+        np.multiply(x, x, out=x)
+        out[i:i + rows] = p.A * (np.divide(1.0, np.multiply(x, 4.0 * kT, out=x), out=x) @ f)
     return float(out[0]) if v.ndim == 0 else out.reshape(v.shape)
 
 
-def _conductance_block(v: np.ndarray, p: DynesParams) -> np.ndarray:
-    """``dynes_conductance`` of the 1-D biases ``v``: the density and the
-    Fermi kernel are evaluated once over the nodes of every bias, laid out
-    bias after bias, gap after gap, lower half before upper half."""
-    kT = _KB * p.T
-    first = 0.25 * min(p.gamma, kT)
-    gaps = []  # (bias index, lo, hi, half width, doubling panels) per gap
-    for i, bias in enumerate(v.tolist()):
-        width = abs(bias) + 30.0 * kT + 10.0 * p.Delta  # > |V| and > Delta
-        breaks = sorted({-width, -p.Delta, -bias, p.Delta, width})
-        for lo, hi in zip(breaks[:-1], breaks[1:]):
-            half = 0.5 * (hi - lo)  # each half is [0, half] from its own break
-            ratio = half / first if first > 0.0 else math.inf
-            if not math.isfinite(ratio):
-                raise ValueError(f"T={p.T} K, V={bias} V: the conductance window is "
-                                 f"not a finite multiple of its first panel "
-                                 f"min(gamma, kB T) / 4")
-            # the panel count of _doubling_panels(first, half, 16)
-            gaps.append((i, lo, hi, half, max(math.ceil(math.log2(ratio)), 0)))
-    owner, lo, hi, half, k = map(np.array, zip(*gaps))
-    # a half with k doubling panels takes the first 16 k nodes of the shared
-    # prefix [0, first], [first, 2 first], ... and then a last panel of its own
-    x_pre, w_pre = _doubling_panels(first, math.ldexp(first, int(k.max()) - 1), 16)
-    start = np.where(k > 0, np.ldexp(first, k - 1), 0.0)
-    last = 0.5 * (half - start)[:, None]
+def _energy_rule(v: np.ndarray, p: DynesParams, kT: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite 16-node Gauss-Legendre nodes and weights in E shared by the
+    biases ``v``.  The rule covers the union of the kernel supports
+    ``|E + V| <= 36 kB T`` (the kernel's weight beyond is 5e-16) and is
+    broken at -Delta, 0 and Delta.  Away from the gap edge on its side of
+    0, the panels are first, 2 first, 4 first, ... wide up to a cap of
+    4 kB T, ``first = min(gamma, 4 kB T) / 4``.
+    """
+    cap, first = 4.0 * kT, 0.25 * min(p.gamma, 4.0 * kT)
+    graded = [first * (2.0 ** k - 1)  # offsets of the panels narrower than the cap
+              for k in range(1, math.ceil(math.log2(cap / first)) + 1)]
+    top = graded[-1]
+    centres = np.unique(-v)
+    lo = centres[np.diff(centres, prepend=-np.inf) > 72.0 * kT] - 36.0 * kT
+    hi = centres[np.diff(centres, append=np.inf) > 72.0 * kT] + 36.0 * kT
+    sides = ((-p.Delta, -1.0, -math.inf, -p.Delta), (-p.Delta, 1.0, -p.Delta, 0.0),
+             (p.Delta, -1.0, 0.0, p.Delta), (p.Delta, 1.0, p.Delta, math.inf))
+    panel_edges = [np.zeros(0)]  # sorted edges per merged support; none without biases
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        edges = [a, b]
+        for c, s, s_lo, s_hi in sides:  # gap edge, direction, segment
+            x0, x1 = max(a, s_lo), min(b, s_hi)
+            if x0 < x1:
+                d0, d1 = sorted((s * (x0 - c), s * (x1 - c)))
+                n = range(max(math.floor((d0 - top) / cap), 0) + 1,
+                          math.ceil((d1 - top) / cap))
+                offsets = [*graded, *(top + cap * k for k in n)]
+                edges += [x0, x1] + [c + s * o for o in offsets if d0 < o < d1]
+        panel_edges.append(np.unique(edges))
+    left = np.concatenate([e[:-1] for e in panel_edges])
+    half = 0.5 * (np.concatenate([e[1:] for e in panel_edges]) - left)[:, None]
     shifted, weights = _GAUSS_LEGENDRE[16]
-    x_last, w_last = start[:, None] + last * shifted, last * weights
-    # lo + x on the lower half, hi + (-x) = hi - x on the upper
-    x_pre_neg, x_last_neg = -x_pre, -x_last
-    xs, ws = [], []
-    for g, n in enumerate((16 * k).tolist()):
-        xs += [x_pre[:n], x_last[g], x_pre_neg[:n], x_last_neg[g]]
-        ws += [w_pre[:n], w_last[g], w_pre[:n], w_last[g]]
-    E = np.repeat(np.column_stack([lo, hi]).ravel(), np.repeat(16 * (k + 1), 2))
-    E += np.concatenate(xs)
-    per_gap = 32 * (k + 1)
-    x = np.clip((E + np.repeat(v[owner], per_gap)) / (2.0 * kT), -300.0, 300.0)
-    kern = 1.0 / (4.0 * kT * np.cosh(x) ** 2)  # the clip keeps cosh(x)**2 finite
-    del x  # before the density's complex temporaries
-    f = dynes_density(E, p.Delta, p.gamma) * kern
-    w = np.concatenate(ws)
-    # each bias is its own dot product over its own nodes, in the order above
-    end = np.cumsum(np.bincount(owner, per_gap)).astype(int).tolist()
-    return p.A * np.array([np.dot(w[s:e], f[s:e]) for s, e in zip([0] + end[:-1], end)])
+    return (left[:, None] + half * shifted).ravel(), (half * weights).ravel()
 
 
 def load_dynes_csv(path) -> list[tuple[float, float]]:

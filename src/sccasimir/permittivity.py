@@ -111,7 +111,8 @@ def condensate_fraction(T: float, p: SuperconductorParams) -> float:
     t_red = _KB * T / gamma
     a = 1.0 / (2.0 * eta) if eta > 0.0 else math.inf
     x_max = 1e4 * max(a, t_red, 1.0)
-    if x_max == math.inf:
+    # the integrand's largest denominator, e (4 x**2 + 1) at x_max, must be finite
+    if math.hypot(x_max, a) * (4.0 * x_max * x_max + 1.0) == math.inf:
         raise ValueError(f"relaxation energy {gamma:.3g} eV is too small against "
                          f"the gap {delta:.3g} eV and kB T = {_KB * T:.3g} eV")
     first = math.pi / (2.0 * eta) * math.tanh(1.0 / (4.0 * eta * t_red))

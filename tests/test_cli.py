@@ -123,6 +123,13 @@ class TestMain:
         (["gradient", "--d", "190e-9", "--t", "14.058", "--rrr", "1e308"], 2),
         (["gradient", "--d", "1e-3", "--t", "1e300", "--model", "drude"], 2),
         (["gradient", "--d", "190e-9", "--t", "1e306", "--model", "drude"], 2),
+        # below the conductance rule's kB T floor, and a condensate integrand
+        # that overflows at its upper limit
+        (["dynes-fit", "--csv", "{dynes}", "--t", "1e-300"], 2),
+        (["gradient", "--d", "190e-9", "--t", "14.058", "--gamma0", "1e-150",
+          "--term-stop", "1e-4"], 2),
+        (["pressure", "--d", "190e-9", "--t", "14.0", "--rrr", "1e140",
+          "--skip-exponent"], 2),
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
@@ -145,7 +152,10 @@ class TestMain:
             paths[name] = tmp_path / name
             paths[name].write_text(text)
         args = [arg.format(**paths) for arg in args]
-        result = runner.invoke(main, args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, args)
+        assert [str(w.message) for w in caught] == []
         assert result.exit_code == code
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
