@@ -205,16 +205,18 @@ def dynes_conductance(V, p: DynesParams) -> float | np.ndarray:
     [1e-6, 0.5], T in [0.05, 8] K.  Through the rule, a value depends on
     the other biases of the call: alone and among 40 others it differs by
     up to 8e-14 relative.  ``kB T`` below 1e-7 of ``max(Delta, |V|)`` is
-    refused, as the float spacing of ``E`` would blur the kernel.
+    refused, as the float spacing of ``E`` would blur the kernel; so is
+    ``kB T`` that takes the rule's largest ``|E|``, ``max(Delta, |V|) + 36
+    kB T``, to 1e154, as ``E * E`` would overflow near 1.3e154.
     """
     v = np.asarray(V, dtype=float)
     flat = v.ravel()
     kT = _KB * p.T
     scale = float(np.max(np.abs(flat), initial=p.Delta))
-    if not 1e-7 * scale <= kT < 1e300 * p.gamma:  # 1e300 gamma bounds the panel count
-        raise ValueError(f"T={p.T} K: kB T = {kT:.3g} eV is outside [1e-7 max(Delta, |V|), "
-                         f"1e300 gamma] = [{1e-7 * scale:.3g}, {1e300 * p.gamma:.3g}] eV, "
-                         f"the range the conductance rule resolves")
+    ceiling = min(1e300 * p.gamma, (1e154 - scale) / 36.0)  # 1e300 gamma bounds the panels
+    if not 1e-7 * scale <= kT < ceiling:
+        raise ValueError(f"T={p.T} K: kB T = {kT:.3g} eV is outside [{1e-7 * scale:.3g}, "
+                         f"{ceiling:.3g}] eV, the range the conductance rule resolves")
     E, w = _energy_rule(flat, p, kT)
     f = w * dynes_density(E, p.Delta, p.gamma)
     out = np.empty(flat.size)

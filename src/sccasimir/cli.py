@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import statistics
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import click
 
@@ -271,8 +271,8 @@ def jump(d, dt, approach, all_approaches, preset, membrane_config, f0,
     approaches = ([ZeroFreqApproach.PLASMA_BCS, ZeroFreqApproach.PLASMA_PLASMA,
                    ZeroFreqApproach.DRUDE_BCS] if all_approaches
                   else [ZeroFreqApproach(approach)])
-    _echo_header([("command", "jump"), ("d_m", repr(d)), ("Tc_K", repr(params.Tc)),
-                  ("dT_K", repr(dt)), ("f0_Hz", repr(f0)),
+    _echo_header([("command", "jump"), ("d_m", repr(d)), ("dT_K", repr(dt)),
+                  ("f0_Hz", repr(f0)),
                   ("membrane", preset if membrane_config is None else membrane_config)]
                  + config_items(params))
     rows = []
@@ -434,19 +434,17 @@ def tables(flag_above, fmt):
     if not math.isfinite(flag_above):
         raise ValueError(f"--flag-above must be finite, got {flag_above}")
 
-    def render(rows, geom_col, recompute):
+    def render(rows):
         out = []
         for row in rows:
-            force = recompute(row)
+            force = ideal_casimir_force(row.geometry)
             dev = abs(force - row.force) / row.force
-            out.append((row.ref, getattr(row, geom_col), row.d, row.force, force,
-                        dev, "SUSPECT" if dev > flag_above else "ok"))
+            out.append((row.ref, *astuple(row.geometry), row.force, force, dev,
+                        "SUSPECT" if dev > flag_above else "ok"))
         return out
 
-    plate = render(experiments.PLATE_PLATE_ROWS, "area",
-                   experiments.recompute_plate_row)
-    sphere = render(experiments.SPHERE_PLATE_ROWS, "radius",
-                    experiments.recompute_sphere_row)
+    plate = render(experiments.PLATE_PLATE_ROWS)
+    sphere = render(experiments.SPHERE_PLATE_ROWS)
     _echo_header([("command", "tables"), ("flag_above", repr(flag_above))])
 
     def emit(section, geom_name, data, exclude=None):

@@ -4,15 +4,13 @@
 class ConvergenceError(RuntimeError):
     """A Matsubara sum did not converge within the configured term cap.
 
-    Carries the partial result and the tolerance actually achieved so the
-    caller can decide whether the partial value is still usable.
+    ``detail`` is the sum's ``LifshitzDetail``, so the caller can decide
+    whether its partial value is still usable.
     """
 
-    def __init__(self, message, partial, achieved_rel, n_terms):
+    def __init__(self, message, detail):
         super().__init__(message)
-        self.partial = partial
-        self.achieved_rel = achieved_rel
-        self.n_terms = n_terms
+        self.detail = detail
 
 
 class FitError(RuntimeError):

@@ -126,7 +126,7 @@ class LifshitzSpec:
 
 @dataclass(frozen=True)
 class LifshitzDetail:
-    """Converged value plus summation diagnostics."""
+    """Value and diagnostics of a Matsubara sum, also carried by a ConvergenceError."""
 
     value: float            # Pa (pressure) or Pa/m (gradient)
     n_terms: int            # number of l >= 1 terms summed
@@ -262,20 +262,12 @@ def _matsubara_sum(spec: LifshitzSpec, power: int) -> LifshitzDetail:
 
     total = math.fsum(np.concatenate(blocks))  # fixed ascending order, compensated
     achieved = last / abs(total) if total != 0.0 else math.inf
+    detail = LifshitzDetail(prefactor * total, l, zero, total - zero, last, 10.0 * achieved)
     # _ABS_TOL_PRESSURE can stop a sum whose last term is still >= 10% of it
-    if consec < 3 or 10.0 * achieved >= 1.0:
-        raise ConvergenceError(
-            f"Matsubara sum not converged after {l} terms "
-            f"(last relative term {achieved:.3e})",
-            partial=prefactor * total, achieved_rel=achieved, n_terms=l)
-    return LifshitzDetail(
-        value=prefactor * total,
-        n_terms=l,
-        zero_term=zero,
-        dynamic_sum=total - zero,
-        last_term=last,
-        truncation_bound=10.0 * achieved,
-    )
+    if consec < 3 or detail.truncation_bound >= 1.0:
+        raise ConvergenceError(f"Matsubara sum not converged after {l} terms "
+                               f"(last relative term {achieved:.3e})", detail)
+    return detail
 
 
 def casimir_pressure_detail(spec: LifshitzSpec) -> LifshitzDetail:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, ParseError
-from .physcore import CONSTANTS, MembraneSpec, read_csv
+from .physcore import CONSTANTS, MembraneSpec, _require_finite, read_csv
 
 __all__ = [
     "SweepRecord",
@@ -45,6 +45,7 @@ class SweepRecord:
     Q: float | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         if self.T <= 0.0:
             raise ValueError(f"T must be > 0, got {self.T}")
         if self.f <= 0.0:

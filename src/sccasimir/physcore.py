@@ -86,10 +86,9 @@ def _require(cond: bool, msg: str) -> None:
 
 def _require_finite(record) -> None:
     """Reject a record any of whose float fields is nan or inf."""
-    for f in fields(record):
-        value = getattr(record, f.name)
-        _require(not isinstance(value, float) or math.isfinite(value),
-                 f"{f.name} must be finite, got {value}")
+    for name, value in vars(record).items():  # the message is built only on failure
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -126,11 +126,8 @@ def test_criterion_06_ideal_conductor_limit():
 
 def test_criterion_07_comparison_tables():
     worst = 0.0
-    for row in experiments.PLATE_PLATE_ROWS:
-        worst = max(worst, abs(experiments.recompute_plate_row(row) - row.force)
-                    / row.force)
-    for row in experiments.SPHERE_PLATE_ROWS:
-        worst = max(worst, abs(experiments.recompute_sphere_row(row) - row.force)
+    for row in experiments.PLATE_PLATE_ROWS + experiments.SPHERE_PLATE_ROWS:
+        worst = max(worst, abs(ideal_casimir_force(row.geometry) - row.force)
                     / row.force)
     this_work = ideal_casimir_force(PlatePlate(area=4.9e-7, d=190e-9))
     lamoreaux = ideal_casimir_force(SpherePlate(radius=0.113, d=600e-9))

@@ -403,6 +403,17 @@ class TestDynesConductance:
         with pytest.raises(ValueError, match="outside"):
             dynes_conductance(0.0, DynesParams(Delta=2.6e-3, gamma=0.465e-3, T=1e-300))
 
+    def test_energy_that_squares_past_the_float_range_refused(self):
+        # the rule reaches max(Delta, |V|) + 36 kB T in E, and the density
+        # squares E; at 1e156 K that is 3.1e153 eV, at 1e157 K 3.1e154 eV
+        bias = np.linspace(-4 * DYNES_REF.Delta, 4 * DYNES_REF.Delta, 33)
+        hot = DynesParams(Delta=2.6e-3, gamma=0.465e-3, T=1e156)
+        assert np.isfinite(dynes_conductance(bias, hot)).all()
+        with pytest.raises(ValueError, match="outside"):
+            dynes_conductance(bias, DynesParams(Delta=2.6e-3, gamma=0.465e-3, T=1e157))
+        with pytest.raises(ValueError, match="outside"):
+            dynes_conductance(1e154, DYNES_REF)
+
     def test_scalar_call_returns_float(self):
         assert type(dynes_conductance(0.0, DYNES_REF)) is float
         assert type(dynes_conductance(np.float64(1e-3), DYNES_REF)) is float

@@ -130,6 +130,8 @@ class TestMain:
           "--term-stop", "1e-4"], 2),
         (["pressure", "--d", "190e-9", "--t", "14.0", "--rrr", "1e140",
           "--skip-exponent"], 2),
+        # a conductance rule whose largest energy squares past the float range
+        (["dynes-fit", "--csv", "{dynes}", "--t", "1e157"], 2),
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
@@ -257,15 +259,31 @@ class TestPressureCommand:
     def test_header_reads_back_as_the_film_record(self, runner, tmp_path):
         cfg = tmp_path / "sc.cfg"
         cfg.write_text("c1 = 2.0\ngamma0_eV = 0.3\n")
-        result = runner.invoke(main, [
-            "pressure", "--d", "190e-9", "--t", "10.0", "--config", str(cfg),
-            "--tc", "12.5", "--skip-exponent", "--format", "csv", *LOOSE])
+        for command in (["pressure", "--d", "190e-9", "--t", "10.0", "--skip-exponent"],
+                        ["jump", "--dt", "0"]):
+            result = runner.invoke(main, [*command, "--config", str(cfg), "--tc", "12.5",
+                                          "--format", "csv", *LOOSE])
+            assert result.exit_code == 0
+            header = tmp_path / "header.cfg"
+            header.write_text("".join(line[2:] + "\n"
+                                      for line in result.output.splitlines()
+                                      if line.startswith("# ")))
+            assert from_config(SuperconductorParams, read_config(header)) == \
+                SuperconductorParams(gamma0=0.3, Tc=12.5, c1=2.0)
+
+    @pytest.mark.parametrize("args", [
+        ["pressure", "--d", "190e-9", "--t", "20.0", "--model", "drude"],
+        ["gradient", "--d", "190e-9", "--t", "20.0", "--model", "drude"],
+        ["exponent", "--d", "190e-9", "--t", "20.0", "--model", "drude"],
+        ["jump", "--dt", "0", "--all"],
+    ], ids=["pressure", "gradient", "exponent", "jump"])
+    def test_header_keys_are_unique(self, runner, args):
+        result = runner.invoke(main, [*args, "--format", "csv", *LOOSE])
         assert result.exit_code == 0
-        header = tmp_path / "header.cfg"
-        header.write_text("".join(line[2:] + "\n" for line in result.output.splitlines()
-                                  if line.startswith("# ")))
-        assert from_config(SuperconductorParams, read_config(header)) == \
-            SuperconductorParams(gamma0=0.3, Tc=12.5, c1=2.0)
+        keys = [line[2:].split(" = ")[0] for line in result.output.splitlines()
+                if line.startswith("# ")]
+        assert "Tc_K" in keys
+        assert len(keys) == len(set(keys))
 
     def test_config_from_environment(self, runner, tmp_path):
         cfg = tmp_path / "sc.cfg"

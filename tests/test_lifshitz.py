@@ -340,9 +340,10 @@ class TestStoppingRule:
         assert not converged
         with pytest.raises(ConvergenceError) as err:
             self.DETAIL[power](spec)
-        assert err.value.n_terms == n_terms == cap
-        assert err.value.partial == partial
-        assert 10.0 * err.value.achieved_rel == bound
+        assert err.value.detail.n_terms == n_terms == cap
+        assert err.value.detail.value == partial
+        assert err.value.detail.last_term == last
+        assert err.value.detail.truncation_bound == bound
 
     @pytest.mark.parametrize("make", [drude, bcs], ids=["drude", "bcs"])
     def test_one_permittivity_call_per_block(self, sc_params, monkeypatch, make):
@@ -453,11 +454,11 @@ class TestEngine:
                             or permittivity_iw(model, xi, T))
         with pytest.raises(ConvergenceError) as err:
             casimir_pressure_gradient(spec)
-        assert err.value.n_terms == cap
+        assert err.value.detail.n_terms == cap
         assert seen == [matsubara_frequency(l, 4.0) for l in range(1, cap + 1)]
         n_terms, value, converged = per_term_sum(spec, 3)
         assert not converged and n_terms == cap
-        assert err.value.partial == pytest.approx(value, rel=1e-14, abs=0.0)
+        assert err.value.detail.value == pytest.approx(value, rel=1e-14, abs=0.0)
 
     def test_converged_sum_overruns_by_less_than_a_block(self, sc_params, monkeypatch):
         calls = []  # every energy of every call, flattened
@@ -522,9 +523,9 @@ class TestEngine:
                             approach=ZeroFreqApproach.PLASMA_PLASMA)
         with pytest.raises(ConvergenceError) as err:
             casimir_pressure(spec)
-        assert err.value.n_terms == 3
-        assert 10.0 * err.value.achieved_rel == pytest.approx(2.857, rel=1e-3)
-        assert abs(err.value.partial) <= 3 * _ABS_TOL_PRESSURE
+        assert err.value.detail.n_terms == 3
+        assert err.value.detail.truncation_bound == pytest.approx(2.857, rel=1e-3)
+        assert abs(err.value.detail.value) <= 3 * _ABS_TOL_PRESSURE
 
     def test_convergence_error_carries_partial(self, sc_params):
         spec = LifshitzSpec(d=190e-9, T=14.2, model=drude(sc_params),
@@ -532,9 +533,9 @@ class TestEngine:
                             quad=QuadratureConfig(max_matsubara=5))
         with pytest.raises(ConvergenceError) as err:
             casimir_pressure(spec)
-        assert err.value.n_terms == 5
-        assert err.value.partial < 0.0
-        assert err.value.achieved_rel > 0.0
+        assert err.value.detail.n_terms == 5
+        assert err.value.detail.value < 0.0
+        assert err.value.detail.truncation_bound > 0.0
 
     def test_spec_validation(self, sc_params):
         with pytest.raises(ValueError):

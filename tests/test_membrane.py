@@ -306,6 +306,12 @@ class TestSweepCsv:
         with pytest.raises(ValueError):
             SweepRecord(T=4.0, f=1e5, sigma_f=-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["T", "f", "sigma_f"])
+    def test_record_refuses_non_finite_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SweepRecord(**{"T": 4.0, "f": 1e5, "sigma_f": 0.1, name: value})
+
 
 def _mp_oracles(m, draw):
     """50-digit reference evaluation of every closed form, written directly
