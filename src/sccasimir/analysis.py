@@ -49,14 +49,13 @@ class CalibratedResiduals:
     """Frequency-squared residuals after removing the thermal baseline.
 
     ``records`` holds ``(T, dw2, sigma_dw2)`` triples for every input
-    point; the line was fitted over ``fit_window`` only, so in-window
+    point; the line was fitted over the window only, so in-window
     residuals average to zero by construction.
     """
 
     records: tuple
     fit_slope: float       # (rad/s)^2 / K
     fit_intercept: float   # (rad/s)^2
-    fit_window: tuple
 
 
 def calibrate_thermal(records, window, Tc: float | None = None) -> CalibratedResiduals:
@@ -77,25 +76,23 @@ def calibrate_thermal(records, window, Tc: float | None = None) -> CalibratedRes
     recs = sorted(records, key=lambda r: r.T)
     if not recs:
         raise ValueError("no records supplied")
-    in_window = [r for r in recs if lo <= r.T <= hi]
-    if len(in_window) < 3:
-        raise ValueError(
-            f"need >= 3 points inside the fit window, found {len(in_window)}")
-    t_fit = np.array([r.T for r in in_window])
+    t, f, sigma_f = np.array([(r.T, r.f, r.sigma_f or 0.0) for r in recs]).T
+    fit = (lo <= t) & (t <= hi)
+    if fit.sum() < 3:
+        raise ValueError(f"need >= 3 points inside the fit window, found {fit.sum()}")
+    t_fit = t[fit]
     if t_fit[0] == t_fit[-1]:
         raise ValueError(f"need >= 2 distinct temperatures inside the fit window, "
                          f"all {len(t_fit)} points are at {t_fit[0]} K")
-    w2_fit = np.array([(2.0 * math.pi * r.f) ** 2 for r in in_window])
-    slope, intercept = np.polyfit(t_fit, w2_fit, 1)
-    out = []
-    for r in recs:
-        w2 = (2.0 * math.pi * r.f) ** 2
-        dw2 = w2 - (slope * r.T + intercept)
-        sig = (8.0 * math.pi ** 2 * r.f * r.sigma_f) if r.sigma_f is not None else 0.0
-        out.append((r.T, dw2, sig))
-    return CalibratedResiduals(records=tuple(out), fit_slope=float(slope),
-                               fit_intercept=float(intercept),
-                               fit_window=(float(lo), float(hi)))
+    with np.errstate(over="ignore"):  # a sigma past the float range is inf
+        w2 = np.float_power(2.0 * math.pi * f, 2)  # libm pow: Python's ** bit for bit
+        sig = 8.0 * math.pi ** 2 * f * sigma_f
+    if not np.isfinite(w2).all():
+        raise ValueError(f"omega^2 overflows at {t[~np.isfinite(w2)][0]} K")
+    slope, intercept = np.polyfit(t_fit, w2[fit], 1)
+    dw2 = w2 - (slope * t + intercept)
+    return CalibratedResiduals(records=tuple(zip(t.tolist(), dw2.tolist(), sig.tolist())),
+                               fit_slope=float(slope), fit_intercept=float(intercept))
 
 
 def differential_subtract(small: CalibratedResiduals, big: CalibratedResiduals,
@@ -110,37 +107,33 @@ def differential_subtract(small: CalibratedResiduals, big: CalibratedResiduals,
     """
     if combine not in ("add", "quadrature"):
         raise ValueError(f"combine must be 'add' or 'quadrature', got {combine!r}")
-    tb = np.array([r[0] for r in big.records])
-    vb = np.array([r[1] for r in big.records])
-    sb = np.array([r[2] for r in big.records])
+    tb, vb, sb = np.array(big.records, dtype=float).reshape(-1, 3).T
     if len(tb) < 2:
         raise ValueError("big-gap residual needs >= 2 points to interpolate")
     repeated = tb[1:][np.diff(tb) == 0.0]
     if repeated.size:
         raise ValueError(f"big-gap residual repeats the temperature {repeated[0]} K")
-    out = []
-    for t, dw2, sig in small.records:
-        if t < tb[0] or t > tb[-1]:
-            raise ValueError(
-                f"small-gap point at {t} K lies outside the big-gap support "
-                f"[{tb[0]}, {tb[-1]}] K")
-        hi = int(np.searchsorted(tb, t, side="left"))
-        hi = min(max(hi, 1), len(tb) - 1)
-        lo = hi - 1
-        frac = (t - tb[lo]) / (tb[hi] - tb[lo])
-        big_val = vb[lo] + frac * (vb[hi] - vb[lo])
-        if combine == "add":
-            sig_out = sig + sb[lo] + sb[hi]
-        else:
-            sig_out = math.sqrt(sig ** 2 + sb[lo] ** 2 + sb[hi] ** 2)
-        out.append((t, dw2 - big_val, sig_out))
-    return out
+    t, dw2, sig = np.array(small.records, dtype=float).reshape(-1, 3).T
+    outside = (t < tb[0]) | (t > tb[-1])
+    if outside.any():
+        raise ValueError(f"small-gap point at {t[outside][0]} K lies outside the big-gap "
+                         f"support [{tb[0]}, {tb[-1]}] K")
+    hi = np.clip(np.searchsorted(tb, t, side="left"), 1, len(tb) - 1)
+    lo = hi - 1
+    frac = (t - tb[lo]) / (tb[hi] - tb[lo])
+    big_val = vb[lo] + frac * (vb[hi] - vb[lo])
+    if combine == "add":
+        sig = sig + sb[lo] + sb[hi]
+    else:
+        with np.errstate(over="ignore"):  # as calibrate_thermal, too large a sigma is inf
+            sig = np.sqrt(sum(np.float_power(s, 2) for s in (sig, sb[lo], sb[hi])))
+    return list(zip(t.tolist(), (dw2 - big_val).tolist(), sig.tolist()))
 
 
 @dataclass(frozen=True)
 class FemConversion:
-    """Force, pressure, and deflection changes mapped from one
-    frequency-squared shift."""
+    """Force, pressure, and deflection changes mapped from a
+    frequency-squared shift, or one array each from an array of shifts."""
 
     dF: float  # N
     dP: float  # Pa
@@ -348,17 +341,18 @@ class SweepTruth:
 
 def generate_sweep(truth: SweepTruth, seed: int = 0) -> list[SweepRecord]:
     """Emit deterministic synthetic sweep records for pipeline tests."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for T in truth.grid:
-        w2 = truth.intercept + truth.slope * T + (truth.jump if T > truth.Tc else 0.0)
-        if w2 <= 0.0:
-            raise ValueError(f"baseline gives non-positive omega^2 at {T} K")
-        f = math.sqrt(w2) / (2.0 * math.pi)
-        if truth.noise_f > 0.0:
-            f += truth.noise_f * rng.standard_normal()
-        out.append(SweepRecord(T=T, f=f, sigma_f=truth.noise_f or None))
-    return out
+    t = np.array(truth.grid)
+    with np.errstate(all="ignore"):  # inf, nan and omega^2 <= 0 are all refused below
+        w2 = truth.intercept + truth.slope * t + np.where(t > truth.Tc, truth.jump, 0.0)
+        noise = truth.noise_f * np.random.default_rng(seed).standard_normal(len(t))
+        f = np.sqrt(w2) / (2.0 * math.pi) + noise
+    stop = int(np.argmax(np.append(w2 <= 0.0, True)))  # the first omega^2 <= 0, or the end
+    sigma_f = truth.noise_f or None
+    records = [SweepRecord(T=T, f=v, sigma_f=sigma_f)  # their errors come first
+               for T, v in zip(truth.grid[:stop], f[:stop].tolist())]
+    if stop < len(t):
+        raise ValueError(f"baseline gives non-positive omega^2 at {truth.grid[stop]} K")
+    return records
 
 
 @dataclass(frozen=True)
@@ -373,7 +367,7 @@ class SweepReport:
     gradient_jump: float          # Pa/m
     gradient_sigma: float
     conversion: FemConversion | None
-    point_conversions: tuple      # FemConversion per differential row; () without factors
+    point_conversions: FemConversion | None  # one array per field, a value per row
 
 
 def sweep_pipeline(small_records, big_records, window, m: MembraneSpec,
@@ -391,23 +385,18 @@ def sweep_pipeline(small_records, big_records, window, m: MembraneSpec,
     small = calibrate_thermal(small_records, window, _TC)
     big = calibrate_thermal(big_records, window, _TC)
     diff = differential_subtract(small, big, combine=combine)
-    above = [(t, v, s) for t, v, s in diff if t > window[1]]
-    if not above:
+    t, dw2_rows, sig_rows = np.array(diff).T
+    above = t > window[1]
+    if not above.any():
         raise ValueError("no differential points above the fit window")
-    dw2 = float(np.mean([v for _, v, _ in above]))
-    sig = float(np.mean([s for _, _, s in above]))
-    gradient = gradient_from_dw2(dw2, m)
-    gradient_sigma = abs(gradient_from_dw2(sig, m))
-
-    def convert(shift: float) -> FemConversion:
-        # the differential is in (rad/s)^2; d(omega^2) = 4 pi^2 d(f^2)
-        if factors.basis is not Basis.ANGULAR_SQUARED:
-            shift = shift / (4.0 * math.pi ** 2)
-        return convert_fem(shift, factors)
-
+    dw2 = float(np.mean(dw2_rows[above]))
+    sig = float(np.mean(sig_rows[above]))
+    conversion = rows = None
+    if factors is not None:  # the differential is in (rad/s)^2; d(omega^2) = 4 pi^2 d(f^2)
+        scale = 1.0 if factors.basis is Basis.ANGULAR_SQUARED else 4.0 * math.pi ** 2
+        conversion, rows = (convert_fem(v / scale, factors) for v in (dw2, dw2_rows))
     return SweepReport(small=small, big=big, differential=tuple(diff),
                        dw2_jump=dw2, dw2_sigma=sig,
-                       gradient_jump=gradient, gradient_sigma=gradient_sigma,
-                       conversion=None if factors is None else convert(dw2),
-                       point_conversions=() if factors is None
-                       else tuple(convert(v) for _, v, _ in diff))
+                       gradient_jump=gradient_from_dw2(dw2, m),
+                       gradient_sigma=abs(gradient_from_dw2(sig, m)),
+                       conversion=conversion, point_conversions=rows)

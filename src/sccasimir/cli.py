@@ -19,6 +19,7 @@ import statistics
 from dataclasses import astuple, replace
 
 import click
+import numpy as np
 
 from . import __version__, analysis, experiments, membrane
 from .errors import ConvergenceError, FitError, ParseError
@@ -326,16 +327,14 @@ def sweep(small_path, big_path, window, preset, membrane_config, factors_config,
                  ("deflection_change", report.conversion.dz, "m")]
     _emit_rows(rows, fmt)
 
+    diff = np.array(report.differential)
+    converted = (np.full((len(diff), 3), math.nan) if report.point_conversions is None
+                 else np.column_stack(astuple(report.point_conversions)))
+    table = np.column_stack([report.small.records, diff[:, 1:],
+                             membrane.gradient_from_dw2(diff[:, 1], spec_m), converted])
     lines = ["T_K,dw2_small,sigma_small,dw2_casimir,sigma_casimir,"
              "dPprime_Pa_per_m,dF_N,dP_Pa,dz_m"]
-    conversions = report.point_conversions or [None] * len(report.differential)
-    for (t, dw2_small, sig_small), (_, dw2, sig), conv in zip(
-            report.small.records, report.differential, conversions):
-        gradient = membrane.gradient_from_dw2(dw2, spec_m)
-        extra = (",nan,nan,nan" if conv is None
-                 else f",{conv.dF:.8e},{conv.dP:.8e},{conv.dz:.8e}")
-        lines.append(f"{t:.8e},{dw2_small:.8e},{sig_small:.8e},{dw2:.8e},"
-                     f"{sig:.8e},{gradient:.8e}" + extra)
+    lines += [",".join(f"{x:.8e}" for x in row) for row in table.tolist()]
     text = "\n".join(lines) + "\n"
     if out_path is None:
         click.echo(text, nl=False)

@@ -12,6 +12,9 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.detail = detail
 
+    def __reduce__(self):  # RuntimeError would pickle the message alone
+        return type(self), (str(self), self.detail)
+
 
 class FitError(RuntimeError):
     """A least-squares fit failed (degenerate data or no convergence)."""

@@ -186,8 +186,7 @@ def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
     if omega_eff == 0.0:
         return 0.0
     y_p = 2.0 * d * omega_eff / _HBAR_C
-    y, weights = ((_U_NODES, _U_WEIGHTS) if y_p >= 4e-3
-                  else _doubling_panels(0.25 * y_p, _Y_SPAN, 8))
+    y, weights = _doubling_panels(min(1e-3, 0.25 * y_p), _Y_SPAN, 8)
     return float(np.dot(weights, _integrand(y, power, _static_te(y, y_p))))
 
 
@@ -347,7 +346,7 @@ def ideal_casimir_force(geometry) -> float:
     """Zero-temperature force magnitude in N between perfect conductors.
 
     Plate-plate: ``pi^2 hbar c A / (240 d^4)``; sphere-plate (proximity
-    force approximation): ``pi^3 hbar c R / (360 d^3)``.  A force below
+    force approximation): ``pi^3 hbar c R / (360 d^3)``.  A force outside
     the normal float range is a ``ValueError``.
     """
     hbar_c = CONSTANTS.hbar_Js * CONSTANTS.c
@@ -357,8 +356,9 @@ def ideal_casimir_force(geometry) -> float:
         force = math.pi ** 3 * hbar_c * geometry.radius / (360.0 * geometry.d ** 3)
     else:
         raise TypeError(f"unsupported geometry {type(geometry).__name__}")
-    if force < np.finfo(float).tiny:
-        raise ValueError(f"the ideal force underflows to {force} N for {geometry}")
+    if not np.finfo(float).tiny <= force < math.inf:
+        flow = "underflows" if force < 1.0 else "overflows"
+        raise ValueError(f"the ideal force {flow} to {force} N for {geometry}")
     return force
 
 

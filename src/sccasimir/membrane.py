@@ -207,4 +207,7 @@ def frequency_noise(f0: float, Q: float, noise_to_signal: float, tau: float) -> 
     if not (all(0.0 < x < math.inf for x in (f0, Q, tau))
             and 0.0 <= noise_to_signal < math.inf):
         raise ValueError("need finite f0, Q, tau > 0 and a finite noise_to_signal >= 0")
-    return f0 / (2.0 * Q) * noise_to_signal * math.sqrt(1.0 / (2.0 * math.pi * tau))
+    value = f0 / (2.0 * Q) * noise_to_signal * math.sqrt(1.0 / (2.0 * math.pi * tau))
+    if not math.isfinite(value):
+        raise ValueError(f"the frequency noise overflows to {value} Hz")
+    return value

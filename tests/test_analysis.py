@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import math
 import subprocess
@@ -16,6 +17,7 @@ from sccasimir.errors import FitError, ParseError
 from sccasimir.membrane import SweepRecord, dw2_from_gradient
 from sccasimir.physcore import CONSTANTS, Basis, ConversionFactors
 from sccasimir.analysis import (
+    CalibratedResiduals,
     DynesParams,
     SweepTruth,
     calibrate_thermal,
@@ -54,6 +56,29 @@ def line_records(slope, intercept, grid, jump=0.0, tc=14.2, sigma_f=None):
 GRID = tuple(np.round(np.arange(13.175, 14.68, 0.05), 4))
 WINDOW = (13.0, 14.19)
 SLOPE, INTERCEPT = -2.2843e7, (2 * math.pi * 352800.0) ** 2 + 2.2843e7 * 14.2
+
+
+def per_point_reduction(small_records, big_records, window, combine):
+    """Calibrate and subtract point by point with Python's ``**`` squares: the
+    reference the array reduction must equal bit for bit."""
+    def calibrate(records):
+        recs = sorted(records, key=lambda r: r.T)
+        fit = [r for r in recs if window[0] <= r.T <= window[1]]
+        slope, intercept = np.polyfit([r.T for r in fit],
+                                      [(2.0 * math.pi * r.f) ** 2 for r in fit], 1)
+        return [(r.T, (2.0 * math.pi * r.f) ** 2 - (slope * r.T + intercept),
+                 0.0 if r.sigma_f is None else 8.0 * math.pi ** 2 * r.f * r.sigma_f)
+                for r in recs]
+
+    small, big = calibrate(small_records), calibrate(big_records)
+    rows = []
+    for t, dw2, sig in small:
+        hi = min(max(bisect.bisect_left([tb for tb, _, _ in big], t), 1), len(big) - 1)
+        (t0, v0, s0), (t1, v1, s1) = big[hi - 1], big[hi]
+        big_val = v0 + (t - t0) / (t1 - t0) * (v1 - v0)
+        rows.append((t, dw2 - big_val, sig + s0 + s1 if combine == "add"
+                     else math.sqrt(sig ** 2 + s0 ** 2 + s1 ** 2)))
+    return small, rows
 
 
 class TestCalibrate:
@@ -106,6 +131,12 @@ class TestCalibrate:
         records += line_records(SLOPE, INTERCEPT, (14.3, 14.4))
         with pytest.raises(ValueError, match="distinct temperatures"):
             calibrate_thermal(records, (13.0, 13.5))
+
+    def test_omega_squared_past_the_float_range_refused(self):
+        records = line_records(SLOPE, INTERCEPT, GRID)
+        records[2] = SweepRecord(T=GRID[2], f=1e200)
+        with pytest.raises(ValueError, match=f"omega\\^2 overflows at {GRID[2]} K"):
+            calibrate_thermal(records, WINDOW)
 
 
 class TestDifferential:
@@ -175,6 +206,39 @@ class TestDifferential:
         add = differential_subtract(resid, resid, combine="add")
         quadr = differential_subtract(resid, resid, combine="quadrature")
         assert all(q[2] < a[2] for a, q in zip(add, quadr))
+
+    def test_sigma_past_the_float_range_is_inf(self):
+        # 8 pi^2 f sigma_f overflows at sigma_f = 1e305, its square at 1e160
+        for sigma_f, add_is_inf in ((1e160, False), (1e305, True)):
+            resid = calibrate_thermal(line_records(SLOPE, INTERCEPT, GRID, sigma_f=sigma_f),
+                                      WINDOW)
+            add = differential_subtract(resid, resid, combine="add")
+            quadr = differential_subtract(resid, resid, combine="quadrature")
+            assert all(math.isinf(s) == add_is_inf for _, _, s in add)
+            assert all(math.isinf(s) for _, _, s in quadr)
+
+    @pytest.mark.parametrize("combine", ["add", "quadrature"])
+    def test_equals_the_per_point_loop(self, combine):
+        for seed in range(8):
+            records = [generate_sweep(SweepTruth(slope=slope, intercept=INTERCEPT,
+                                                 jump=jump, Tc=14.2, noise_f=4.7e-3,
+                                                 grid=GRID), seed=seed + k)
+                       for k, (slope, jump) in enumerate(((SLOPE, -1.5e7), (-2.6e7, 0.0)))]
+            small, rows = per_point_reduction(*records, WINDOW, combine)
+            resid = [calibrate_thermal(r, WINDOW) for r in records]
+            assert list(resid[0].records) == small
+            assert differential_subtract(*resid, combine=combine) == rows
+
+    def test_first_outside_point_is_named(self):
+        small = self._residuals()
+        for big_grid, first in ((GRID[6:-7], GRID[0]), (GRID[:-7], GRID[-7])):
+            big = calibrate_thermal(line_records(SLOPE, INTERCEPT, big_grid), WINDOW)
+            with pytest.raises(ValueError, match=f"small-gap point at {first} K lies"):
+                differential_subtract(small, big)
+
+    def test_empty_small_gap_table(self):
+        empty = CalibratedResiduals(records=(), fit_slope=0.0, fit_intercept=0.0)
+        assert differential_subtract(empty, self._residuals()) == []
 
 
 class TestConvertFem:
@@ -523,6 +587,25 @@ class TestGenerateSweep:
         above = [dw2 for t, dw2, _ in result.records if t > 14.2]
         assert above == pytest.approx([-1.5e7] * len(above), rel=1e-9)
 
+    def test_noise_matches_one_draw_per_point(self):
+        truth = SweepTruth(slope=SLOPE, intercept=INTERCEPT, jump=-1.5e7,
+                           Tc=14.2, noise_f=4.7e-3, grid=GRID)
+        rng = np.random.default_rng(42)
+        expected = [math.sqrt(INTERCEPT + SLOPE * t + (-1.5e7 if t > 14.2 else 0.0))
+                    / (2.0 * math.pi) + 4.7e-3 * rng.standard_normal() for t in GRID]
+        assert [r.f for r in generate_sweep(truth, seed=42)] == expected
+
+    def test_first_non_positive_omega_squared_is_named(self):
+        truth = SweepTruth(slope=-INTERCEPT / 13.9, intercept=INTERCEPT, jump=0.0,
+                           Tc=14.2, noise_f=0.0, grid=GRID)
+        with pytest.raises(ValueError, match="non-positive omega\\^2 at 13.925 K"):
+            generate_sweep(truth)
+        # a record before that point still raises its own error first
+        truth = SweepTruth(slope=-INTERCEPT / 13.9, intercept=INTERCEPT, jump=0.0,
+                           Tc=14.2, noise_f=0.0, grid=(-1.0, *GRID))
+        with pytest.raises(ValueError, match="T must be > 0, got -1.0"):
+            generate_sweep(truth)
+
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError):
             SweepTruth(slope=0.0, intercept=INTERCEPT, jump=0.0, Tc=14.2,
@@ -563,3 +646,13 @@ class TestSweepPipeline:
                                 factors=FACTORS)
         assert report.conversion is not None
         assert report.conversion.dP == pytest.approx(-0.65e-3, abs=0.07e-3)
+
+    def test_point_conversions_are_row_arrays(self, small_gap):
+        pair = self._pair(dw2_from_gradient(12.1e3, small_gap), noise=4.7e-3)
+        assert sweep_pipeline(*pair, WINDOW, small_gap).point_conversions is None
+        report = sweep_pipeline(*pair, WINDOW, small_gap, factors=FACTORS)
+        rows = [convert_fem(dw2 / (4.0 * math.pi ** 2), FACTORS)
+                for _, dw2, _ in report.differential]
+        assert report.point_conversions.dF.tolist() == [row.dF for row in rows]
+        assert report.point_conversions.dP.tolist() == [row.dP for row in rows]
+        assert report.point_conversions.dz.tolist() == [row.dz for row in rows]

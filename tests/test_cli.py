@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -132,6 +133,15 @@ class TestMain:
           "--skip-exponent"], 2),
         # a conductance rule whose largest energy squares past the float range
         (["dynes-fit", "--csv", "{dynes}", "--t", "1e157"], 2),
+        # closed forms that overflow
+        (["pressure", "--ideal", "--d", "1e-75", "--area", "1e300"], 2),
+        (["pressure", "--ideal", "--d", "1e-100", "--radius", "1e300"], 2),
+        (["noise", "--f0", "1e308", "--q", "1e-308", "--noise-to-signal", "1", "--tau", "1"], 2),
+        (["noise", "--f0", "1", "--q", "1", "--noise-to-signal", "1", "--tau", "1e-320"], 2),
+        # a baseline that overflows, and a sweep whose omega^2 does
+        (["generate-sweep", "--out", "{out}", "--intercept", "1e308", "--slope", "1e308"], 3),
+        (["sweep", "--small", "{sweep_huge_f}", "--big", "{sweep}", "--window", "13.2",
+          "14.19"], 3),
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
@@ -148,6 +158,9 @@ class TestMain:
                            "deflection_per_w2_m = 6.28e-19\nbasis = linear-squared\n",
             "sweep": "T_K,f_Hz\n" + "".join(f"{13.0 + 0.1 * i!r},{352800.0 - 10.0 * i!r}\n"
                                              for i in range(20)),
+            "sweep_huge_f": "T_K,f_Hz\n" + "".join(
+                f"{13.0 + 0.1 * i!r},{1e200 if i == 5 else 352800.0 - 10.0 * i!r}\n"
+                for i in range(20)),
         }
         paths = {"out": tmp_path / "out.csv"}
         for name, text in files.items():
@@ -178,7 +191,8 @@ class TestMain:
         ["jump", "--f0", "nan"],
         ["noise", "--f0", "1", "--q", "0", "--noise-to-signal", "0.1", "--tau", "1"],
         ["pressure", "--ideal", "--d", "190e-9", "--radius", "1e-300"],
-    ], ids=["jump-f0", "noise-q", "ideal-force"])
+        ["noise", "--f0", "1e308", "--q", "1e-308", "--noise-to-signal", "1", "--tau", "1"],
+    ], ids=["jump-f0", "noise-q", "ideal-force", "noise-overflow"])
     def test_rejected_value_prints_no_header(self, runner, args):
         # the value is checked before the header, and before any sum
         result = runner.invoke(main, args)
@@ -391,6 +405,28 @@ class TestSweepPipelineCommands:
         report = (tmp_path / "report.csv").read_text().splitlines()
         assert report[0].startswith("T_K,dw2_small,sigma_small,dw2_casimir")
         assert len(report) > 10
+
+    # stdout SHA-256 of the per-row implementation this reduction replaced; the
+    # benchmark pins only the report with factors and "add"
+    @pytest.mark.parametrize("args, sha", [
+        ([], "9a881f019e8e7cb9ba8e2acb631fc6353b8e9a7dcb4b8254ccbb175f7dd773c3"),
+        (["--combine", "quadrature", "--factors-config", "factors.cfg"],
+         "02125da9334a7faa1f946353a57da105a6a94a0a7fb203bb04324bb20fdb537b"),
+    ], ids=["no-factors", "quadrature"])
+    def test_report_bytes(self, runner, tmp_path, monkeypatch, args, sha):
+        monkeypatch.chdir(tmp_path)  # the header echoes the relative paths
+        (tmp_path / "factors.cfg").write_text(
+            "force_per_w2_N = 7.83e-16\npressure_per_w2_Pa = 1.55e-9\n"
+            "deflection_per_w2_m = 6.28e-19\nbasis = linear-squared\n")
+        for name, seed, jump in (("small.csv", 1, ["--jump-gradient", "12.1e3"]),
+                                 ("big.csv", 50_001, [])):
+            result = runner.invoke(main, ["generate-sweep", "--out", name, "--noise-f",
+                                          "0.0047", "--seed", str(seed), *jump])
+            assert result.exit_code == 0
+        result = runner.invoke(main, ["sweep", "--small", "small.csv", "--big", "big.csv",
+                                      "--window", "13.0", "14.19", "--format", "csv", *args])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha
 
     def test_jump_gradient_flag(self, runner, tmp_path):
         path = tmp_path / "s.csv"

@@ -1,11 +1,12 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sccasimir.errors import ConvergenceError
+from sccasimir.errors import ConvergenceError, ParseError
 from sccasimir.physcore import CONSTANTS, SuperconductorParams, matsubara_frequency
 from sccasimir.permittivity import (
     bcs,
@@ -536,6 +537,19 @@ class TestEngine:
         assert err.value.detail.n_terms == 5
         assert err.value.detail.value < 0.0
         assert err.value.detail.truncation_bound > 0.0
+
+    def test_errors_survive_pickling(self, sc_params):
+        # a sum run in a process pool reaches its caller through pickle
+        spec = LifshitzSpec(d=190e-9, T=14.2, model=drude(sc_params),
+                            quad=QuadratureConfig(max_matsubara=5))
+        with pytest.raises(ConvergenceError) as err:
+            casimir_pressure(spec)
+        back = pickle.loads(pickle.dumps(err.value))
+        assert type(back) is ConvergenceError
+        assert str(back) == str(err.value)
+        assert back.detail == err.value.detail
+        parse = pickle.loads(pickle.dumps(ParseError("bad value", line=3)))
+        assert (str(parse), parse.line) == ("line 3: bad value", 3)
 
     def test_spec_validation(self, sc_params):
         with pytest.raises(ValueError):

@@ -2,8 +2,10 @@
 
 import types
 
+import pytest
+
 import sccasimir
-from sccasimir import lifshitz
+from sccasimir import analysis, experiments, lifshitz, membrane, permittivity, physcore
 
 PACKAGE = {
     "Basis", "CONSTANTS", "Constants", "ConvergenceError", "ConversionFactors",
@@ -39,3 +41,36 @@ def test_package_exports():
 def test_lifshitz_all():
     assert lifshitz.__all__ == LIFSHITZ
     assert all(hasattr(lifshitz, name) for name in LIFSHITZ)
+
+
+MODULE_ALL = {
+    physcore: [
+        "Constants", "CONSTANTS", "SuperconductorParams", "MembraneSpec",
+        "ConversionFactors", "Basis", "matsubara_frequency", "small_gap_membrane",
+        "big_gap_membrane", "config_items", "from_config", "read_config", "read_csv",
+        "write_config",
+    ],
+    permittivity: [
+        "ModelKind", "DielectricModel", "drude", "plasma", "bcs", "bcs_gap",
+        "condensate_fraction", "superfluid_weight", "effective_plasma_frequency", "bcs_g",
+        "permittivity_iw",
+    ],
+    membrane: [
+        "SweepRecord", "load_sweep_csv", "fundamental_frequency", "dw2_from_gradient",
+        "gradient_from_dw2", "predicted_frequency_jump", "electrostatic_dw2", "LcpdResult",
+        "lcpd_fit", "static_deflection", "patch_pressure", "cte_alpha", "thermal_stress",
+        "frequency_noise",
+    ],
+    analysis: [
+        "CalibratedResiduals", "calibrate_thermal", "differential_subtract", "convert_fem",
+        "DynesParams", "dynes_density", "dynes_conductance", "dynes_fit", "load_dynes_csv",
+        "SweepTruth", "generate_sweep", "SweepReport", "sweep_pipeline",
+    ],
+    experiments: ["CatalogRow", "PLATE_PLATE_ROWS", "SPHERE_PLATE_ROWS"],
+}
+
+
+@pytest.mark.parametrize("module", list(MODULE_ALL), ids=lambda m: m.__name__.split(".")[-1])
+def test_module_all(module):
+    assert module.__all__ == MODULE_ALL[module]
+    assert all(hasattr(module, name) for name in module.__all__)
