@@ -8,7 +8,8 @@ byte-deterministic for identical inputs.
 Exit codes: 0 success, 2 usage error or invalid option value, 3
 unreadable or malformed input file or configuration value, 4
 non-convergence of the Matsubara sum.  Every failure prints one
-``error:`` line on stderr, never a traceback.
+``error:`` line on stderr, never a traceback, and nothing on stdout: each
+command computes everything it prints before it prints.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import os
 import statistics
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import click
 import numpy as np
@@ -56,13 +58,10 @@ _format_option = click.option(
     show_default=True, help="Output rendering.")
 
 
-def _load_config(config_path: str | None) -> dict:
+def _film(config_path, omega, gamma0, rrr, tc) -> SuperconductorParams:
+    """The film record of the configuration file, overridden by the flags given."""
     path = config_path or os.environ.get(_CONFIG_ENV)
-    return read_config(path) if path else {}
-
-
-def _sc_params(config: dict, omega, gamma0, rrr, tc) -> SuperconductorParams:
-    params = from_config(SuperconductorParams, config)
+    params = from_config(SuperconductorParams, read_config(path) if path else {})
     overrides = {name: value for name, value in
                  (("Omega", omega), ("gamma0", gamma0), ("RRR", rrr), ("Tc", tc))
                  if value is not None}
@@ -75,33 +74,26 @@ def _membrane_spec(preset: str, membrane_config: str | None):
     return small_gap_membrane() if preset == "small" else big_gap_membrane()
 
 
-def _echo_header(pairs):
-    for key, value in pairs:
-        click.echo(f"# {key} = {value}")
-
-
-def _emit_rows(rows, fmt: str):
-    """rows: (quantity, value, unit) triples."""
-    if fmt == "csv":
-        click.echo("quantity,value,unit")
-        for name, value, unit in rows:
-            click.echo(f"{name},{value:.8e},{unit}")
-    else:
+def _emit(header, rows, fmt: str):
+    """Print the ``# key = value`` header, then the (quantity, value, unit)
+    rows, if any, as CSV or as a table aligned on the longest name."""
+    lines = [f"# {key} = {value}" for key, value in header]
+    if rows and fmt == "csv":
+        lines += ["quantity,value,unit"] + [f"{n},{v:.8e},{u}" for n, v, u in rows]
+    elif rows:
         width = max(len(name) for name, _, _ in rows)
-        for name, value, unit in rows:
-            click.echo(f"{name:<{width}}  {value:.4g} {unit}")
+        lines += [f"{n:<{width}}  {v:.4g} {u}" for n, v, u in rows]
+    click.echo("\n".join(lines))
 
 
-def _spec(command, d, temperature, model, approach, config_path, omega, gamma0,
-          rrr, tc, term_stop, max_matsubara) -> LifshitzSpec:
-    """Resolve one Lifshitz evaluation and echo it as the ``#`` header."""
-    params = _sc_params(_load_config(config_path), omega, gamma0, rrr, tc)
+def _spec(command, d, temperature, model, approach, term_stop, max_matsubara, **film):
+    """One Lifshitz evaluation and its ``#`` header."""
+    params = _film(**film)
     spec = LifshitzSpec(d=d, T=temperature, model=_MODELS[model](params),
                         approach=ZeroFreqApproach(approach),
                         quad=QuadratureConfig(term_stop, max_matsubara))
-    _echo_header([("command", command), ("d_m", repr(d)), ("T_K", repr(temperature)),
-                  ("model", model), ("approach", approach)] + config_items(params))
-    return spec
+    return spec, [("command", command), ("d_m", repr(d)), ("T_K", repr(temperature)),
+                  ("model", model), ("approach", approach)] + config_items(params)
 
 
 _approach_option = click.option(
@@ -145,9 +137,9 @@ def _add_options(options):
     return wrap
 
 
-# the values these commands reject come from the sweep data they read or
+# the values these commands reject come from the data files they read or
 # write, so a rejected value is bad input (3) rather than a usage error (2)
-_DATA_COMMANDS = ("sweep", "generate-sweep")
+_DATA_COMMANDS = ("sweep", "generate-sweep", "lcpd-fit")
 
 
 class _Main(click.Group):
@@ -199,25 +191,23 @@ def pressure(d, temperature, ideal, area, radius, ideal_zero_t, skip_exponent, f
         if (area is None) == (radius is None):
             raise click.UsageError("--ideal needs exactly one of --area / --radius")
         geometry = PlatePlate(area, d) if area is not None else SpherePlate(radius, d)
-        value = ideal_casimir_force(geometry)
-        _echo_header([("command", "pressure --ideal"), ("d_m", repr(d)),
-                      ("area_m2" if area is not None else "radius_m",
-                       repr(area if area is not None else radius))])
-        _emit_rows([("ideal_force", value, "N")], fmt)
+        rows = [("ideal_force", ideal_casimir_force(geometry), "N")]
+        _emit([("command", "pressure --ideal"), ("d_m", repr(d)),
+               ("area_m2" if area is not None else "radius_m",
+                repr(area if area is not None else radius))], rows, fmt)
         return
     if ideal_zero_t:
-        value = -ideal_casimir_force(PlatePlate(1.0, d))
-        _echo_header([("command", "pressure --ideal-zero-t"), ("d_m", repr(d))])
-        _emit_rows([("ideal_pressure", value, "Pa")], fmt)
+        rows = [("ideal_pressure", -ideal_casimir_force(PlatePlate(1.0, d)), "Pa")]
+        _emit([("command", "pressure --ideal-zero-t"), ("d_m", repr(d))], rows, fmt)
         return
     if temperature is None:
         raise click.UsageError("--t is required unless --ideal/--ideal-zero-t")
-    spec = _spec("pressure", d, temperature, **spec_options)
+    spec, header = _spec("pressure", d, temperature, **spec_options)
     rows = [("pressure", casimir_pressure(spec), "Pa"),
             ("pressure_gradient", casimir_pressure_gradient(spec), "Pa/m")]
     if not skip_exponent:
         rows.append(("local_exponent", local_exponent(spec), ""))
-    _emit_rows(rows, fmt)
+    _emit(header, rows, fmt)
 
 
 def _single_value_command(name, evaluator, doc):
@@ -230,7 +220,8 @@ def _single_value_command(name, evaluator, doc):
     @_add_options(_quad_options)
     @_format_option
     def command(d, temperature, fmt, **spec_options):
-        _emit_rows(evaluator(_spec(name, d, temperature, **spec_options)), fmt)
+        spec, header = _spec(name, d, temperature, **spec_options)
+        _emit(header, evaluator(spec), fmt)
     return command
 
 
@@ -259,11 +250,11 @@ _single_value_command(
 @_add_options(_sc_options)
 @_add_options(_quad_options)
 @_format_option
-def jump(d, dt, approach, all_approaches, preset, membrane_config, f0,
-         config_path, omega, gamma0, rrr, tc, term_stop, max_matsubara, fmt):
+def jump(d, dt, approach, all_approaches, preset, membrane_config, f0, term_stop,
+         max_matsubara, fmt, **film):
     """Pressure-gradient change across the transition and the predicted
     frequency shift.  The transition temperature is the resolved Tc."""
-    params = _sc_params(_load_config(config_path), omega, gamma0, rrr, tc)
+    params = _film(**film)
     spec_m = _membrane_spec(preset, membrane_config)
     if f0 is None:
         f0 = membrane.fundamental_frequency(spec_m)
@@ -272,17 +263,15 @@ def jump(d, dt, approach, all_approaches, preset, membrane_config, f0,
     approaches = ([ZeroFreqApproach.PLASMA_BCS, ZeroFreqApproach.PLASMA_PLASMA,
                    ZeroFreqApproach.DRUDE_BCS] if all_approaches
                   else [ZeroFreqApproach(approach)])
-    _echo_header([("command", "jump"), ("d_m", repr(d)), ("dT_K", repr(dt)),
-                  ("f0_Hz", repr(f0)),
-                  ("membrane", preset if membrane_config is None else membrane_config)]
-                 + config_items(params))
     rows = []
     for ap in approaches:
         value = tc_jump(d, params.Tc, dt, ap, params, quad_cfg)
         df = membrane.predicted_frequency_jump(value, spec_m, f0)
         rows.append((f"gradient_jump[{ap.value}]", value, "Pa/m"))
         rows.append((f"frequency_shift[{ap.value}]", df, "Hz"))
-    _emit_rows(rows, fmt)
+    _emit([("command", "jump"), ("d_m", repr(d)), ("dT_K", repr(dt)), ("f0_Hz", repr(f0)),
+           ("membrane", preset if membrane_config is None else membrane_config)]
+          + config_items(params), rows, fmt)
 
 
 @main.command()
@@ -310,13 +299,6 @@ def sweep(small_path, big_path, window, preset, membrane_config, factors_config,
                else from_config(ConversionFactors, read_config(factors_config)))
     report = analysis.sweep_pipeline(small_records, big_records, tuple(window),
                                      spec_m, factors=factors, combine=combine)
-
-    _echo_header([
-        ("command", "sweep"), ("small", small_path), ("big", big_path),
-        ("window_K", f"{window[0]!r} {window[1]!r}"), ("combine", combine),
-        ("fit_slope_small", repr(report.small.fit_slope)),
-        ("fit_slope_big", repr(report.big.fit_slope)),
-    ])
     rows = [("dw2_jump", report.dw2_jump, "(rad/s)^2"),
             ("dw2_sigma", report.dw2_sigma, "(rad/s)^2"),
             ("gradient_jump", report.gradient_jump, "Pa/m"),
@@ -325,8 +307,6 @@ def sweep(small_path, big_path, window, preset, membrane_config, factors_config,
         rows += [("force_change", report.conversion.dF, "N"),
                  ("pressure_change", report.conversion.dP, "Pa"),
                  ("deflection_change", report.conversion.dz, "m")]
-    _emit_rows(rows, fmt)
-
     diff = np.array(report.differential)
     converted = (np.full((len(diff), 3), math.nan) if report.point_conversions is None
                  else np.column_stack(astuple(report.point_conversions)))
@@ -335,13 +315,14 @@ def sweep(small_path, big_path, window, preset, membrane_config, factors_config,
     lines = ["T_K,dw2_small,sigma_small,dw2_casimir,sigma_casimir,"
              "dPprime_Pa_per_m,dF_N,dP_Pa,dz_m"]
     lines += [",".join(f"{x:.8e}" for x in row) for row in table.tolist()]
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        click.echo(text, nl=False)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        click.echo(f"# wrote {len(report.differential)} rows to {out_path}")
+    text = "\n".join(lines)
+    if out_path is not None:
+        Path(out_path).write_text(text + "\n", encoding="utf-8")
+    _emit([("command", "sweep"), ("small", small_path), ("big", big_path),
+           ("window_K", f"{window[0]!r} {window[1]!r}"), ("combine", combine),
+           ("fit_slope_small", repr(report.small.fit_slope)),
+           ("fit_slope_big", repr(report.big.fit_slope))], rows, fmt)
+    click.echo(text if out_path is None else f"# wrote {len(diff)} rows to {out_path}")
 
 
 @main.command("generate-sweep")
@@ -380,13 +361,10 @@ def generate_sweep_cmd(out_path, slope, intercept, jump_dw2, jump_gradient, tc_s
                                 Tc=tc_step, noise_f=noise_f, grid=grid)
     records = analysis.generate_sweep(truth, seed=seed)
     # full float precision: these files round-trip through the pipeline
-    with_sigma = noise_f > 0.0
-    lines = ["T_K,f_Hz,sigma_f_Hz" if with_sigma else "T_K,f_Hz"]
-    for r in records:
-        lines.append(f"{r.T!r},{r.f!r},{r.sigma_f!r}" if with_sigma
-                     else f"{r.T!r},{r.f!r}")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    n = 3 if noise_f > 0.0 else 2
+    header = ",".join(("T_K", "f_Hz", "sigma_f_Hz")[:n])
+    rows = [",".join(map(repr, astuple(r)[:n])) for r in records]
+    Path(out_path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     click.echo(f"# wrote {len(records)} records to {out_path} (seed {seed})")
 
 
@@ -400,12 +378,10 @@ def lcpd_fit_cmd(csv_path, preset, membrane_config, fmt):
     spec_m = _membrane_spec(preset, membrane_config)
     points = [values for _, values in read_csv(csv_path, ("V_volt", "f_Hz"))]
     result = membrane.lcpd_fit(points, spec_m)
-    _echo_header([("command", "lcpd-fit"), ("csv", csv_path),
-                  ("n_points", str(len(points)))])
-    _emit_rows([("V0", result.V0, "V"), ("V0_err", result.V0_err, "V"),
-                ("sigma", result.sigma, "Pa"), ("sigma_err", result.sigma_err, "Pa"),
-                ("rho", result.rho, "kg/m^3"), ("rho_err", result.rho_err, "kg/m^3")],
-               fmt)
+    _emit([("command", "lcpd-fit"), ("csv", csv_path), ("n_points", str(len(points)))],
+          [("V0", result.V0, "V"), ("V0_err", result.V0_err, "V"),
+           ("sigma", result.sigma, "Pa"), ("sigma_err", result.sigma_err, "Pa"),
+           ("rho", result.rho, "kg/m^3"), ("rho_err", result.rho_err, "kg/m^3")], fmt)
 
 
 @main.command("dynes-fit")
@@ -418,10 +394,10 @@ def dynes_fit_cmd(csv_path, temperature, fmt):
     """Fit gap, broadening, and scale to tunneling-conductance data."""
     points = analysis.load_dynes_csv(csv_path)
     result = analysis.dynes_fit(points, T=temperature)
-    _echo_header([("command", "dynes-fit"), ("csv", csv_path),
-                  ("T_K", repr(temperature)), ("n_points", str(len(points)))])
-    _emit_rows([("Delta", result.Delta, "eV"), ("gamma", result.gamma, "eV"),
-                ("A", result.A, "arb")], fmt)
+    _emit([("command", "dynes-fit"), ("csv", csv_path), ("T_K", repr(temperature)),
+           ("n_points", str(len(points)))],
+          [("Delta", result.Delta, "eV"), ("gamma", result.gamma, "eV"),
+           ("A", result.A, "arb")], fmt)
 
 
 @main.command()
@@ -432,49 +408,41 @@ def tables(flag_above, fmt):
     """Ideal-conductor force comparison across published geometries."""
     if not math.isfinite(flag_above):
         raise ValueError(f"--flag-above must be finite, got {flag_above}")
-
-    def render(rows):
-        out = []
+    lines, suspects = [], []
+    for section, geom_name, rows, exclude in (
+            ("plate-plate (average/median exclude This work)", "area_m2",
+             experiments.PLATE_PLATE_ROWS, "This work"),
+            ("sphere-plate", "radius_m", experiments.SPHERE_PLATE_ROWS, None)):
+        data = []
         for row in rows:
             force = ideal_casimir_force(row.geometry)
             dev = abs(force - row.force) / row.force
-            out.append((row.ref, *astuple(row.geometry), row.force, force, dev,
-                        "SUSPECT" if dev > flag_above else "ok"))
-        return out
-
-    plate = render(experiments.PLATE_PLATE_ROWS)
-    sphere = render(experiments.SPHERE_PLATE_ROWS)
-    _echo_header([("command", "tables"), ("flag_above", repr(flag_above))])
-
-    def emit(section, geom_name, data, exclude=None):
+            data.append((row.ref, *astuple(row.geometry), row.force, force, dev,
+                         "SUSPECT" if dev > flag_above else "ok"))
+        suspects += [r[0] for r in data if r[6] == "SUSPECT"]
         kept = [r for r in data if r[0] != exclude]
         table, ideal = [r[3] for r in kept], [r[4] for r in kept]
-        avg, avg_rec = sum(table) / len(table), sum(ideal) / len(ideal)
-        med, med_rec = statistics.median(table), statistics.median(ideal)
+        stats = [("average", sum(table) / len(table), sum(ideal) / len(ideal)),
+                 ("median", statistics.median(table), statistics.median(ideal))]
         if fmt == "csv":
-            click.echo(f"# {section}")
-            click.echo(f"ref,{geom_name},min_sep_m,force_table_N,force_ideal_N,"
-                       "rel_deviation,status")
-            for ref, geom, dsep, ft, fr, dev, status in data:
-                click.echo(f"{ref},{geom:.8e},{dsep:.8e},{ft:.8e},{fr:.8e},"
-                           f"{dev:.8e},{status}")
-            click.echo(f"average,,,{avg:.8e},{avg_rec:.8e},,")
-            click.echo(f"median,,,{med:.8e},{med_rec:.8e},,")
+            lines.append(f"# {section}")
+            lines.append(f"ref,{geom_name},min_sep_m,force_table_N,force_ideal_N,"
+                         "rel_deviation,status")
+            lines += [f"{ref},{geom:.8e},{dsep:.8e},{ft:.8e},{fr:.8e},{dev:.8e},{status}"
+                      for ref, geom, dsep, ft, fr, dev, status in data]
+            lines += [f"{name},,,{ft:.8e},{fr:.8e},," for name, ft, fr in stats]
         else:
-            click.echo(f"--- {section} ---")
             width = max(len(r[0]) for r in data)
-            for ref, geom, dsep, ft, fr, dev, status in data:
-                click.echo(f"{ref:<{width}}  {geom:.4g}  {dsep:.4g}  "
-                           f"{ft:.4g}  {fr:.4g}  {dev:.2e}  {status}")
-            click.echo(f"{'average':<{width}}  {'':>9}  {'':>9}  {avg:.4g}  {avg_rec:.4g}")
-            click.echo(f"{'median':<{width}}  {'':>9}  {'':>9}  {med:.4g}  {med_rec:.4g}")
-
-    emit("plate-plate (average/median exclude This work)", "area_m2", plate,
-         exclude="This work")
-    emit("sphere-plate", "radius_m", sphere)
-    suspects = [r[0] for r in plate + sphere if r[6] == "SUSPECT"]
-    click.echo(f"# rows deviating more than {flag_above:.1%}: "
-               + (", ".join(suspects) if suspects else "none"))
+            lines.append(f"--- {section} ---")
+            lines += [f"{ref:<{width}}  {geom:.4g}  {dsep:.4g}  {ft:.4g}  {fr:.4g}  "
+                      f"{dev:.2e}  {status}"
+                      for ref, geom, dsep, ft, fr, dev, status in data]
+            lines += [f"{name:<{width}}  {'':>9}  {'':>9}  {ft:.4g}  {fr:.4g}"
+                      for name, ft, fr in stats]
+    lines.append(f"# rows deviating more than {flag_above:.1%}: "
+                 + (", ".join(suspects) if suspects else "none"))
+    _emit([("command", "tables"), ("flag_above", repr(flag_above))], [], fmt)
+    click.echo("\n".join(lines))
 
 
 @main.command()
@@ -487,9 +455,9 @@ def tables(flag_above, fmt):
 def noise(f0, q, ns, tau, fmt):
     """Noise-limited frequency resolution of the resonance readout."""
     value = membrane.frequency_noise(f0, q, ns, tau)
-    _echo_header([("command", "noise"), ("f0_Hz", repr(f0)), ("Q", repr(q)),
-                  ("noise_to_signal", repr(ns)), ("tau_s", repr(tau))])
-    _emit_rows([("frequency_noise", value, "Hz")], fmt)
+    _emit([("command", "noise"), ("f0_Hz", repr(f0)), ("Q", repr(q)),
+           ("noise_to_signal", repr(ns)), ("tau_s", repr(tau))],
+          [("frequency_noise", value, "Hz")], fmt)
 
 
 if __name__ == "__main__":

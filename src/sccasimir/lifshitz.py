@@ -186,8 +186,16 @@ def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
     if omega_eff == 0.0:
         return 0.0
     y_p = 2.0 * d * omega_eff / _HBAR_C
-    y, weights = _doubling_panels(min(1e-3, 0.25 * y_p), _Y_SPAN, 8)
-    return float(np.dot(weights, _integrand(y, power, _static_te(y, y_p))))
+    # below y_p = 1e-300 the rule's panel count overflows, and once the
+    # squares of y_p underflow, 0/0 and t = 1 give a non-finite term
+    if y_p > 1e-300:
+        y, weights = _doubling_panels(min(1e-3, 0.25 * y_p), _Y_SPAN, 8)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = float(np.dot(weights, _integrand(y, power, _static_te(y, y_p))))
+        if math.isfinite(term):
+            return term
+    raise ValueError(f"static TE term is not finite at d = {d} m, "
+                     f"omega_eff = {omega_eff} eV")
 
 
 def _dynamic_integrals(d: float, T: float, model: DielectricModel, ls,

@@ -137,7 +137,11 @@ def lcpd_fit(points, m: MembraneSpec) -> LcpdResult:
     v = np.array([p[0] for p in pts])
     if len(np.unique(v)) < 3:
         raise FitError(f"need at least 3 distinct voltages, got {len(np.unique(v))}")
-    f2 = np.array([p[1] ** 2 for p in pts])
+    with np.errstate(over="ignore"):  # libm pow, as Python's ** is; inf is refused below
+        f2 = np.float_power([p[1] for p in pts], 2)
+    if not np.isfinite(f2).all():
+        raise ValueError(f"f_Hz squared overflows at V_volt = "
+                         f"{v[~np.isfinite(f2)][0].item()!r}")
     coeffs, cov = np.polyfit(v, f2, 2, cov=True)
     a, b, c = coeffs
     if a >= 0.0:

@@ -121,6 +121,8 @@ class SuperconductorParams:
                  f"Omega must be > 0 with a finite square, got {self.Omega}")
         _require(self.gamma0 > 0, f"gamma0 must be > 0, got {self.gamma0}")
         _require(self.RRR >= 1.0, f"RRR must be >= 1, got {self.RRR}")
+        _require(self.gamma > 0,
+                 f"gamma0 / RRR must be > 0, got {self.gamma0} / {self.RRR}")
         _require(self.Tc > 0, f"Tc must be > 0, got {self.Tc}")
 
     @property

@@ -142,6 +142,21 @@ class TestMain:
         (["generate-sweep", "--out", "{out}", "--intercept", "1e308", "--slope", "1e308"], 3),
         (["sweep", "--small", "{sweep_huge_f}", "--big", "{sweep}", "--window", "13.2",
           "14.19"], 3),
+        # a relaxation energy gamma0 / RRR that underflows to 0, from flags
+        # and from a file
+        (["pressure", "--d", "190e-9", "--t", "14.0", "--skip-exponent", "--gamma0",
+          "1e-300", "--rrr", "1e300"], 2),
+        (["pressure", "--d", "190e-9", "--t", "14.0", "--skip-exponent", "--config",
+          "{gamma_zero}"], 3),
+        # condensate layers whose square underflows (0/0, then 1/0), and
+        # thinner ones on which the static TE rule cannot be built
+        *[(["pressure", "--d", "190e-9", "--t", "14.0", "--skip-exponent", "--omega",
+            omega], 2) for omega in ("1e-300", "1e-160", "1e-305", "1e-320")],
+        # a voltage sweep whose f^2 overflows, and a report that cannot be
+        # written after the pipeline has run
+        (["lcpd-fit", "--csv", "{lcpd_huge_f}"], 3),
+        (["sweep", "--small", "{sweep}", "--big", "{sweep}", "--window", "13.2", "14.19",
+          "--out", "{out_missing_dir}"], 3),
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
@@ -161,8 +176,13 @@ class TestMain:
             "sweep_huge_f": "T_K,f_Hz\n" + "".join(
                 f"{13.0 + 0.1 * i!r},{1e200 if i == 5 else 352800.0 - 10.0 * i!r}\n"
                 for i in range(20)),
+            "gamma_zero": "gamma0_eV = 1e-300\nRRR = 1e300\n",
+            "lcpd_huge_f": "V_volt,f_Hz\n" + "".join(
+                f"{0.25 * i - 1.0!r},{1e200 if i == 3 else 352800.0 - 100.0 * i * i!r}\n"
+                for i in range(9)),
         }
-        paths = {"out": tmp_path / "out.csv"}
+        paths = {"out": tmp_path / "out.csv",
+                 "out_missing_dir": tmp_path / "missing" / "report.csv"}
         for name, text in files.items():
             paths[name] = tmp_path / name
             paths[name].write_text(text)
@@ -175,6 +195,7 @@ class TestMain:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
+        assert result.stdout == ""
 
     @pytest.mark.parametrize("args, message", [
         (["--t", "1e-301"], "temperature must be finite and >= 1e-300 K"),

@@ -6,6 +6,7 @@ import pytest
 
 import sccasimir
 from sccasimir import analysis, experiments, lifshitz, membrane, permittivity, physcore
+from sccasimir.cli import main
 
 PACKAGE = {
     "Basis", "CONSTANTS", "Constants", "ConvergenceError", "ConversionFactors",
@@ -74,3 +75,40 @@ MODULE_ALL = {
 def test_module_all(module):
     assert module.__all__ == MODULE_ALL[module]
     assert all(hasattr(module, name) for name in module.__all__)
+
+
+# every command's options, each as its flags and its default: adding or
+# removing an option, or changing a default, is an edit of this table
+REQUIRED = "required"
+_FILM = {"--config": None, "--omega": None, "--gamma0": None, "--rrr": None, "--tc": None}
+_QUAD = {"--term-stop": 1e-10, "--max-matsubara": 100_000}
+_MEMBRANE = {"--membrane": "small", "--membrane-config": None}
+_SPEC = {"--d": REQUIRED, "--t --T": REQUIRED, "--model": "bcs",
+         "--approach": "plasma-bcs", **_FILM, **_QUAD, "--format": "table"}
+CLI = {
+    "pressure": {**_SPEC, "--t --T": None, "--ideal": False, "--area": None,
+                 "--radius": None, "--ideal-zero-t": False, "--skip-exponent": False},
+    "gradient": _SPEC,
+    "exponent": _SPEC,
+    "jump": {"--d": 190e-9, "--dt --dT": 0.1, "--approach": "plasma-bcs", "--all": False,
+             **_MEMBRANE, "--f0": None, **_FILM, **_QUAD, "--format": "table"},
+    "sweep": {"--small": REQUIRED, "--big": REQUIRED, "--window": REQUIRED, **_MEMBRANE,
+              "--factors-config": None, "--combine": "add", "--out": None,
+              "--format": "table"},
+    "generate-sweep": {"--out": REQUIRED, "--slope": -2.2e7, "--intercept": 5.226e12,
+                       "--jump-dw2": None, "--jump-gradient": None, "--tc-step": 14.2,
+                       "--noise-f": 0.0, "--t-min": 13.175, "--t-max": 14.675,
+                       "--n-points": 31, "--seed": 0, **_MEMBRANE},
+    "lcpd-fit": {"--csv": REQUIRED, **_MEMBRANE, "--format": "table"},
+    "dynes-fit": {"--csv": REQUIRED, "--t --T": REQUIRED, "--format": "table"},
+    "tables": {"--flag-above": 0.005, "--format": "table"},
+    "noise": {"--f0": REQUIRED, "--q": REQUIRED, "--noise-to-signal": REQUIRED,
+              "--tau": REQUIRED, "--format": "table"},
+}
+
+
+def test_cli_options():
+    surface = {name: {" ".join(p.opts): REQUIRED if p.required else p.default
+                      for p in command.params}
+               for name, command in main.commands.items()}
+    assert surface == CLI
