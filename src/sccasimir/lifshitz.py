@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import ConvergenceError
 from .physcore import CONSTANTS, SuperconductorParams, matsubara_frequency
 from .permittivity import (
     DielectricModel,
+    ModelKind,
     _doubling_panels,
     bcs,
     drude,
@@ -198,29 +200,31 @@ def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
                      f"omega_eff = {omega_eff} eV")
 
 
-def _dynamic_integrals(d: float, T: float, model: DielectricModel, ls,
-                       power: int) -> np.ndarray:
-    """Momentum integrals of the ``l >= 1`` terms with Matsubara indices
-    ``ls``, each over ``[y0, y0 + 50]`` on one fixed rule in ``u = y - y0``:
-    8 Gauss-Legendre nodes per panel, a first panel [0, 1e-3], then panels
-    doubling in width (136 nodes).  The energies and the permittivity are
-    one array over ``ls``, the Fresnel and momentum arithmetic one
-    ``(len(ls) x 136)`` array.  Against adaptive quadrature at ``epsrel``
-    1e-13 it agrees to 1e-9 relative (worst seen 1.5e-11) for d in [50 nm,
-    5 um], T in [0.1, 20] K, Drude, plasma and BCS responses of dirty and
-    clean films, both powers and every ``l`` up to ``y0 = 50``.  Raises ``ValueError``
-    when a term overflows: the permittivity or ``eps * q`` at tiny T, or
-    ``y**power`` at huge T."""
-    xi = matsubara_frequency(ls, T)
-    eps = permittivity_iw(model, xi, T)[:, None]
-    # an overflow gives a non-finite term, which is rejected below
+def _dynamic_integrals(d: float, xi, eps, power: int) -> np.ndarray:
+    """Momentum integrals of the ``l >= 1`` terms at energies ``xi`` with
+    permittivities ``eps``, each over ``[y0, y0 + 50]`` on one fixed rule
+    in ``u = y - y0``: 8 Gauss-Legendre nodes per panel, a first panel
+    [0, 1e-3], then panels doubling in width (136 nodes).  The Fresnel and
+    momentum arithmetic is one ``(len(xi) x 136)`` array.  Against adaptive
+    quadrature at ``epsrel`` 1e-13 it agrees to 1e-9 relative (worst seen
+    1.5e-11) for d in [50 nm, 5 um], T in [0.1, 20] K, Drude, plasma and
+    BCS responses of dirty and clean films, both powers and every ``l`` up
+    to ``y0 = 50``.  A term that overflows (the permittivity or ``eps * q``
+    at tiny T, or ``y**power`` at huge T) is non-finite, without warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         x = xi[:, None] / _HBAR_C
         y = 2.0 * d * x + _U_NODES
-        terms = _integrand(y, power, *_fresnel(eps, y * (0.5 / d), x)) @ _U_WEIGHTS
-    if not np.isfinite(terms).all():
-        raise ValueError(f"Matsubara terms overflow at T = {T} K, d = {d} m")
-    return terms
+        return _integrand(y, power, *_fresnel(eps[:, None], y * (0.5 / d), x)) @ _U_WEIGHTS
+
+
+# read-only energies and permittivities of the indices [first, stop), kept per
+# (model, T) for the process; the cap holds every block of one default-cap sum
+@lru_cache(maxsize=QuadratureConfig().max_matsubara // _BLOCK)
+def _block_permittivity(model: DielectricModel, T: float, first: int, stop: int):
+    xi = matsubara_frequency(np.arange(first, stop), T)
+    eps = permittivity_iw(model, xi, T)
+    xi.flags.writeable = eps.flags.writeable = False
+    return xi, eps
 
 
 def _static_te_omega(spec: LifshitzSpec) -> float:
@@ -254,9 +258,14 @@ def _matsubara_sum(spec: LifshitzSpec, power: int) -> LifshitzDetail:
     rel, tol = cfg.term_stop_rel, _ABS_TOL_PRESSURE if power == 2 else -math.inf
     blocks = [np.array([zero])]
     running, consec, last, l = zero, 0, 0.0, 0
+    # only a BCS block (one pairing integral per energy) is worth its ~1 kB memo
+    evaluate = (_block_permittivity if spec.model.kind is ModelKind.BCS
+                else _block_permittivity.__wrapped__)
     while consec < 3 and l < cfg.max_matsubara:
-        block = _dynamic_integrals(spec.d, spec.T, spec.model, np.arange(
-            l + 1, min(l + _BLOCK, cfg.max_matsubara) + 1), power)
+        block = _dynamic_integrals(spec.d, *evaluate(
+            spec.model, spec.T, l + 1, min(l + _BLOCK, cfg.max_matsubara) + 1), power)
+        if not np.isfinite(block).all():
+            raise ValueError(f"Matsubara terms overflow at T = {spec.T} K, d = {spec.d} m")
         for n, term in enumerate(block.tolist(), 1):
             running += term
             last = abs(term)

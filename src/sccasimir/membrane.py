@@ -149,18 +149,23 @@ def lcpd_fit(points, m: MembraneSpec) -> LcpdResult:
     v0 = -b / (2.0 * a)
     if not (v.min() < v0 < v.max()):
         raise FitError(f"apex {v0:.4g} V outside the sampled voltage range")
-    f2_apex = c - b * b / (4.0 * a)
-    rho = -CONSTANTS.eps0 / (4.0 * math.pi ** 2 * a * m.h * m.d ** 3)
-    sigma = 2.0 * m.L ** 2 * rho * f2_apex / m.Y_ratio
+    with np.errstate(all="ignore"):  # an overflow gives inf or nan, refused below
+        f2_apex = c - b * b / (4.0 * a)
+        rho = -CONSTANTS.eps0 / (4.0 * math.pi ** 2 * a * m.h * m.d ** 3)
+        sigma = 2.0 * m.L ** 2 * rho * f2_apex / m.Y_ratio
 
-    # linearized propagation through v0 = -b/2a, rho ~ 1/a, sigma ~ f2_apex/a
-    da, db, dc = (math.sqrt(max(cov[i, i], 0.0)) for i in range(3))
-    v0_err = abs(v0) * math.hypot(da / abs(a), db / abs(b)) if b != 0 else db / (2 * abs(a))
-    rho_err = rho * da / abs(a)
-    grad_f2 = math.hypot(dc, (b / (2 * a)) * db) + (b * b / (4 * a * a)) * da
-    sigma_err = abs(sigma) * math.hypot(grad_f2 / f2_apex, da / abs(a))
-    return LcpdResult(V0=v0, sigma=sigma, rho=rho,
-                      V0_err=v0_err, sigma_err=sigma_err, rho_err=rho_err)
+        # linearized propagation through v0 = -b/2a, rho ~ 1/a, sigma ~ f2_apex/a
+        da, db, dc = (math.sqrt(max(cov[i, i], 0.0)) for i in range(3))
+        v0_err = abs(v0) * math.hypot(da / abs(a), db / abs(b)) if b != 0 else db / (2 * abs(a))
+        rho_err = rho * da / abs(a)
+        grad_f2 = math.hypot(dc, (b / (2 * a)) * db) + (b * b / (4 * a * a)) * da
+        sigma_err = abs(sigma) * math.hypot(grad_f2 / f2_apex, da / abs(a))
+    result = LcpdResult(V0=v0, sigma=sigma, rho=rho,
+                        V0_err=v0_err, sigma_err=sigma_err, rho_err=rho_err)
+    for name, value in vars(result).items():
+        if not math.isfinite(value):
+            raise ValueError(f"lcpd fit {name} is not finite: {value}")
+    return result
 
 
 def static_deflection(pressure_law: tuple[float, float], m: MembraneSpec) -> float:

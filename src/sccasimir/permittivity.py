@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -165,7 +164,6 @@ def _doubling_panels(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.n
     return (edges[:-1, None] + half * shifted).ravel(), (half * weights).ravel()
 
 
-@lru_cache(maxsize=200_000)
 def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
     """Dimensionless pairing correction ``g(xi; T)`` to the Drude response.
 
@@ -175,8 +173,8 @@ def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
     composite Gauss-Legendre rule with 16 nodes per panel: a first panel
     [0, a] with ``a = min(Delta, sqrt(Delta xi)) / 4``, then panels that
     double in width, the last one ending at the cut-off.  The integrand is
-    evaluated once, as one array over all nodes, and the result is cached
-    per ``(xi, T, p)``.  Returns 0 at and above the transition.
+    evaluated once, as one array over all nodes.  Returns 0 at and above
+    the transition.
 
     Parameters
     ----------
@@ -215,7 +213,7 @@ def permittivity_iw(model: DielectricModel, xi, T: float) -> float | np.ndarray:
     """Dielectric function at imaginary frequency ``i*xi``; real and >= 1.
 
     An array ``xi`` gives one value per energy; ``T`` only matters for the
-    BCS response, whose ``bcs_g`` is called once per energy.
+    BCS response, whose ``bcs_g`` runs once per energy on every call.
     """
     x = np.asarray(xi, dtype=float)
     if (x <= 0.0).any():

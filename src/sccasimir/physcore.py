@@ -318,8 +318,9 @@ def from_config(cls, config: dict):
             raise ParseError(f"key {key!r} is not {expected}: {config[key]!r}") from None
     try:
         return cls(**picked)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    except ValueError as exc:  # a message "<field> must ..." names its file key
+        key = keys.get(str(exc).split(" must ", 1)[0])
+        raise ParseError(f"key {key!r}: {exc}" if key else str(exc)) from None
 
 
 def config_items(obj) -> list[tuple[str, str]]:

@@ -157,6 +157,8 @@ class TestMain:
         (["lcpd-fit", "--csv", "{lcpd_huge_f}"], 3),
         (["sweep", "--small", "{sweep}", "--big", "{sweep}", "--window", "13.2", "14.19",
           "--out", "{out_missing_dir}"], 3),
+        # a parabola fit whose propagated stress and errors overflow to inf
+        (["lcpd-fit", "--csv", "{lcpd_inf_fit}"], 3),
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
@@ -179,6 +181,9 @@ class TestMain:
             "gamma_zero": "gamma0_eV = 1e-300\nRRR = 1e300\n",
             "lcpd_huge_f": "V_volt,f_Hz\n" + "".join(
                 f"{0.25 * i - 1.0!r},{1e200 if i == 3 else 352800.0 - 100.0 * i * i!r}\n"
+                for i in range(9)),
+            "lcpd_inf_fit": "V_volt,f_Hz\n" + "".join(
+                f"{0.25 * i - 1.0!r},{1e150 if i == 3 else 352800.0 - 100.0 * i * i!r}\n"
                 for i in range(9)),
         }
         paths = {"out": tmp_path / "out.csv",

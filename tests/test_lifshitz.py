@@ -15,7 +15,7 @@ from sccasimir.permittivity import (
     permittivity_iw,
     plasma,
 )
-from sccasimir import lifshitz
+from sccasimir import lifshitz, permittivity
 from sccasimir.lifshitz import (
     LifshitzSpec,
     PlatePlate,
@@ -44,6 +44,21 @@ from sccasimir.lifshitz import (
 
 FAST = QuadratureConfig(term_stop_rel=1e-8)
 LOOSE = QuadratureConfig(term_stop_rel=1e-6)
+
+
+def dynamic_terms(d, T, model, ls, power):
+    """The engine's momentum integrals of the indices ``ls``, with energies
+    and permittivities built here rather than read from its block memo."""
+    xi = matsubara_frequency(np.asarray(ls), T)
+    return _dynamic_integrals(d, xi, permittivity_iw(model, xi, T), power)
+
+
+@pytest.fixture
+def cold_memo():
+    """Empty the engine's block memo, so a test counts every evaluation;
+    returns the function that empties it again."""
+    lifshitz._block_permittivity.cache_clear()
+    return lifshitz._block_permittivity.cache_clear
 
 
 class TestFresnel:
@@ -281,7 +296,7 @@ def scalar_stop_sum(spec, power):
     terms, running, consec, last, l = [zero], zero, 0, 0.0, 0
     converged = by_abs_tol = False
     while not converged and l < cfg.max_matsubara:
-        block = _dynamic_integrals(spec.d, spec.T, spec.model, range(
+        block = dynamic_terms(spec.d, spec.T, spec.model, range(
             l + 1, min(l + _BLOCK, cfg.max_matsubara) + 1), power)
         for term in block.tolist():
             l += 1
@@ -347,7 +362,8 @@ class TestStoppingRule:
         assert err.value.detail.truncation_bound == bound
 
     @pytest.mark.parametrize("make", [drude, bcs], ids=["drude", "bcs"])
-    def test_one_permittivity_call_per_block(self, sc_params, monkeypatch, make):
+    def test_one_permittivity_call_per_block(self, sc_params, monkeypatch, cold_memo,
+                                             make):
         calls = []
         monkeypatch.setattr(lifshitz, "permittivity_iw", lambda model, xi, T:
                             calls.append(len(xi)) or permittivity_iw(model, xi, T))
@@ -380,7 +396,7 @@ class TestMomentumRule:
                 l_max = 50.0 * CONSTANTS.hbar_c_eVm / (2.0 * d * xi_1)
                 ls = np.unique(np.geomspace(1.0, l_max, 13).astype(int))
                 for power in (2, 3):
-                    got = _dynamic_integrals(d, T, model, ls, power)
+                    got = dynamic_terms(d, T, model, ls, power)
                     want = [quad_term(d, T, model, l * xi_1, power) for l in ls]
                     worst = max(worst, np.max(np.abs(got / want - 1.0)))
         assert worst <= 1e-9
@@ -423,8 +439,7 @@ class TestEngine:
         assert local_exponent(spec) == pytest.approx(4.0, abs=0.01)
 
     def test_term_magnitudes_decay(self, sc_params):
-        terms = list(_dynamic_integrals(190e-9, 14.2, drude(sc_params),
-                                        range(1, 81), 2))
+        terms = list(dynamic_terms(190e-9, 14.2, drude(sc_params), range(1, 81), 2))
         # the transverse-electric share grows over the first ~16 modes
         # before the overall exponential decay takes over
         tail = terms[19:]
@@ -446,7 +461,8 @@ class TestEngine:
             assert got.value == pytest.approx(value, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("cap", [1, 5, 33, 70])
-    def test_cap_bounds_the_evaluated_indices(self, sc_params, monkeypatch, cap):
+    def test_cap_bounds_the_evaluated_indices(self, sc_params, monkeypatch, cold_memo,
+                                              cap):
         spec = LifshitzSpec(d=190e-9, T=4.0, model=bcs(sc_params),
                             quad=QuadratureConfig(max_matsubara=cap))
         seen = []  # every energy of every call, flattened
@@ -461,7 +477,8 @@ class TestEngine:
         assert not converged and n_terms == cap
         assert err.value.detail.value == pytest.approx(value, rel=1e-14, abs=0.0)
 
-    def test_converged_sum_overruns_by_less_than_a_block(self, sc_params, monkeypatch):
+    def test_converged_sum_overruns_by_less_than_a_block(self, sc_params, monkeypatch,
+                                                         cold_memo):
         calls = []  # every energy of every call, flattened
         monkeypatch.setattr(lifshitz, "permittivity_iw", lambda model, xi, T:
                             calls.extend(np.ravel(xi).tolist())
@@ -469,6 +486,7 @@ class TestEngine:
         for d in (50e-9, 190e-9, 5e-6):
             for detail in (casimir_pressure_detail, casimir_pressure_gradient_detail):
                 calls.clear()
+                cold_memo()  # each sum evaluates its own blocks
                 got = detail(LifshitzSpec(d=d, T=4.0, model=drude(sc_params)))
                 assert got.n_terms <= len(calls) <= got.n_terms + 31
 
@@ -607,3 +625,42 @@ class TestTcJump:
         plasma_bcs = jumps[ZeroFreqApproach.PLASMA_BCS]
         assert all(4e3 < j < 8e3 for j in plasma_bcs)
         assert abs(plasma_bcs[2] - plasma_bcs[0]) < 0.1 * abs(plasma_bcs[0])
+
+
+class TestBlockMemo:
+    """The engine evaluates the BCS permittivity of each 32-index block once
+    per (model, T) and reuses it across sums, prescriptions and separations."""
+
+    def test_jump_all_evaluates_each_energy_once(self, sc_params, monkeypatch, cold_memo):
+        # the three tc_jump calls of `jump --all` share both sides' blocks
+        energies = []
+        kernel = permittivity.bcs_g
+        monkeypatch.setattr(permittivity, "bcs_g", lambda xi, T, p:
+                            energies.append((xi, T)) or kernel(xi, T, p))
+        for approach in ZeroFreqApproach:
+            tc_jump(190e-9, sc_params.Tc, 0.1, approach, sc_params)
+        assert len(energies) == len(set(energies)) == 1376
+
+    @pytest.mark.parametrize("detail", [casimir_pressure_detail,
+                                        casimir_pressure_gradient_detail],
+                             ids=["P", "Pprime"])
+    def test_warm_detail_equals_cold(self, sc_params, cold_memo, detail):
+        specs = [LifshitzSpec(d=d, T=14.058, model=bcs(sc_params), approach=ap)
+                 for d in (190e-9, 1213e-9) for ap in ZeroFreqApproach]
+        cold = []
+        for spec in specs:
+            cold_memo()
+            cold.append(detail(spec))
+        assert [detail(spec) for spec in specs] == cold
+
+    @pytest.mark.parametrize("make", [drude, plasma], ids=["drude", "plasma"])
+    def test_closed_form_blocks_are_not_kept(self, sc_params, cold_memo, make):
+        casimir_pressure_detail(LifshitzSpec(d=190e-9, T=4.0, model=make(sc_params)))
+        assert lifshitz._block_permittivity.cache_info().currsize == 0
+
+    def test_memoised_block_is_read_only(self, sc_params):
+        xi, eps = lifshitz._block_permittivity(bcs(sc_params), 4.0, 1, _BLOCK + 1)
+        assert len(xi) == len(eps) == _BLOCK
+        for array in (xi, eps):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0

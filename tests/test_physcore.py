@@ -176,8 +176,15 @@ class TestConfigFiles:
         ("force_per_w2_N = nan\npressure_per_w2_Pa = 1e-9\n"
          "deflection_per_w2_m = 1e-19\nbasis = linear-squared\n",
          ConversionFactors, "force_per_w2 must be finite"),
+        # the message names the file key of the field the record rejects
+        ("Omega_eV = -1\n", SuperconductorParams, "^key 'Omega_eV': Omega must be > 0"),
+        ("L_m = -1\nh_m = 155e-9\nd_m = 190e-9\nsigma_Pa = 677e6\nrho_kgm3 = 4992\n",
+         MembraneSpec, "^key 'L_m': L must be > 0$"),
+        # a rule on two keys names neither
+        ("gamma0_eV = 1e-300\nRRR = 1e300\n", SuperconductorParams,
+         "^gamma0 / RRR must be > 0"),
     ], ids=["superconductor", "membrane", "Tc-inf", "gamma0-inf", "c1-nan", "L-inf",
-            "force-nan"])
+            "force-nan", "superconductor-key", "membrane-key", "two-key-rule"])
     def test_rejected_record_value_is_parse_error(self, tmp_path, text, cls, message):
         path = tmp_path / "c.cfg"
         path.write_text(text)

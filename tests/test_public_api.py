@@ -1,6 +1,7 @@
 """The public API, pinned: adding or removing a name is an edit of this file."""
 
 import types
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +76,16 @@ MODULE_ALL = {
 def test_module_all(module):
     assert module.__all__ == MODULE_ALL[module]
     assert all(hasattr(module, name) for name in module.__all__)
+
+
+def test_matsubara_reuse_has_one_owner():
+    # the engine memoises the permittivity of its index blocks; the kernel
+    # bcs_g is a pure function that nothing caches
+    package = Path(sccasimir.__file__).parent
+    owners = [path.name for path in sorted(package.glob("*.py"))
+              if "lru_cache" in path.read_text(encoding="utf-8")]
+    assert owners == ["lifshitz.py"]
+    assert not hasattr(permittivity.bcs_g, "cache_info")
 
 
 # every command's options, each as its flags and its default: adding or
