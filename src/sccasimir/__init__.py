@@ -23,7 +23,6 @@ from .permittivity import (
     effective_plasma_frequency,
     permittivity_iw,
     plasma,
-    superfluid_weight,
 )
 from .lifshitz import (
     LifshitzSpec,

@@ -21,7 +21,6 @@ from .physcore import (
     MembraneSpec,
     SuperconductorParams,
     _require_finite,
-    read_csv,
 )
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "dynes_density",
     "dynes_conductance",
     "dynes_fit",
-    "load_dynes_csv",
     "SweepTruth",
     "generate_sweep",
     "SweepReport",
@@ -258,11 +256,6 @@ def _energy_rule(v: np.ndarray, p: DynesParams, kT: float) -> tuple[np.ndarray, 
     return (left[:, None] + half * shifted).ravel(), (half * weights).ravel()
 
 
-def load_dynes_csv(path) -> list[tuple[float, float]]:
-    """Read ``V_volt,G_arb`` conductance data."""
-    return [values for _, values in read_csv(path, ("V_volt", "G_arb"))]
-
-
 def dynes_fit(points, T: float) -> DynesParams:
     """Nonlinear least squares for (Delta, gamma, A) at fixed temperature.
 
@@ -341,6 +334,8 @@ class SweepTruth:
 
 def generate_sweep(truth: SweepTruth, seed: int = 0) -> list[SweepRecord]:
     """Emit deterministic synthetic sweep records for pipeline tests."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     t = np.array(truth.grid)
     with np.errstate(all="ignore"):  # inf, nan and omega^2 <= 0 are all refused below
         w2 = truth.intercept + truth.slope * t + np.where(t > truth.Tc, truth.jump, 0.0)

@@ -392,7 +392,7 @@ def lcpd_fit_cmd(csv_path, preset, membrane_config, fmt):
 @_format_option
 def dynes_fit_cmd(csv_path, temperature, fmt):
     """Fit gap, broadening, and scale to tunneling-conductance data."""
-    points = analysis.load_dynes_csv(csv_path)
+    points = [values for _, values in read_csv(csv_path, ("V_volt", "G_arb"))]
     result = analysis.dynes_fit(points, T=temperature)
     _emit([("command", "dynes-fit"), ("csv", csv_path), ("T_K", repr(temperature)),
            ("n_points", str(len(points)))],
@@ -408,6 +408,8 @@ def tables(flag_above, fmt):
     """Ideal-conductor force comparison across published geometries."""
     if not math.isfinite(flag_above):
         raise ValueError(f"--flag-above must be finite, got {flag_above}")
+    if flag_above < 0.0:
+        raise ValueError(f"--flag-above must be >= 0, got {flag_above}")
     lines, suspects = [], []
     for section, geom_name, rows, exclude in (
             ("plate-plate (average/median exclude This work)", "area_m2",

@@ -42,7 +42,6 @@ class SweepRecord:
     T: float                    # K
     f: float                    # Hz
     sigma_f: float | None = None  # Hz
-    Q: float | None = None
 
     def __post_init__(self):
         _require_finite(self)
@@ -62,11 +61,12 @@ _SWEEP_HEADERS = (
 
 
 def load_sweep_csv(path) -> list[SweepRecord]:
-    """Read sweep records from CSV with header ``T_K,f_Hz[,sigma_f_Hz][,Q]``."""
+    """Read sweep records from CSV with header ``T_K,f_Hz[,sigma_f_Hz][,Q]``;
+    a ``Q`` column is accepted and ignored."""
     records: list[SweepRecord] = []
     for lineno, values in read_csv(path, *_SWEEP_HEADERS):
         try:
-            records.append(SweepRecord(*values))
+            records.append(SweepRecord(*values[:3]))
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
     return records
@@ -83,13 +83,13 @@ def fundamental_frequency(m: MembraneSpec, with_holes: bool = True) -> float:
 
 def dw2_from_gradient(Pprime: float, m: MembraneSpec) -> float:
     """Angular-frequency-squared shift from an external pressure gradient:
-    ``d(omega^2) = -P' / (rho h)``."""
-    return -Pprime / m.areal_density
+    ``d(omega^2) = -P' / (rho h)``; a zero gradient gives +0.0."""
+    return 0.0 - Pprime / m.areal_density
 
 
 def gradient_from_dw2(dw2: float, m: MembraneSpec) -> float:
     """Exact inverse of :func:`dw2_from_gradient`."""
-    return -dw2 * m.areal_density
+    return 0.0 - dw2 * m.areal_density
 
 
 def predicted_frequency_jump(Pprime_jump: float, m: MembraneSpec, f0: float) -> float:

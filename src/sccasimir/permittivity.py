@@ -10,8 +10,8 @@ Three responses are supported, all evaluated at the imaginary frequency
 
 ``g(xi; T)`` is the dimensionless pairing correction to the Drude
 response.  Its ``xi -> 0`` limit is the condensate spectral fraction
-``w**2`` with ``w = superfluid_weight(T)``, so the permittivity develops
-the plasma-like singularity ``1 + (w*Omega)**2 / xi**2`` below the
+``w**2 = condensate_fraction(T)``, so the permittivity develops the
+plasma-like singularity ``1 + (w*Omega)**2 / xi**2`` below the
 transition.  At ``T >= Tc`` the correction is gated off and BCS coincides
 with Drude exactly.
 """
@@ -34,7 +34,6 @@ __all__ = [
     "bcs",
     "bcs_gap",
     "condensate_fraction",
-    "superfluid_weight",
     "effective_plasma_frequency",
     "bcs_g",
     "permittivity_iw",
@@ -123,28 +122,19 @@ def condensate_fraction(T: float, p: SuperconductorParams) -> float:
     return float(first - (head + 0.125 / (x_max * x_max)) / (eta * eta))
 
 
-def superfluid_weight(T: float, p: SuperconductorParams) -> float:
-    """Normalized effective superfluid plasma frequency, in (0, 1).
-
-    The effective low-frequency plasma energy of the superconducting film
-    is ``superfluid_weight(T) * Omega``; its square is the condensate
-    spectral fraction.
-    """
+def effective_plasma_frequency(T: float, p: SuperconductorParams) -> float:
+    """Static effective plasma energy in eV: ``w(T)*Omega`` below the
+    transition, with ``w**2 = condensate_fraction(T)``, and 0 at and above
+    it (closed gap carries no condensate)."""
+    if T >= p.Tc:
+        return 0.0
     fraction = condensate_fraction(T, p)
     if fraction <= 0.0:
         # near Tc the fraction is the difference of two terms ~7 kB T/gamma
         # times larger, beyond double precision once gamma0 < ~1e-17 eV
         raise ValueError(
             f"condensate fraction lost to rounding at T={T} K (Tc={p.Tc} K)")
-    return math.sqrt(fraction)
-
-
-def effective_plasma_frequency(T: float, p: SuperconductorParams) -> float:
-    """Static effective plasma energy in eV: ``w(T)*Omega`` below the
-    transition, 0 at and above it (closed gap carries no condensate)."""
-    if T >= p.Tc:
-        return 0.0
-    return superfluid_weight(T, p) * p.Omega
+    return math.sqrt(fraction) * p.Omega
 
 
 # Gauss-Legendre nodes shifted onto [0, 2], and weights, per node count

@@ -136,8 +136,7 @@ class MembraneSpec:
     """Geometry, mechanics, and correction constants of one membrane.
 
     ``Y_ratio`` is the frequency-squared ratio between the perforated and
-    unperforated membrane, ``area_ratio`` the force reduction from the
-    release holes, ``C1``/``C_hole`` the deflection constants, and
+    unperforated membrane, ``C1``/``C_hole`` the deflection constants, and
     ``cte_A``/``cte_B`` the coefficients of the cryogenic thermal-expansion
     law ``alpha(T) = A*T + B*T**3``.
     """
@@ -152,7 +151,6 @@ class MembraneSpec:
     C1: float = 3.45
     C_hole: float = 1.086
     Y_ratio: float = 0.923
-    area_ratio: float = 0.945
     cte_A: float = 0.0  # 1/K^2
     cte_B: float = 0.0  # 1/K^4
 
@@ -161,17 +159,11 @@ class MembraneSpec:
         for name in ("L", "h", "d", "sigma", "rho"):
             _require(getattr(self, name) > 0, f"{name} must be > 0")
         _require(0.0 < self.Y_ratio <= 1.0, "Y_ratio must be in (0, 1]")
-        _require(0.0 < self.area_ratio <= 1.0, "area_ratio must be in (0, 1]")
 
     @property
     def areal_density(self) -> float:
         """Mass per unit area ``rho * h`` in kg/m^2."""
         return self.rho * self.h
-
-    @property
-    def area(self) -> float:
-        """Plate area ``L**2`` in m^2."""
-        return self.L * self.L
 
 
 def small_gap_membrane() -> MembraneSpec:
@@ -232,8 +224,7 @@ _FILE_KEYS = {
     MembraneSpec: {
         "L": "L_m", "h": "h_m", "d": "d_m", "sigma": "sigma_Pa", "rho": "rho_kgm3",
         "E": "E_Pa", "nu": "nu", "C1": "C1", "C_hole": "C_hole",
-        "Y_ratio": "Y_ratio", "area_ratio": "area_ratio",
-        "cte_A": "cte_A_perK2", "cte_B": "cte_B_perK4",
+        "Y_ratio": "Y_ratio", "cte_A": "cte_A_perK2", "cte_B": "cte_B_perK4",
     },
     ConversionFactors: {
         "force_per_w2": "force_per_w2_N", "pressure_per_w2": "pressure_per_w2_Pa",

@@ -15,7 +15,7 @@ import sccasimir
 from sccasimir import analysis
 from sccasimir.errors import FitError, ParseError
 from sccasimir.membrane import SweepRecord, dw2_from_gradient
-from sccasimir.physcore import CONSTANTS, Basis, ConversionFactors
+from sccasimir.physcore import CONSTANTS, Basis, ConversionFactors, read_csv
 from sccasimir.analysis import (
     CalibratedResiduals,
     DynesParams,
@@ -27,7 +27,6 @@ from sccasimir.analysis import (
     dynes_density,
     dynes_fit,
     generate_sweep,
-    load_dynes_csv,
     sweep_pipeline,
 )
 
@@ -557,13 +556,15 @@ class TestDynesFit:
         assert out.strip() == "[]"
 
     def test_csv_loader(self, tmp_path):
+        # dynes-fit reads its conductance file through the shared reader
         path = tmp_path / "dynes.csv"
         path.write_text("V_volt,G_arb\n-0.01,1.0\n0.0,0.2\n0.01,1.0\n")
-        assert load_dynes_csv(path) == [(-0.01, 1.0), (0.0, 0.2), (0.01, 1.0)]
+        assert read_csv(path, ("V_volt", "G_arb")) == [
+            (2, (-0.01, 1.0)), (3, (0.0, 0.2)), (4, (0.01, 1.0))]
         bad = tmp_path / "bad.csv"
         bad.write_text("volts,cond\n1,2\n")
         with pytest.raises(ParseError):
-            load_dynes_csv(bad)
+            read_csv(bad, ("V_volt", "G_arb"))
 
 
 class TestGenerateSweep:
@@ -610,6 +611,12 @@ class TestGenerateSweep:
         with pytest.raises(ValueError):
             SweepTruth(slope=0.0, intercept=INTERCEPT, jump=0.0, Tc=14.2,
                        noise_f=0.0, grid=(14.0, 13.5))
+
+    def test_negative_seed_is_named(self):
+        truth = SweepTruth(slope=SLOPE, intercept=INTERCEPT, jump=0.0,
+                           Tc=14.2, noise_f=4.7e-3, grid=GRID)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            generate_sweep(truth, seed=-1)
 
 
 class TestSweepPipeline:

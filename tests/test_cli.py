@@ -159,6 +159,9 @@ class TestMain:
           "--out", "{out_missing_dir}"], 3),
         # a parabola fit whose propagated stress and errors overflow to inf
         (["lcpd-fit", "--csv", "{lcpd_inf_fit}"], 3),
+        # a negative threshold, which flags every row, and a negative seed
+        (["tables", "--flag-above", "-1"], 2),
+        (["generate-sweep", "--out", "{out}", "--seed", "-1"], 3),
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
@@ -385,6 +388,10 @@ class TestJumpCommand:
         values = csv_values(result.output)
         assert values["gradient_jump[plasma-plasma]"] == 0.0
         assert values["gradient_jump[drude-bcs]"] == 0.0
+        # a zero jump shifts the frequency by +0, not -0
+        shifts = [line for line in result.output.splitlines()
+                  if line.startswith("frequency_shift[")]
+        assert [line.split(",")[1] for line in shifts] == ["0.00000000e+00"] * 3
 
     def test_table_ordering_with_all(self, runner):
         result = runner.invoke(main, ["jump", "--dt", "0", "--all",

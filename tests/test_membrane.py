@@ -4,7 +4,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sccasimir.analysis import load_dynes_csv
 from sccasimir.errors import FitError, ParseError
 from sccasimir.physcore import CONSTANTS, MembraneSpec, read_csv
 from sccasimir.membrane import (
@@ -242,7 +241,7 @@ class TestFrequencyNoise:
 # sweep, conductance and voltage-sweep files share one header-checked reader
 READERS = [
     ("T_K,f_Hz", load_sweep_csv),
-    ("V_volt,G_arb", load_dynes_csv),
+    ("V_volt,G_arb", lambda path: read_csv(path, ("V_volt", "G_arb"))),
     ("V_volt,f_Hz", lambda path: read_csv(path, ("V_volt", "f_Hz"))),
 ]
 
@@ -254,6 +253,15 @@ class TestSweepCsv:
         records = load_sweep_csv(path)
         assert records == [SweepRecord(4.5, 352800.1, 0.005),
                            SweepRecord(5.0, 352799.9, 0.004)]
+
+    def test_q_column_is_ignored(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        rows = ["4.5,352800.1,0.005", "5.0,352799.9,0.004"]
+        path.write_text("T_K,f_Hz,sigma_f_Hz\n" + "\n".join(rows) + "\n")
+        three = load_sweep_csv(path)
+        path.write_text("T_K,f_Hz,sigma_f_Hz,Q\n"
+                        + "\n".join(f"{row},7.2e5" for row in rows) + "\n")
+        assert load_sweep_csv(path) == three
 
     def test_minimal_header(self, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -14,7 +14,6 @@ from sccasimir.permittivity import (
     effective_plasma_frequency,
     permittivity_iw,
     plasma,
-    superfluid_weight,
 )
 
 # independently cross-checked reference values (adaptive quadrature vs
@@ -110,27 +109,27 @@ class TestCondensateWeight:
             FRACTION_HALF_TC_MEV, rel=1e-8)
 
     def test_weight_is_sqrt_of_fraction(self, sc_params):
-        w = superfluid_weight(0.5 * sc_params.Tc, sc_params)
+        w = effective_plasma_frequency(0.5 * sc_params.Tc, sc_params) / sc_params.Omega
         assert w == pytest.approx(math.sqrt(FRACTION_HALF_TC), rel=1e-8)
 
     def test_bounds(self, sc_params):
         for t_frac in (0.05, 0.3, 0.6, 0.9, 0.99):
-            w = superfluid_weight(t_frac * sc_params.Tc, sc_params)
-            assert 0.0 < w < 1.0
+            w2 = condensate_fraction(t_frac * sc_params.Tc, sc_params)
+            assert 0.0 < w2 < 1.0
 
     def test_vanishes_toward_transition(self, sc_params):
-        w = superfluid_weight(0.999 * sc_params.Tc, sc_params)
-        assert 0.0 < w < 0.01
+        w2 = condensate_fraction(0.999 * sc_params.Tc, sc_params)
+        assert 0.0 < w2 < 0.01 ** 2
 
     def test_clean_limit_approaches_unity(self):
         clean = SuperconductorParams(gamma0=1e-6)
-        assert superfluid_weight(0.1 * clean.Tc, clean) > 0.999
+        assert condensate_fraction(0.1 * clean.Tc, clean) > 0.999 ** 2
 
     def test_normal_state_rejected(self, sc_params):
         with pytest.raises(ValueError):
-            superfluid_weight(sc_params.Tc, sc_params)
+            condensate_fraction(sc_params.Tc, sc_params)
         with pytest.raises(ValueError):
-            superfluid_weight(1.5 * sc_params.Tc, sc_params)
+            condensate_fraction(1.5 * sc_params.Tc, sc_params)
 
     # a relaxation energy far below the gap puts the end of the rule past
     # the float range; RRR = 1e308 and sub-normal gamma0 both do

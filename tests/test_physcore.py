@@ -128,7 +128,7 @@ class TestMembraneSpec:
 
     @pytest.mark.parametrize("kwargs", [
         {"L": 0.0}, {"h": -1e-9}, {"d": 0.0}, {"sigma": -1.0}, {"rho": 0.0},
-        {"Y_ratio": 0.0}, {"Y_ratio": 1.2}, {"area_ratio": 1.5},
+        {"Y_ratio": 0.0}, {"Y_ratio": 1.2},
     ])
     def test_validation(self, kwargs, small_gap):
         base = dict(L=small_gap.L, h=small_gap.h, d=small_gap.d,
@@ -144,6 +144,14 @@ class TestConfigFiles:
             path = tmp_path / "membrane.cfg"
             write_config(spec, path)
             assert from_config(MembraneSpec, read_config(path)) == spec
+
+    def test_membrane_area_ratio_line_is_ignored(self, tmp_path):
+        # area_ratio is no longer a key; a file that still has it parses
+        path = tmp_path / "membrane.cfg"
+        write_config(small_gap_membrane(), path)
+        plain = from_config(MembraneSpec, read_config(path))
+        path.write_text(path.read_text() + "area_ratio = 0.5\n")
+        assert from_config(MembraneSpec, read_config(path)) == plain
 
     def test_superconductor_round_trip(self, tmp_path):
         p = SuperconductorParams(Omega=4.0, gamma0=1e-2, RRR=3.0, Tc=9.2)
