@@ -44,37 +44,33 @@ _TC = SuperconductorParams().Tc
 
 @dataclass(frozen=True)
 class CalibratedResiduals:
-    """Frequency-squared residuals after removing the thermal baseline.
+    """Frequency-squared residuals from the thermal baseline, one array
+    element per input point, in ascending T; the line was fitted over the
+    window only, so in-window residuals average to zero by construction."""
 
-    ``records`` holds ``(T, dw2, sigma_dw2)`` triples for every input
-    point; the line was fitted over the window only, so in-window
-    residuals average to zero by construction.
-    """
-
-    records: tuple
+    T: np.ndarray          # K
+    dw2: np.ndarray        # (rad/s)^2
+    sigma: np.ndarray      # (rad/s)^2, one sigma of dw2
     fit_slope: float       # (rad/s)^2 / K
     fit_intercept: float   # (rad/s)^2
 
 
-def calibrate_thermal(records, window, Tc: float | None = None) -> CalibratedResiduals:
+def calibrate_thermal(records, window) -> CalibratedResiduals:
     """Remove the elastic (thermal-expansion) trend from a sweep.
 
     Ordinary least squares of ``omega^2 = (2 pi f)^2`` against T over the
     window; every record is then reported as its residual from that line.
-    Per-point uncertainties propagate as ``sigma_w2 = 8 pi^2 f sigma_f``
-    where frequencies carry uncertainties.  When ``Tc`` is given the
-    window must sit entirely below it (the fit would otherwise absorb the
-    transition signal).
+    Per-point uncertainties propagate as ``sigma_w2 = 8 pi^2 f sigma_f``.
+    Whether the window sits below a transition is the caller's to check
+    (``sweep_pipeline`` does).
     """
     lo, hi = window
     if lo >= hi:
         raise ValueError(f"empty window {window}")
-    if Tc is not None and hi >= Tc:
-        raise ValueError(f"fit window {window} reaches the transition at {Tc} K")
     recs = sorted(records, key=lambda r: r.T)
     if not recs:
         raise ValueError("no records supplied")
-    t, f, sigma_f = np.array([(r.T, r.f, r.sigma_f or 0.0) for r in recs]).T
+    t, f, sigma_f = np.array([(r.T, r.f, r.sigma_f) for r in recs]).T
     fit = (lo <= t) & (t <= hi)
     if fit.sum() < 3:
         raise ValueError(f"need >= 3 points inside the fit window, found {fit.sum()}")
@@ -84,34 +80,34 @@ def calibrate_thermal(records, window, Tc: float | None = None) -> CalibratedRes
                          f"all {len(t_fit)} points are at {t_fit[0]} K")
     with np.errstate(over="ignore"):  # a sigma past the float range is inf
         w2 = np.float_power(2.0 * math.pi * f, 2)  # libm pow: Python's ** bit for bit
-        sig = 8.0 * math.pi ** 2 * f * sigma_f
+        sig = 8.0 * math.pi ** 2 * f * sigma_f + 0.0  # + 0.0: a -0.0 sigma_f gives +0.0
     if not np.isfinite(w2).all():
         raise ValueError(f"omega^2 overflows at {t[~np.isfinite(w2)][0]} K")
     slope, intercept = np.polyfit(t_fit, w2[fit], 1)
     dw2 = w2 - (slope * t + intercept)
-    return CalibratedResiduals(records=tuple(zip(t.tolist(), dw2.tolist(), sig.tolist())),
+    return CalibratedResiduals(T=t, dw2=dw2, sigma=sig,
                                fit_slope=float(slope), fit_intercept=float(intercept))
 
 
 def differential_subtract(small: CalibratedResiduals, big: CalibratedResiduals,
-                          combine: str = "add") -> list[tuple[float, float, float]]:
+                          combine: str = "add") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference-subtract the big-gap residual from the small-gap one.
 
-    The big-gap residual is linearly interpolated in temperature at every
-    small-gap point (no extrapolation).  Uncertainties combine as the
-    small-gap error plus the two bracketing big-gap errors summed
-    (``combine="add"``); ``combine="quadrature"`` is available for
-    sensitivity studies.
+    The result is ``(T, dw2, sigma)`` arrays at the small-gap points, where
+    the big-gap residual is interpolated linearly in T (no extrapolation).
+    Uncertainties combine as the small-gap error plus the two bracketing
+    big-gap errors summed (``combine="add"``); ``combine="quadrature"`` is
+    available for sensitivity studies.
     """
     if combine not in ("add", "quadrature"):
         raise ValueError(f"combine must be 'add' or 'quadrature', got {combine!r}")
-    tb, vb, sb = np.array(big.records, dtype=float).reshape(-1, 3).T
+    tb, vb, sb = big.T, big.dw2, big.sigma
     if len(tb) < 2:
         raise ValueError("big-gap residual needs >= 2 points to interpolate")
     repeated = tb[1:][np.diff(tb) == 0.0]
     if repeated.size:
         raise ValueError(f"big-gap residual repeats the temperature {repeated[0]} K")
-    t, dw2, sig = np.array(small.records, dtype=float).reshape(-1, 3).T
+    t, dw2, sig = small.T, small.dw2, small.sigma
     outside = (t < tb[0]) | (t > tb[-1])
     if outside.any():
         raise ValueError(f"small-gap point at {t[outside][0]} K lies outside the big-gap "
@@ -125,7 +121,7 @@ def differential_subtract(small: CalibratedResiduals, big: CalibratedResiduals,
     else:
         with np.errstate(over="ignore"):  # as calibrate_thermal, too large a sigma is inf
             sig = np.sqrt(sum(np.float_power(s, 2) for s in (sig, sb[lo], sb[hi])))
-    return list(zip(t.tolist(), (dw2 - big_val).tolist(), sig.tolist()))
+    return t, dw2 - big_val, sig
 
 
 @dataclass(frozen=True)
@@ -263,11 +259,10 @@ def dynes_fit(points, T: float) -> DynesParams:
     the two conductance maxima, gamma at a tenth of that, A from the outer
     twenty percent of the bias range.
     """
-    pts = sorted(((float(v), float(g)) for v, g in points), key=lambda p: p[0])
-    if len(pts) < 20:
-        raise FitError(f"need >= 20 points, got {len(pts)}")
-    v = np.array([p[0] for p in pts])
-    g = np.array([p[1] for p in pts])
+    vg = np.asarray(points, dtype=float).reshape(len(points), 2)  # refuses non-pairs
+    if len(vg) < 20:
+        raise FitError(f"need >= 20 points, got {len(vg)}")
+    v, g = vg[np.argsort(vg[:, 0], kind="stable")].T  # in bias order
 
     pos = (v > 0) & (g > 0)
     neg = (v < 0) & (g > 0)
@@ -275,9 +270,7 @@ def dynes_fit(points, T: float) -> DynesParams:
         raise FitError("bias range must span both polarities")
     v_plus = v[pos][np.argmax(g[pos])]
     v_minus = v[neg][np.argmax(g[neg])]
-    delta0 = 0.5 * (v_plus - v_minus)
-    if delta0 <= 0.0:
-        raise FitError("could not locate coherence peaks for initialization")
+    delta0 = 0.5 * (v_plus - v_minus)  # > 0: v_plus > 0 > v_minus
     span = max(abs(v[0]), abs(v[-1]))
     outer = np.abs(v) >= 0.8 * span
     a0 = float(np.mean(g[outer])) if outer.any() else float(np.mean(g))
@@ -342,8 +335,7 @@ def generate_sweep(truth: SweepTruth, seed: int = 0) -> list[SweepRecord]:
         noise = truth.noise_f * np.random.default_rng(seed).standard_normal(len(t))
         f = np.sqrt(w2) / (2.0 * math.pi) + noise
     stop = int(np.argmax(np.append(w2 <= 0.0, True)))  # the first omega^2 <= 0, or the end
-    sigma_f = truth.noise_f or None
-    records = [SweepRecord(T=T, f=v, sigma_f=sigma_f)  # their errors come first
+    records = [SweepRecord(T=T, f=v, sigma_f=truth.noise_f)  # their errors come first
                for T, v in zip(truth.grid[:stop], f[:stop].tolist())]
     if stop < len(t):
         raise ValueError(f"baseline gives non-positive omega^2 at {truth.grid[stop]} K")
@@ -356,13 +348,13 @@ class SweepReport:
 
     small: CalibratedResiduals
     big: CalibratedResiduals
-    differential: tuple           # (T, dw2, sigma) rows
+    differential: tuple           # the (T, dw2, sigma) arrays of differential_subtract
     dw2_jump: float               # mean differential above the window, (rad/s)^2
     dw2_sigma: float
     gradient_jump: float          # Pa/m
     gradient_sigma: float
     conversion: FemConversion | None
-    point_conversions: FemConversion | None  # one array per field, a value per row
+    point_conversions: FemConversion | None  # one array per field, a value per point
 
 
 def sweep_pipeline(small_records, big_records, window, m: MembraneSpec,
@@ -370,28 +362,29 @@ def sweep_pipeline(small_records, big_records, window, m: MembraneSpec,
                    combine: str = "add") -> SweepReport:
     """calibrate -> subtract -> average above the window -> convert.
 
-    The fit window must sit entirely below the film's transition (14.2 K).
-    The headline jump is the plain mean of the differential residual over
-    temperatures above the fit window; its uncertainty is the mean of the
-    combined per-point uncertainties.  With ``factors``, the headline jump
-    and every differential row are converted to force, pressure, and
-    deflection.
+    The fit window must sit entirely below the film's transition (14.2 K);
+    an empty window is reported first.  The headline jump is the plain
+    mean of the differential residual over temperatures above the fit
+    window; its uncertainty is the mean of the combined per-point
+    uncertainties.  With ``factors``, the headline jump and every
+    differential point are converted to force, pressure, and deflection.
     """
-    small = calibrate_thermal(small_records, window, _TC)
-    big = calibrate_thermal(big_records, window, _TC)
-    diff = differential_subtract(small, big, combine=combine)
-    t, dw2_rows, sig_rows = np.array(diff).T
+    if window[0] < window[1] >= _TC:
+        raise ValueError(f"fit window {window} reaches the transition at {_TC} K")
+    small = calibrate_thermal(small_records, window)
+    big = calibrate_thermal(big_records, window)
+    t, dw2_points, sig_points = diff = differential_subtract(small, big, combine=combine)
     above = t > window[1]
     if not above.any():
         raise ValueError("no differential points above the fit window")
-    dw2 = float(np.mean(dw2_rows[above]))
-    sig = float(np.mean(sig_rows[above]))
-    conversion = rows = None
+    dw2 = float(np.mean(dw2_points[above]))
+    sig = float(np.mean(sig_points[above]))
+    conversion = points = None
     if factors is not None:  # the differential is in (rad/s)^2; d(omega^2) = 4 pi^2 d(f^2)
         scale = 1.0 if factors.basis is Basis.ANGULAR_SQUARED else 4.0 * math.pi ** 2
-        conversion, rows = (convert_fem(v / scale, factors) for v in (dw2, dw2_rows))
-    return SweepReport(small=small, big=big, differential=tuple(diff),
+        conversion, points = (convert_fem(v / scale, factors) for v in (dw2, dw2_points))
+    return SweepReport(small=small, big=big, differential=diff,
                        dw2_jump=dw2, dw2_sigma=sig,
                        gradient_jump=gradient_from_dw2(dw2, m),
                        gradient_sigma=abs(gradient_from_dw2(sig, m)),
-                       conversion=conversion, point_conversions=rows)
+                       conversion=conversion, point_conversions=points)

@@ -307,11 +307,11 @@ def sweep(small_path, big_path, window, preset, membrane_config, factors_config,
         rows += [("force_change", report.conversion.dF, "N"),
                  ("pressure_change", report.conversion.dP, "Pa"),
                  ("deflection_change", report.conversion.dz, "m")]
-    diff = np.array(report.differential)
-    converted = (np.full((len(diff), 3), math.nan) if report.point_conversions is None
+    small, (_, dw2, sigma) = report.small, report.differential
+    converted = (np.full((len(dw2), 3), math.nan) if report.point_conversions is None
                  else np.column_stack(astuple(report.point_conversions)))
-    table = np.column_stack([report.small.records, diff[:, 1:],
-                             membrane.gradient_from_dw2(diff[:, 1], spec_m), converted])
+    table = np.column_stack([small.T, small.dw2, small.sigma, dw2, sigma,
+                             membrane.gradient_from_dw2(dw2, spec_m), converted])
     lines = ["T_K,dw2_small,sigma_small,dw2_casimir,sigma_casimir,"
              "dPprime_Pa_per_m,dF_N,dP_Pa,dz_m"]
     lines += [",".join(f"{x:.8e}" for x in row) for row in table.tolist()]
@@ -322,7 +322,7 @@ def sweep(small_path, big_path, window, preset, membrane_config, factors_config,
            ("window_K", f"{window[0]!r} {window[1]!r}"), ("combine", combine),
            ("fit_slope_small", repr(report.small.fit_slope)),
            ("fit_slope_big", repr(report.big.fit_slope))], rows, fmt)
-    click.echo(text if out_path is None else f"# wrote {len(diff)} rows to {out_path}")
+    click.echo(text if out_path is None else f"# wrote {len(table)} rows to {out_path}")
 
 
 @main.command("generate-sweep")

@@ -39,9 +39,9 @@ __all__ = [
 class SweepRecord:
     """One (temperature, resonance frequency) measurement point."""
 
-    T: float                    # K
-    f: float                    # Hz
-    sigma_f: float | None = None  # Hz
+    T: float              # K
+    f: float              # Hz
+    sigma_f: float = 0.0  # Hz; 0 for a point without an uncertainty
 
     def __post_init__(self):
         _require_finite(self)
@@ -49,7 +49,7 @@ class SweepRecord:
             raise ValueError(f"T must be > 0, got {self.T}")
         if self.f <= 0.0:
             raise ValueError(f"f must be > 0, got {self.f}")
-        if self.sigma_f is not None and self.sigma_f < 0.0:
+        if self.sigma_f < 0.0:
             raise ValueError(f"sigma_f must be >= 0, got {self.sigma_f}")
 
 
@@ -131,14 +131,13 @@ def lcpd_fit(points, m: MembraneSpec) -> LcpdResult:
     ``-eps0 / (4 pi^2 rho h d^3)`` the density.  The geometry fields
     (L, h, d, Y_ratio) of ``m`` are used; its sigma/rho are ignored.
     """
-    pts = [(float(v), float(f)) for v, f in points]
-    if len(pts) < 5:
-        raise FitError(f"need at least 5 points, got {len(pts)}")
-    v = np.array([p[0] for p in pts])
+    v, f = np.asarray(points, dtype=float).reshape(len(points), 2).T  # refuses non-pairs
+    if len(v) < 5:
+        raise FitError(f"need at least 5 points, got {len(v)}")
     if len(np.unique(v)) < 3:
         raise FitError(f"need at least 3 distinct voltages, got {len(np.unique(v))}")
     with np.errstate(over="ignore"):  # libm pow, as Python's ** is; inf is refused below
-        f2 = np.float_power([p[1] for p in pts], 2)
+        f2 = np.float_power(f, 2)
     if not np.isfinite(f2).all():
         raise ValueError(f"f_Hz squared overflows at V_volt = "
                          f"{v[~np.isfinite(f2)][0].item()!r}")

@@ -202,24 +202,23 @@ def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
 def permittivity_iw(model: DielectricModel, xi, T: float) -> float | np.ndarray:
     """Dielectric function at imaginary frequency ``i*xi``; real and >= 1.
 
-    An array ``xi`` gives one value per energy; ``T`` only matters for the
-    BCS response, whose ``bcs_g`` runs once per energy on every call.
+    An array ``xi`` gives one value per energy.  ``T`` only matters for BCS:
+    below the transition ``bcs_g`` runs once per energy on every call; at
+    and above it BCS is the Drude expression, bit for bit, with no ``bcs_g``.
     """
     x = np.asarray(xi, dtype=float)
     if (x <= 0.0).any():
         raise ValueError(f"permittivity requires xi > 0, got {x.min()}")
     p = model.params
-    if model.kind is ModelKind.BCS:
+    paired = model.kind is ModelKind.BCS and bcs_gap(T, p) != 0.0
+    if paired:
         g = np.array([bcs_g(v, T, p) for v in x.ravel().tolist()]).reshape(x.shape)
     with np.errstate(all="ignore"):  # tiny energies overflow to inf, silently
         if model.kind is ModelKind.PLASMA:
             r = p.Omega / x  # r * r overflows to inf where ** would raise
             eps = 1.0 + r * r
+        elif paired:
+            eps = 1.0 + (p.Omega ** 2 / x) * (1.0 / (x + p.gamma) + g / x)
         else:
             eps = 1.0 + p.Omega ** 2 / (x * (x + p.gamma))
-        if model.kind is ModelKind.BCS:
-            # a closed gap (g == 0) keeps the Drude arithmetic, so BCS equals
-            # Drude bit-exactly at T >= Tc
-            eps = np.where(g == 0.0, eps,
-                           1.0 + (p.Omega ** 2 / x) * (1.0 / (x + p.gamma) + g / x))
     return float(eps) if x.ndim == 0 else eps

@@ -42,7 +42,7 @@ FACTORS = ConversionFactors(force_per_w2=7.83e-16, pressure_per_w2=1.55e-9,
                             basis=Basis.LINEAR_SQUARED)
 
 
-def line_records(slope, intercept, grid, jump=0.0, tc=14.2, sigma_f=None):
+def line_records(slope, intercept, grid, jump=0.0, tc=14.2, sigma_f=0.0):
     out = []
     for t in grid:
         w2 = intercept + slope * t + (jump if t > tc else 0.0)
@@ -66,8 +66,7 @@ def per_point_reduction(small_records, big_records, window, combine):
         slope, intercept = np.polyfit([r.T for r in fit],
                                       [(2.0 * math.pi * r.f) ** 2 for r in fit], 1)
         return [(r.T, (2.0 * math.pi * r.f) ** 2 - (slope * r.T + intercept),
-                 0.0 if r.sigma_f is None else 8.0 * math.pi ** 2 * r.f * r.sigma_f)
-                for r in recs]
+                 8.0 * math.pi ** 2 * r.f * r.sigma_f) for r in recs]
 
     small, big = calibrate(small_records), calibrate(big_records)
     rows = []
@@ -84,9 +83,7 @@ class TestCalibrate:
     def test_exact_line_gives_zero_residuals(self):
         records = line_records(SLOPE, INTERCEPT, GRID)
         result = calibrate_thermal(records, WINDOW)
-        for t, dw2, _ in result.records:
-            w2 = INTERCEPT + SLOPE * t
-            assert abs(dw2) < 1e-9 * w2
+        assert (np.abs(result.dw2) < 1e-9 * (INTERCEPT + SLOPE * result.T)).all()
 
     def test_recovers_fit_parameters(self):
         result = calibrate_thermal(line_records(SLOPE, INTERCEPT, GRID), WINDOW)
@@ -99,19 +96,19 @@ class TestCalibrate:
                                                 + rng.normal(0, 1e5)) / (2 * math.pi))
                    for t in GRID]
         result = calibrate_thermal(records, WINDOW)
-        in_window = [dw2 for t, dw2, _ in result.records if WINDOW[0] <= t <= WINDOW[1]]
+        in_window = result.dw2[(WINDOW[0] <= result.T) & (result.T <= WINDOW[1])]
         assert abs(np.mean(in_window)) < 1e-6 * abs(INTERCEPT) * 1e-9 + 1.0
 
     def test_injected_step_recovered(self):
         records = line_records(SLOPE, INTERCEPT, GRID, jump=-1.5e7)
         result = calibrate_thermal(records, WINDOW)
-        above = [dw2 for t, dw2, _ in result.records if t > 14.2]
+        above = result.dw2[result.T > 14.2].tolist()
         assert above == pytest.approx([-1.5e7] * len(above), rel=1e-3)
 
     def test_sigma_propagation(self):
         records = line_records(SLOPE, INTERCEPT, GRID, sigma_f=4.7e-3)
         result = calibrate_thermal(records, WINDOW)
-        t0, _, sig = result.records[0]
+        t0, sig = result.T[0], result.sigma[0]
         f0 = math.sqrt(INTERCEPT + SLOPE * t0) / (2 * math.pi)
         assert sig == pytest.approx(8 * math.pi**2 * f0 * 4.7e-3, rel=1e-12)
 
@@ -120,13 +117,8 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate_thermal(records, (13.0, 13.1))
 
-    def test_window_must_sit_below_transition(self):
-        records = line_records(SLOPE, INTERCEPT, GRID)
-        with pytest.raises(ValueError):
-            calibrate_thermal(records, WINDOW, Tc=14.0)
-
     def test_window_needs_two_distinct_temperatures(self):
-        records = [SweepRecord(T=13.2, f=352800.0 + i, sigma_f=None) for i in range(3)]
+        records = [SweepRecord(T=13.2, f=352800.0 + i) for i in range(3)]
         records += line_records(SLOPE, INTERCEPT, (14.3, 14.4))
         with pytest.raises(ValueError, match="distinct temperatures"):
             calibrate_thermal(records, (13.0, 13.5))
@@ -137,6 +129,19 @@ class TestCalibrate:
         with pytest.raises(ValueError, match=f"omega\\^2 overflows at {GRID[2]} K"):
             calibrate_thermal(records, WINDOW)
 
+    @pytest.mark.parametrize("records, window, message", [
+        (line_records(SLOPE, INTERCEPT, GRID), (14.0, 14.0), r"^empty window \(14.0, 14.0\)$"),
+        ([], WINDOW, "^no records supplied$"),
+    ], ids=["empty-window", "no-records"])
+    def test_refused_inputs(self, records, window, message):
+        with pytest.raises(ValueError, match=message):
+            calibrate_thermal(records, window)
+
+    def test_negative_zero_sigma_f_gives_positive_zero_sigma(self):
+        result = calibrate_thermal(line_records(SLOPE, INTERCEPT, GRID, sigma_f=-0.0), WINDOW)
+        assert result.sigma.tolist() == [0.0] * len(GRID)
+        assert not np.signbit(result.sigma).any()
+
 
 class TestDifferential:
     def _residuals(self, jump=0.0):
@@ -145,26 +150,23 @@ class TestDifferential:
 
     def test_identical_inputs_cancel(self):
         small = self._residuals(jump=-1.5e7)
-        out = differential_subtract(small, small)
-        for _, dw2, _ in out:
-            assert abs(dw2) < 1e-6
+        _, dw2, _ = differential_subtract(small, small)
+        assert (np.abs(dw2) < 1e-6).all()
 
     def test_zero_reference_passes_through(self):
         small = self._residuals(jump=-1.5e7)
         big = self._residuals(jump=0.0)
-        out = differential_subtract(small, big)
-        small_map = {t: v for t, v, _ in small.records}
-        for t, dw2, _ in out:
-            assert dw2 == pytest.approx(small_map[t], abs=2e-2)
+        t, dw2, _ = differential_subtract(small, big)
+        assert t.tolist() == small.T.tolist()
+        assert dw2 == pytest.approx(small.dw2, abs=2e-2)
 
     def test_antisymmetry_on_common_grid(self):
         a = self._residuals(jump=-1.5e7)
         b = self._residuals(jump=-0.7e7)
-        ab = differential_subtract(a, b)
-        ba = differential_subtract(b, a)
-        for (_, x, sx), (_, y, sy) in zip(ab, ba):
-            assert x == pytest.approx(-y, abs=1e-9)
-            assert sx == sy
+        _, x, sx = differential_subtract(a, b)
+        _, y, sy = differential_subtract(b, a)
+        assert x == pytest.approx(-y, abs=1e-9)
+        assert sx.tolist() == sy.tolist()
 
     def test_injected_step_recovered_within_sigma(self):
         rng = np.random.default_rng(17)
@@ -178,11 +180,11 @@ class TestDifferential:
             [SweepRecord(T=t, f=math.sqrt(INTERCEPT + SLOPE * t) / (2 * math.pi)
                          + noise * rng.standard_normal(), sigma_f=noise)
              for t in GRID], WINDOW)
-        out = differential_subtract(small, big)
-        above = [(v, s) for t, v, s in out if t > 14.2]
-        mean = np.mean([v for v, _ in above])
-        sigma = np.mean([s for _, s in above]) / math.sqrt(len(above))
-        assert mean == pytest.approx(-1.5e7, abs=5 * sigma * math.sqrt(len(above)))
+        t, v, s = differential_subtract(small, big)
+        above = t > 14.2
+        mean = np.mean(v[above])
+        sigma = np.mean(s[above]) / math.sqrt(above.sum())
+        assert mean == pytest.approx(-1.5e7, abs=5 * sigma * math.sqrt(above.sum()))
 
     def test_no_overlap_rejected(self):
         small = self._residuals()
@@ -204,7 +206,7 @@ class TestDifferential:
         resid = calibrate_thermal(records, WINDOW)
         add = differential_subtract(resid, resid, combine="add")
         quadr = differential_subtract(resid, resid, combine="quadrature")
-        assert all(q[2] < a[2] for a, q in zip(add, quadr))
+        assert (quadr[2] < add[2]).all()
 
     def test_sigma_past_the_float_range_is_inf(self):
         # 8 pi^2 f sigma_f overflows at sigma_f = 1e305, its square at 1e160
@@ -213,8 +215,8 @@ class TestDifferential:
                                       WINDOW)
             add = differential_subtract(resid, resid, combine="add")
             quadr = differential_subtract(resid, resid, combine="quadrature")
-            assert all(math.isinf(s) == add_is_inf for _, _, s in add)
-            assert all(math.isinf(s) for _, _, s in quadr)
+            assert (np.isinf(add[2]) == add_is_inf).all()
+            assert np.isinf(quadr[2]).all()
 
     @pytest.mark.parametrize("combine", ["add", "quadrature"])
     def test_equals_the_per_point_loop(self, combine):
@@ -225,8 +227,11 @@ class TestDifferential:
                        for k, (slope, jump) in enumerate(((SLOPE, -1.5e7), (-2.6e7, 0.0)))]
             small, rows = per_point_reduction(*records, WINDOW, combine)
             resid = [calibrate_thermal(r, WINDOW) for r in records]
-            assert list(resid[0].records) == small
-            assert differential_subtract(*resid, combine=combine) == rows
+            # the reference rows, unzipped into columns
+            assert [resid[0].T.tolist(), resid[0].dw2.tolist(),
+                    resid[0].sigma.tolist()] == [list(c) for c in zip(*small)]
+            assert [c.tolist() for c in differential_subtract(*resid, combine=combine)] \
+                == [list(c) for c in zip(*rows)]
 
     def test_first_outside_point_is_named(self):
         small = self._residuals()
@@ -235,9 +240,22 @@ class TestDifferential:
             with pytest.raises(ValueError, match=f"small-gap point at {first} K lies"):
                 differential_subtract(small, big)
 
+    @pytest.mark.parametrize("big_grid, combine, message", [
+        (GRID, "median", "^combine must be 'add' or 'quadrature', got 'median'$"),
+        (GRID[:1], "add", "^big-gap residual needs >= 2 points to interpolate$"),
+    ], ids=["unknown-combine", "one-big-gap-point"])
+    def test_refused_inputs(self, big_grid, combine, message):
+        t = np.array(big_grid)
+        big = CalibratedResiduals(T=t, dw2=0.0 * t, sigma=0.0 * t, fit_slope=0.0,
+                                  fit_intercept=0.0)
+        with pytest.raises(ValueError, match=message):
+            differential_subtract(self._residuals(), big, combine=combine)
+
     def test_empty_small_gap_table(self):
-        empty = CalibratedResiduals(records=(), fit_slope=0.0, fit_intercept=0.0)
-        assert differential_subtract(empty, self._residuals()) == []
+        none = np.zeros(0)
+        empty = CalibratedResiduals(T=none, dw2=none, sigma=none, fit_slope=0.0,
+                                    fit_intercept=0.0)
+        assert [c.size for c in differential_subtract(empty, self._residuals())] == [0] * 3
 
 
 class TestConvertFem:
@@ -343,6 +361,15 @@ def mpmath_conductance(V, p):
 
 
 class TestDynesConductance:
+    @pytest.mark.parametrize("field, value, message", [
+        ("Delta", 0.0, "^Delta and gamma must be > 0$"),
+        ("gamma", -1e-3, "^Delta and gamma must be > 0$"),
+        ("T", 0.0, "^T must be > 0$"),
+    ], ids=["Delta", "gamma", "T"])
+    def test_params_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            DynesParams(**{"Delta": 2.6e-3, "gamma": 0.465e-3, "T": 4.6, field: value})
+
     def test_normal_state_asymptote(self):
         assert dynes_conductance(50 * DYNES_REF.Delta, DYNES_REF) == pytest.approx(
             1.0, rel=1e-2)
@@ -547,6 +574,17 @@ class TestDynesFit:
         with pytest.raises(FitError):
             dynes_fit(synthetic_conductance(DYNES_REF, n=25, span=1.2), T=4.6)
 
+    def test_one_polarity_bias_range_rejected(self):
+        bias = np.linspace(0.1, 4.0, 25) * DYNES_REF.Delta
+        points = list(zip(bias, dynes_conductance(bias, DYNES_REF)))
+        with pytest.raises(FitError, match="^bias range must span both polarities$"):
+            dynes_fit(points, T=4.6)
+
+    def test_points_must_be_pairs(self):
+        triples = [(v, g, 0.0) for v, g in synthetic_conductance(DYNES_REF, n=20)]
+        with pytest.raises(ValueError, match="cannot reshape"):
+            dynes_fit(triples, T=4.6)
+
     def test_cli_import_loads_no_scipy(self):
         src = Path(sccasimir.__file__).resolve().parent.parent
         code = ("import sys, sccasimir.cli; "
@@ -578,14 +616,13 @@ class TestGenerateSweep:
         truth = SweepTruth(slope=SLOPE, intercept=INTERCEPT, jump=0.0,
                            Tc=14.2, noise_f=0.0, grid=GRID)
         result = calibrate_thermal(generate_sweep(truth), WINDOW)
-        for _, dw2, _ in result.records:
-            assert abs(dw2) < 0.01  # sqrt/square round trip at 1e-16 relative
+        assert (np.abs(result.dw2) < 0.01).all()  # sqrt/square round trip at 1e-16 relative
 
     def test_noiseless_jump_recovered_exactly(self):
         truth = SweepTruth(slope=SLOPE, intercept=INTERCEPT, jump=-1.5e7,
                            Tc=14.2, noise_f=0.0, grid=GRID)
         result = calibrate_thermal(generate_sweep(truth), WINDOW)
-        above = [dw2 for t, dw2, _ in result.records if t > 14.2]
+        above = result.dw2[result.T > 14.2].tolist()
         assert above == pytest.approx([-1.5e7] * len(above), rel=1e-9)
 
     def test_noise_matches_one_draw_per_point(self):
@@ -647,6 +684,20 @@ class TestSweepPipeline:
         with pytest.raises(ValueError, match="transition"):
             sweep_pipeline(small, big, (14.3, 14.6), small_gap)
 
+    def test_window_reaching_the_transition_refused(self, small_gap):
+        pair = self._pair(dw2_from_gradient(12.1e3, small_gap))
+        with pytest.raises(ValueError, match=r"^fit window \(13.0, 14.2\) reaches the "
+                                             r"transition at 14.2 K$"):
+            sweep_pipeline(*pair, (13.0, 14.2), small_gap)
+        # an empty window is reported before one that reaches the transition
+        with pytest.raises(ValueError, match=r"^empty window \(14.3, 14.2\)$"):
+            sweep_pipeline(*pair, (14.3, 14.2), small_gap)
+
+    def test_no_point_above_the_window_refused(self, small_gap):
+        records = line_records(SLOPE, INTERCEPT, GRID[:21])  # 13.175 to 14.175 K
+        with pytest.raises(ValueError, match="^no differential points above the fit window$"):
+            sweep_pipeline(records, records, WINDOW, small_gap)
+
     def test_conversion_attached(self, small_gap):
         jump = dw2_from_gradient(12.1e3, small_gap)
         report = sweep_pipeline(*self._pair(jump), WINDOW, small_gap,
@@ -659,7 +710,7 @@ class TestSweepPipeline:
         assert sweep_pipeline(*pair, WINDOW, small_gap).point_conversions is None
         report = sweep_pipeline(*pair, WINDOW, small_gap, factors=FACTORS)
         rows = [convert_fem(dw2 / (4.0 * math.pi ** 2), FACTORS)
-                for _, dw2, _ in report.differential]
+                for dw2 in report.differential[1].tolist()]
         assert report.point_conversions.dF.tolist() == [row.dF for row in rows]
         assert report.point_conversions.dP.tolist() == [row.dP for row in rows]
         assert report.point_conversions.dz.tolist() == [row.dz for row in rows]

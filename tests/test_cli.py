@@ -216,6 +216,34 @@ class TestMain:
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("args, code, message", [
+        (["pressure", "--d", "190e-9"], 2,
+         "Error: --t is required unless --ideal/--ideal-zero-t"),
+        (["generate-sweep", "--out", "{out}", "--jump-dw2", "1", "--jump-gradient", "1"], 2,
+         "Error: give at most one of --jump-dw2 / --jump-gradient"),
+        (["generate-sweep", "--out", "{out}", "--n-points", "1"], 2,
+         "Error: need n_points >= 2 and t_max > t_min"),
+        (["sweep", "--small", "{f_negative}", "--big", "{below}", "--window", "13.0", "14.19"],
+         3, "error: line 3: f must be > 0, got -5.0"),
+        (["sweep", "--small", "{below}", "--big", "{below}", "--window", "13.0", "14.19"],
+         3, "error: no differential points above the fit window"),
+    ], ids=["pressure-without-t", "two-jumps", "one-point", "sweep-f-negative",
+            "sweep-nothing-above-window"])
+    def test_refusal_names_its_cause(self, runner, tmp_path, args, code, message):
+        # usage errors end click's usage text with their message; the others
+        # print one error line
+        files = {"f_negative": "T_K,f_Hz\n13.2,352800.0\n13.3,-5.0\n",
+                 "below": "T_K,f_Hz\n13.2,352800.0\n13.3,352799.0\n13.4,352798.0\n"}
+        paths = {"out": tmp_path / "out.csv"}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(text)
+        result = runner.invoke(main, [arg.format(**paths) for arg in args])
+        assert result.exit_code == code
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == message
+        assert not paths["out"].exists()
+
     @pytest.mark.parametrize("args", [
         ["jump", "--f0", "nan"],
         ["noise", "--f0", "1", "--q", "0", "--noise-to-signal", "0.1", "--tau", "1"],
@@ -372,6 +400,24 @@ class TestTablesCommand:
         result = runner.invoke(main, ["tables", "--format", "csv"])
         assert "SUSPECT" not in result.output
         assert "# rows deviating more than 0.5%: none" in result.output
+
+    def test_table_format_bytes(self, runner):
+        # the default rendering, pinned by its stdout SHA-256 and its shape
+        result = runner.invoke(main, ["tables"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == \
+            "d1b8fa4f1548a5e306f16c1ad642bdbdc83f912f5347962cb7f215260192436e"
+        lines = result.stdout.splitlines()
+        assert lines[:2] == ["# command = tables", "# flag_above = 0.005"]
+        assert [line for line in lines if line.startswith("---")] == [
+            "--- plate-plate (average/median exclude This work) ---",
+            "--- sphere-plate ---"]
+        catalog = [line for line in lines if line.endswith(("  ok", "  SUSPECT"))]
+        assert len(catalog) == 35
+        assert [line.split()[0] for line in lines
+                if line.startswith(("average", "median"))] == ["average", "median"] * 2
+        assert lines[-1] == "# rows deviating more than 0.5%: none"
+        assert len(lines) == 2 + 2 + 35 + 4 + 1
 
     def test_plate_average_excluding_this_work(self, runner):
         result = runner.invoke(main, ["tables", "--format", "csv"])

@@ -152,6 +152,18 @@ class TestLcpdFit:
         with pytest.raises(FitError, match="3 distinct voltages"):
             lcpd_fit(points, small_gap)
 
+    def test_apex_outside_the_voltage_range_rejected(self, small_gap):
+        # f^2 an exact concave parabola with its apex at 2 V, sampled on [-1, 1] V
+        points = [(v, math.sqrt(1.2e11 - 1e9 * (v - 2.0) ** 2))
+                  for v in np.linspace(-1.0, 1.0, 21).tolist()]
+        with pytest.raises(FitError, match="^apex 2 V outside the sampled voltage range$"):
+            lcpd_fit(points, small_gap)
+
+    def test_points_must_be_pairs(self, small_gap):
+        triples = [(v, f, 0.0) for v, f in synthetic_voltage_sweep(small_gap, 0.2572, n=10)]
+        with pytest.raises(ValueError, match="cannot reshape"):
+            lcpd_fit(triples, small_gap)
+
     def test_convex_data_rejected(self, small_gap):
         points = [(v, 1e5 + 1e4 * v * v) for v in np.linspace(-1, 1, 21)]
         with pytest.raises(FitError):
@@ -192,6 +204,10 @@ class TestPatchPressure:
         assert patch_pressure(1e-2, 3e-8, 2e-7) == \
             patch_pressure(1e-2, 3e-8, 1e-7) / 16.0
 
+    def test_non_positive_separation_rejected(self):
+        with pytest.raises(ValueError, match="^d must be > 0, got 0.0$"):
+            patch_pressure(1e-2, 3e-8, 0.0)
+
 
 class TestCte:
     def test_small_gap_at_transition(self, small_gap):
@@ -204,6 +220,10 @@ class TestCte:
 
     def test_zero(self, small_gap):
         assert cte_alpha(0.0, small_gap.cte_A, small_gap.cte_B) == 0.0
+
+    def test_negative_temperature_rejected(self, small_gap):
+        with pytest.raises(ValueError, match="^T must be >= 0, got -1.0$"):
+            cte_alpha(-1.0, small_gap.cte_A, small_gap.cte_B)
 
     def test_thermal_stress_polynomial_integral(self, small_gap):
         # E/(1-nu) * (A T^2/2 + B T^4/4) between the endpoints
@@ -266,7 +286,21 @@ class TestSweepCsv:
     def test_minimal_header(self, tmp_path):
         path = tmp_path / "sweep.csv"
         path.write_text("T_K,f_Hz\n4.5,352800.0\n")
-        assert load_sweep_csv(path)[0].sigma_f is None
+        assert load_sweep_csv(path)[0].sigma_f == 0.0
+
+    def test_refused_record_reports_line(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("T_K,f_Hz\n13.2,352800.0\n13.3,-5.0\n")
+        with pytest.raises(ParseError, match="^line 3: f must be > 0, got -5.0$") as err:
+            load_sweep_csv(path)
+        assert err.value.line == 3
+
+    def test_header_without_data_rows(self, tmp_path):
+        path = tmp_path / "data.csv"
+        for header, load in READERS:
+            path.write_text(f"{header}\n\n")
+            with pytest.raises(ParseError, match="^line 2: data.csv contains no data rows$"):
+                load(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -313,6 +347,8 @@ class TestSweepCsv:
             SweepRecord(T=-1.0, f=1e5)
         with pytest.raises(ValueError):
             SweepRecord(T=4.0, f=1e5, sigma_f=-0.1)
+        with pytest.raises(ValueError, match="^f must be > 0, got 0.0$"):
+            SweepRecord(T=4.0, f=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["T", "f", "sigma_f"])

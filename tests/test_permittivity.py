@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
+from sccasimir import permittivity
 from sccasimir.physcore import CONSTANTS, SuperconductorParams
 from sccasimir.permittivity import (
     bcs,
@@ -287,9 +288,13 @@ class TestPermittivity:
     @pytest.mark.parametrize("factory, T", [
         (drude, 7.0), (plasma, 7.0), (bcs, 7.0), (bcs, TC), (bcs, 1.5 * TC),
     ], ids=["drude", "plasma", "bcs-below-tc", "bcs-at-tc", "bcs-above-tc"])
-    def test_array_equals_scalar_calls(self, sc_params, factory, T):
-        # one array call gives the scalar calls' bits; at and above Tc every
-        # element takes the g == 0 (Drude) branch
+    def test_array_equals_scalar_calls(self, sc_params, factory, T, monkeypatch):
+        # one array call gives the scalar calls' bits; at and above Tc the gap
+        # is closed and BCS takes the Drude expression without calling bcs_g
+        calls = []
+        kernel = permittivity.bcs_g
+        monkeypatch.setattr(permittivity, "bcs_g",
+                            lambda *args: calls.append(args) or kernel(*args))
         model = factory(sc_params)
         xi = 2.0 * math.pi * CONSTANTS.kB_eV * T * np.arange(1, 41)
         got = permittivity_iw(model, xi, T)
@@ -299,6 +304,8 @@ class TestPermittivity:
         if T >= TC:
             assert got.tobytes() == permittivity_iw(drude(sc_params), xi, T).tobytes()
         assert type(permittivity_iw(model, xi[0], T)) is float
+        # 40 energies in the array call, 40 scalar calls, and xi[0] once more
+        assert len(calls) == (81 if factory is bcs and T < TC else 0)
 
     def test_tiny_energies_overflow_quietly(self, sc_params):
         # float arithmetic overflows to inf; so does the array form, silently

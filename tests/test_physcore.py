@@ -13,6 +13,7 @@ from sccasimir.physcore import (
     MembraneSpec,
     SuperconductorParams,
     big_gap_membrane,
+    config_items,
     from_config,
     matsubara_frequency,
     read_config,
@@ -205,6 +206,17 @@ class TestConfigFiles:
         with pytest.raises(ParseError) as err:
             read_config(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("line", ["= 4.0", "Tc_K ="], ids=["key", "value"])
+    def test_empty_key_or_value_carries_line(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"Tc_K = 9.2\n{line}\n")
+        with pytest.raises(ParseError, match=f"^line 2: empty key or value in '{line}'$"):
+            read_config(path)
+
+    def test_unknown_record_type_is_not_serialized(self):
+        with pytest.raises(TypeError, match="^cannot serialize Constants$"):
+            config_items(CONSTANTS)
 
     def test_basis_is_mandatory(self, tmp_path):
         path = tmp_path / "f.cfg"

@@ -88,7 +88,7 @@ def test_matsubara_reuse_has_one_owner():
 
 # the package's size: code that grows past this is an edit of this line,
 # with its reason
-SRC_LINE_BUDGET = 2208
+SRC_LINE_BUDGET = 2199
 
 
 def test_src_line_budget():
