@@ -42,7 +42,7 @@ _KB = CONSTANTS.kB_eV
 _TC = SuperconductorParams().Tc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equal only to itself
 class CalibratedResiduals:
     """Frequency-squared residuals from the thermal baseline, one array
     element per input point, in ascending T; the line was fitted over the
@@ -124,7 +124,7 @@ def differential_subtract(small: CalibratedResiduals, big: CalibratedResiduals,
     return t, dw2 - big_val, sig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equal only to itself
 class FemConversion:
     """Force, pressure, and deflection changes mapped from a
     frequency-squared shift, or one array each from an array of shifts."""
@@ -342,7 +342,7 @@ def generate_sweep(truth: SweepTruth, seed: int = 0) -> list[SweepRecord]:
     return records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equal only to itself
 class SweepReport:
     """End-to-end pipeline output for one small/big sweep pair."""
 

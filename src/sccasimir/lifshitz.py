@@ -227,6 +227,13 @@ def _block_permittivity(model: DielectricModel, T: float, first: int, stop: int)
     return xi, eps
 
 
+# the read-only l >= 1 term blocks of one series by offset 0, 32, ..., stored by
+# the first sum to read each (or by two, with equal terms); two hold tc_jump's sides
+@lru_cache(maxsize=2)
+def _term_series(model: DielectricModel, T: float, d: float, power: int, cap: int):
+    return {}
+
+
 def _static_te_omega(spec: LifshitzSpec) -> float:
     """Effective plasma energy feeding the static TE coefficient.
 
@@ -256,27 +263,30 @@ def _matsubara_sum(spec: LifshitzSpec, power: int) -> LifshitzDetail:
 
     # the absolute tolerance applies to the pressure only
     rel, tol = cfg.term_stop_rel, _ABS_TOL_PRESSURE if power == 2 else -math.inf
-    blocks = [np.array([zero])]
+    series = _term_series(spec.model, spec.T, spec.d, power, cfg.max_matsubara)
     running, consec, last, l = zero, 0, 0.0, 0
-    # only a BCS block (one pairing integral per energy) is worth its ~1 kB memo
+    # only a block that runs the pairing kernel (once per energy) is worth its ~1 kB memo
     evaluate = (_block_permittivity if spec.model.kind is ModelKind.BCS
-                else _block_permittivity.__wrapped__)
+                and spec.T < spec.model.params.Tc else _block_permittivity.__wrapped__)
     while consec < 3 and l < cfg.max_matsubara:
-        block = _dynamic_integrals(spec.d, *evaluate(
-            spec.model, spec.T, l + 1, min(l + _BLOCK, cfg.max_matsubara) + 1), power)
-        if not np.isfinite(block).all():
-            raise ValueError(f"Matsubara terms overflow at T = {spec.T} K, d = {spec.d} m")
-        for n, term in enumerate(block.tolist(), 1):
+        if l not in series:
+            block = _dynamic_integrals(spec.d, *evaluate(
+                spec.model, spec.T, l + 1, min(l + _BLOCK, cfg.max_matsubara) + 1), power)
+            if not np.isfinite(block).all():
+                raise ValueError(f"Matsubara terms overflow at T = {spec.T} K, d = {spec.d} m")
+            block.flags.writeable = False
+            series[l] = block
+        for n, term in enumerate(series[l].tolist(), 1):
             running += term
             last = abs(term)
             small = last <= rel * abs(running) or pref * last <= tol
             consec = consec + 1 if small else 0
             if consec == 3:
                 break
-        blocks.append(block[:n])
         l += n
 
-    total = math.fsum(np.concatenate(blocks))  # fixed ascending order, compensated
+    read = [series[k] for k in range(0, l, _BLOCK)]  # the blocks this sum read
+    total = math.fsum(np.concatenate([[zero], *read])[:l + 1])  # correctly rounded for any split
     achieved = last / abs(total) if total != 0.0 else math.inf
     detail = LifshitzDetail(prefactor * total, l, zero, total - zero, last, 10.0 * achieved)
     # _ABS_TOL_PRESSURE can stop a sum whose last term is still >= 10% of it

@@ -714,3 +714,15 @@ class TestSweepPipeline:
         assert report.point_conversions.dF.tolist() == [row.dF for row in rows]
         assert report.point_conversions.dP.tolist() == [row.dP for row in rows]
         assert report.point_conversions.dz.tolist() == [row.dz for row in rows]
+
+    def test_array_records_compare_by_identity(self, small_gap):
+        # two runs give equal arrays; a field-wise == would ask an array for
+        # its truth value, and a field-wise hash cannot hash an array
+        pair = self._pair(dw2_from_gradient(12.1e3, small_gap), noise=4.7e-3)
+        one, two = (sweep_pipeline(*pair, WINDOW, small_gap, factors=FACTORS)
+                    for _ in range(2))
+        assert one.small.dw2.tolist() == two.small.dw2.tolist()
+        for a, b in ((one, two), (one.small, two.small),
+                     (one.point_conversions, two.point_conversions)):
+            assert a == a and a != b
+            assert len({a, b}) == 2

@@ -1,5 +1,7 @@
 import math
 import pickle
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -55,10 +57,13 @@ def dynamic_terms(d, T, model, ls, power):
 
 @pytest.fixture
 def cold_memo():
-    """Empty the engine's block memo, so a test counts every evaluation;
-    returns the function that empties it again."""
-    lifshitz._block_permittivity.cache_clear()
-    return lifshitz._block_permittivity.cache_clear
+    """Empty the engine's memos of block permittivities and of term series, so
+    a test counts every evaluation; returns the function that empties them again."""
+    def clear():
+        lifshitz._block_permittivity.cache_clear()
+        lifshitz._term_series.cache_clear()
+    clear()
+    return clear
 
 
 class TestFresnel:
@@ -629,38 +634,91 @@ class TestTcJump:
 
 class TestBlockMemo:
     """The engine evaluates the BCS permittivity of each 32-index block once
-    per (model, T) and reuses it across sums, prescriptions and separations."""
+    per (model, T) and reuses it across sums, prescriptions and separations.
+    It keeps the term blocks of its two most recent (model, T, d, power, cap)
+    series, so the prescriptions and stopping ratios of one sum share them."""
 
     def test_jump_all_evaluates_each_energy_once(self, sc_params, monkeypatch, cold_memo):
-        # the three tc_jump calls of `jump --all` share both sides' blocks
-        energies = []
-        kernel = permittivity.bcs_g
+        # the three tc_jump calls of `jump --all` share both sides' blocks:
+        # their pairing kernels and their momentum integrals
+        energies, blocks, after_each = [], [], []
+        kernel, integrals = permittivity.bcs_g, lifshitz._dynamic_integrals
         monkeypatch.setattr(permittivity, "bcs_g", lambda xi, T, p:
                             energies.append((xi, T)) or kernel(xi, T, p))
+        monkeypatch.setattr(lifshitz, "_dynamic_integrals", lambda d, xi, eps, power:
+                            blocks.append(len(xi)) or integrals(d, xi, eps, power))
         for approach in ZeroFreqApproach:
             tc_jump(190e-9, sc_params.Tc, 0.1, approach, sc_params)
+            after_each.append(len(blocks))
         assert len(energies) == len(set(energies)) == 1376
+        assert after_each == [85] * 3
 
     @pytest.mark.parametrize("detail", [casimir_pressure_detail,
                                         casimir_pressure_gradient_detail],
                              ids=["P", "Pprime"])
     def test_warm_detail_equals_cold(self, sc_params, cold_memo, detail):
-        specs = [LifshitzSpec(d=d, T=14.058, model=bcs(sc_params), approach=ap)
-                 for d in (190e-9, 1213e-9) for ap in ZeroFreqApproach]
+        # at each d the capped sum comes first: the default sum after it must
+        # not read its truncated last block, and the looser stopping ratio
+        # reads the default sum's series
+        def run(spec):
+            try:
+                return detail(spec)
+            except ConvergenceError as err:
+                return err.detail
+        capped = QuadratureConfig(max_matsubara=40)
+        specs = [LifshitzSpec(d=d, T=14.058, model=bcs(sc_params), approach=ap, quad=quad)
+                 for d in (190e-9, 1213e-9) for quad in (capped, QuadratureConfig(), LOOSE)
+                 for ap in ZeroFreqApproach]
         cold = []
         for spec in specs:
             cold_memo()
-            cold.append(detail(spec))
-        assert [detail(spec) for spec in specs] == cold
+            cold.append(run(spec))
+        assert [c.n_terms for c in cold[:3] + cold[9:12]] == [40] * 6
+        assert [run(spec) for spec in specs] == cold
 
-    @pytest.mark.parametrize("make", [drude, plasma], ids=["drude", "plasma"])
-    def test_closed_form_blocks_are_not_kept(self, sc_params, cold_memo, make):
-        casimir_pressure_detail(LifshitzSpec(d=190e-9, T=4.0, model=make(sc_params)))
+    def test_concurrent_sums_read_one_series(self, sc_params, cold_memo):
+        # threads that read and extend one series all get the cold result
+        spec = LifshitzSpec(d=190e-9, T=14.3, model=drude(sc_params))
+        want, got = casimir_pressure_gradient_detail(spec), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                cold_memo()
+                threads = [threading.Thread(target=lambda: got.append(
+                    casimir_pressure_gradient_detail(spec))) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 40
+
+    def test_overflowing_block_is_not_kept(self, sc_params, cold_memo):
+        spec = LifshitzSpec(d=1e-3, T=1e300, model=drude(sc_params))
+        for _ in range(2):  # the second sum evaluates the block again
+            with pytest.raises(ValueError, match="^Matsubara terms overflow"):
+                casimir_pressure_gradient(spec)
+        series = lifshitz._term_series(spec.model, spec.T, spec.d, 3, spec.quad.max_matsubara)
+        assert series == {}
+
+    @pytest.mark.parametrize("make, T", [
+        pytest.param(drude, 4.0, id="drude"),
+        pytest.param(plasma, 4.0, id="plasma"),
+        pytest.param(bcs, 15.0, id="bcs-above-tc"),
+    ])
+    def test_closed_form_blocks_are_not_kept(self, sc_params, cold_memo, make, T):
+        casimir_pressure_detail(LifshitzSpec(d=190e-9, T=T, model=make(sc_params)))
         assert lifshitz._block_permittivity.cache_info().currsize == 0
 
-    def test_memoised_block_is_read_only(self, sc_params):
+    def test_memoised_block_is_read_only(self, sc_params, cold_memo):
+        casimir_pressure_detail(LifshitzSpec(d=190e-9, T=4.0, model=bcs(sc_params),
+                                             quad=LOOSE))
         xi, eps = lifshitz._block_permittivity(bcs(sc_params), 4.0, 1, _BLOCK + 1)
-        assert len(xi) == len(eps) == _BLOCK
-        for array in (xi, eps):
+        series = lifshitz._term_series(bcs(sc_params), 4.0, 190e-9, 2, LOOSE.max_matsubara)
+        assert len(xi) == len(eps) == len(series[0]) == _BLOCK
+        for array in (xi, eps, *series.values()):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
