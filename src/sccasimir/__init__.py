@@ -41,12 +41,10 @@ from .membrane import (
     SweepRecord,
     cte_alpha,
     dw2_from_gradient,
-    electrostatic_dw2,
     frequency_noise,
     fundamental_frequency,
     gradient_from_dw2,
     lcpd_fit,
-    patch_pressure,
     predicted_frequency_jump,
     static_deflection,
 )

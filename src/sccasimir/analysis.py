@@ -159,11 +159,9 @@ class DynesParams:
     A: float = 1.0  # normal-state conductance scale, arbitrary units
 
     def __post_init__(self):
-        for name in ("Delta", "gamma", "T", "A"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)  # fits pass NumPy scalars
+        for name in ("Delta", "gamma", "T", "A"):  # fits pass NumPy scalars
+            object.__setattr__(self, name, float(getattr(self, name)))
+        _require_finite(self)
         if self.Delta <= 0.0 or self.gamma <= 0.0:
             raise ValueError("Delta and gamma must be > 0")
         if self.T <= 0.0:

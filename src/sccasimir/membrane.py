@@ -1,6 +1,6 @@
 """Tensioned-membrane mechanics: resonance frequency, frequency-shift /
-pressure-gradient conversion, electrostatic response, static deflection,
-thermal expansion, and the frequency-noise floor.
+pressure-gradient conversion, the backgate-voltage (LCPD) parabola fit,
+static deflection, thermal expansion, and the frequency-noise floor.
 
 The effective stiffness produced by a separation-dependent external
 pressure carries pressure-gradient units (Pa/m); it is never stored as a
@@ -24,13 +24,10 @@ __all__ = [
     "dw2_from_gradient",
     "gradient_from_dw2",
     "predicted_frequency_jump",
-    "electrostatic_dw2",
     "LcpdResult",
     "lcpd_fit",
     "static_deflection",
-    "patch_pressure",
     "cte_alpha",
-    "thermal_stress",
     "frequency_noise",
 ]
 
@@ -72,13 +69,10 @@ def load_sweep_csv(path) -> list[SweepRecord]:
     return records
 
 
-def fundamental_frequency(m: MembraneSpec, with_holes: bool = True) -> float:
-    """Fundamental-mode frequency in Hz: ``(1/(sqrt(2) L)) sqrt(sigma/rho)``,
-    scaled by ``sqrt(Y_ratio)`` for the perforated membrane."""
-    f = math.sqrt(m.sigma / m.rho) / (math.sqrt(2.0) * m.L)
-    if with_holes:
-        f *= math.sqrt(m.Y_ratio)
-    return f
+def fundamental_frequency(m: MembraneSpec) -> float:
+    """Fundamental-mode frequency in Hz of the perforated membrane:
+    ``(1/(sqrt(2) L)) sqrt(sigma/rho) sqrt(Y_ratio)``."""
+    return math.sqrt(m.sigma / m.rho) / (math.sqrt(2.0) * m.L) * math.sqrt(m.Y_ratio)
 
 
 def dw2_from_gradient(Pprime: float, m: MembraneSpec) -> float:
@@ -100,13 +94,6 @@ def predicted_frequency_jump(Pprime_jump: float, m: MembraneSpec, f0: float) -> 
     if not 0.0 < f0 < math.inf:
         raise ValueError(f"f0 must be finite and > 0, got {f0}")
     return dw2_from_gradient(Pprime_jump, m) / (8.0 * math.pi ** 2 * f0)
-
-
-def electrostatic_dw2(V_bg: float, V0: float, m: MembraneSpec) -> float:
-    """Frequency-squared pull from a residual plate voltage:
-    ``-(eps0 / rho h) (V_bg - V0)^2 / d^3``; always <= 0."""
-    dv = V_bg - V0
-    return -CONSTANTS.eps0 * dv * dv / (m.areal_density * m.d ** 3)
 
 
 @dataclass(frozen=True)
@@ -181,32 +168,11 @@ def static_deflection(pressure_law: tuple[float, float], m: MembraneSpec) -> flo
     return m.C_hole * pressure * m.L ** 2 / (4.0 * m.C1 * m.h * m.sigma)
 
 
-def patch_pressure(V_rms: float, ell: float, d: float) -> float:
-    """Quasi-static patch-potential pressure bound in Pa:
-    ``0.9 eps0 V_rms^2 ell^2 / d^4``.  Used for budget checks only, never
-    subtracted from signals."""
-    if d <= 0.0:
-        raise ValueError(f"d must be > 0, got {d}")
-    return 0.9 * CONSTANTS.eps0 * V_rms ** 2 * ell ** 2 / d ** 4
-
-
 def cte_alpha(T: float, A: float, B: float) -> float:
     """Cryogenic thermal-expansion coefficient ``A T + B T^3`` in 1/K."""
     if T < 0.0:
         raise ValueError(f"T must be >= 0, got {T}")
     return A * T + B * T ** 3
-
-
-def thermal_stress(T1: float, T2: float, m: MembraneSpec) -> float:
-    """Film stress accumulated between ``T1`` and ``T2`` in Pa.
-
-    ``E/(1-nu)`` times the integral of :func:`cte_alpha`, in closed form:
-    ``E/(1-nu) * (A (T2**2 - T1**2)/2 + B (T2**4 - T1**4)/4)``.
-    """
-    if T1 < 0.0 or T2 < 0.0:
-        raise ValueError(f"temperatures must be >= 0, got {T1} and {T2}")
-    return m.E / (1.0 - m.nu) * (m.cte_A * (T2 ** 2 - T1 ** 2) / 2.0
-                                 + m.cte_B * (T2 ** 4 - T1 ** 4) / 4.0)
 
 
 def frequency_noise(f0: float, Q: float, noise_to_signal: float, tau: float) -> float:

@@ -106,7 +106,7 @@ def condensate_fraction(T: float, p: SuperconductorParams) -> float:
     delta = bcs_gap(T, p)
     gamma = p.gamma
     eta = gamma / (2.0 * delta)
-    t_red = _KB * T / gamma
+    t_red = max(_KB * T / gamma, 5e-324)  # where kB T / gamma underflows, every tanh is 1
     a = 1.0 / (2.0 * eta) if eta > 0.0 else math.inf
     x_max = 1e4 * max(a, t_red, 1.0)
     # the integrand's largest denominator, e (4 x**2 + 1) at x_max, must be finite
@@ -118,7 +118,10 @@ def condensate_fraction(T: float, p: SuperconductorParams) -> float:
     # needs no narrower panel (and T -> 0 no unbounded panel count)
     x, weights = _doubling_panels(0.25 * min(a, max(t_red, 1e-3 * a), 0.5), x_max, 16)
     e = np.hypot(x, a)
-    head = np.dot(weights, np.tanh(e / (2.0 * t_red)) / (e * (4.0 * x * x + 1.0)))
+    # tanh(u) rounds to 1.0 above u = 19.1, so clipping e at 40 t_red changes
+    # no bit and keeps e / (2 t_red) finite
+    th = np.tanh(np.minimum(e, 40.0 * t_red) / (2.0 * t_red))
+    head = np.dot(weights, th / (e * (4.0 * x * x + 1.0)))
     return float(first - (head + 0.125 / (x_max * x_max)) / (eta * eta))
 
 

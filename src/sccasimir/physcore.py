@@ -39,7 +39,6 @@ __all__ = [
     "from_config",
     "read_config",
     "read_csv",
-    "write_config",
 ]
 
 
@@ -121,8 +120,10 @@ class SuperconductorParams:
                  f"Omega must be > 0 with a finite square, got {self.Omega}")
         _require(self.gamma0 > 0, f"gamma0 must be > 0, got {self.gamma0}")
         _require(self.RRR >= 1.0, f"RRR must be >= 1, got {self.RRR}")
-        _require(self.gamma > 0,
-                 f"gamma0 / RRR must be > 0, got {self.gamma0} / {self.RRR}")
+        # bcs_g multiplies gamma**2 by energies up to its cut-off; 1e150 eV
+        # keeps that product finite for cut-offs up to 1e8 eV
+        _require(0 < self.gamma <= 1e150,
+                 f"gamma0 / RRR must be > 0 and <= 1e150 eV, got {self.gamma0} / {self.RRR}")
         _require(self.Tc > 0, f"Tc must be > 0, got {self.Tc}")
 
     @property
@@ -146,8 +147,6 @@ class MembraneSpec:
     d: float            # plate separation, m
     sigma: float        # tensile stress, Pa
     rho: float          # density, kg/m^3
-    E: float = 375e9    # Young's modulus, Pa
-    nu: float = 0.2949  # Poisson ratio
     C1: float = 3.45
     C_hole: float = 1.086
     Y_ratio: float = 0.923
@@ -223,8 +222,8 @@ _FILE_KEYS = {
     },
     MembraneSpec: {
         "L": "L_m", "h": "h_m", "d": "d_m", "sigma": "sigma_Pa", "rho": "rho_kgm3",
-        "E": "E_Pa", "nu": "nu", "C1": "C1", "C_hole": "C_hole",
-        "Y_ratio": "Y_ratio", "cte_A": "cte_A_perK2", "cte_B": "cte_B_perK4",
+        "C1": "C1", "C_hole": "C_hole", "Y_ratio": "Y_ratio",
+        "cte_A": "cte_A_perK2", "cte_B": "cte_B_perK4",
     },
     ConversionFactors: {
         "force_per_w2": "force_per_w2_N", "pressure_per_w2": "pressure_per_w2_Pa",
@@ -327,9 +326,3 @@ def config_items(obj) -> list[tuple[str, str]]:
         value = getattr(obj, name)
         items.append((key, value.value if isinstance(value, Basis) else repr(value)))
     return items
-
-
-def write_config(obj, path) -> None:
-    """Serialize a parameter record to the flat file format."""
-    lines = [f"{key} = {text}" for key, text in config_items(obj)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -162,6 +162,15 @@ class TestMain:
         # a negative threshold, which flags every row, and a negative seed
         (["tables", "--flag-above", "-1"], 2),
         (["generate-sweep", "--out", "{out}", "--seed", "-1"], 3),
+        # a condensate tanh argument e / 2 t that overflows, or a t that
+        # underflows to 0, at a plausible or a large relaxation energy
+        *[(["gradient", "--d", "1e-9", "--t", "1e-300", "--gamma0", gamma0, "--model",
+            "bcs"], 2) for gamma0 in ("10", "1e5", "1e150")],
+        # relaxation energies whose square overflows the pairing kernel: an
+        # unchecked number, then overflow warnings, then a ZeroDivisionError
+        *[([*command, "--max-matsubara", "64", "--gamma0", gamma0], 2)
+          for gamma0 in ("1e154", "1e300", "1e307", "1.7e308")
+          for command in (["pressure", "--d", "190e-9", "--t", "4"], ["jump"])],
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
@@ -205,12 +214,30 @@ class TestMain:
         assert len(result.stderr.splitlines()) == 1
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("command", [["pressure", "--d", "190e-9", "--t", "4"],
+                                         ["jump"]], ids=["pressure", "jump"])
+    def test_every_relaxation_energy_gives_a_value_or_one_error(self, runner, command):
+        for gamma0 in ("1e-300", "1e-200", "1e-100", "1e-10", "0.465", "1e10", "1e100",
+                       "1e150", "1e152", "1e154", "1e155", "1e200", "1e300", "1e307",
+                       "1.7e308"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = runner.invoke(main, [*command, "--max-matsubara", "64",
+                                              "--gamma0", gamma0])
+            assert [str(w.message) for w in caught] == [], gamma0
+            assert result.exit_code in (0, 2, 4), gamma0
+            assert result.exit_code == 0 or result.stdout == "", gamma0
+
     @pytest.mark.parametrize("args, message", [
         (["--t", "1e-301"], "temperature must be finite and >= 1e-300 K"),
         (["--t", "1e300", "--model", "drude"], "Matsubara terms overflow at T = 1e+300 K"),
         (["--t", "14.058", "--omega", "1e200"], "Omega must be > 0 with a finite square"),
         (["--t", "14.058", "--rrr", "1e308"], "relaxation energy 4.65e-309 eV is too small"),
-    ], ids=["t-floor", "huge-t", "omega", "rrr"])
+        # the default film's error, whatever the condensate's relaxation energy
+        *[(["--t", "1e-300", "--model", "bcs", "--gamma0", gamma0],
+           "Matsubara terms overflow at T = 1e-300 K") for gamma0 in ("10", "1e5", "1e150")],
+    ], ids=["t-floor", "huge-t", "omega", "rrr", "floor-gamma0-10", "floor-gamma0-1e5",
+            "floor-gamma0-1e150"])
     def test_rejected_value_names_its_cause(self, runner, args, message):
         result = runner.invoke(main, ["gradient", "--d", "1e-3", *args])
         assert result.exit_code == 2

@@ -18,7 +18,6 @@ from sccasimir.physcore import (
     matsubara_frequency,
     read_config,
     small_gap_membrane,
-    write_config,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -100,7 +99,8 @@ class TestSuperconductorParams:
 
     @pytest.mark.parametrize("kwargs", [
         {"Omega": 0.0}, {"Omega": -1.0}, {"gamma0": 0.0}, {"RRR": 0.5},
-        {"Tc": -1.0}, {"Omega": 1.4e154}, {"Omega": 1e200},
+        {"Tc": -1.0}, {"Omega": 1.4e154}, {"Omega": 1e200}, {"gamma0": 1.1e150},
+        {"gamma0": 1.7e308},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -109,6 +109,10 @@ class TestSuperconductorParams:
     def test_omega_with_a_finite_square_is_accepted(self):
         # the permittivity squares Omega; 1.3e154 squared is still finite
         assert SuperconductorParams(Omega=1.3e154).Omega == 1.3e154
+
+    def test_relaxation_energy_up_to_1e150_is_accepted(self):
+        # the pairing kernel's gamma**2 times its cut-off energy stays finite
+        assert SuperconductorParams(gamma0=1e150).gamma == 1e150
 
 
 class TestMembraneSpec:
@@ -139,32 +143,46 @@ class TestMembraneSpec:
             MembraneSpec(**base)
 
 
+def _write_config(record, path):
+    """Write a record as a flat file, one ``key = value`` line per item."""
+    path.write_text("".join(f"{key} = {text}\n" for key, text in config_items(record)),
+                    encoding="utf-8")
+
+
 class TestConfigFiles:
     def test_membrane_round_trip_bit_exact(self, tmp_path):
         for spec in (small_gap_membrane(), big_gap_membrane()):
             path = tmp_path / "membrane.cfg"
-            write_config(spec, path)
+            _write_config(spec, path)
             assert from_config(MembraneSpec, read_config(path)) == spec
 
     def test_membrane_area_ratio_line_is_ignored(self, tmp_path):
         # area_ratio is no longer a key; a file that still has it parses
         path = tmp_path / "membrane.cfg"
-        write_config(small_gap_membrane(), path)
+        _write_config(small_gap_membrane(), path)
         plain = from_config(MembraneSpec, read_config(path))
         path.write_text(path.read_text() + "area_ratio = 0.5\n")
+        assert from_config(MembraneSpec, read_config(path)) == plain
+
+    def test_membrane_elastic_constant_lines_are_ignored(self, tmp_path):
+        # E_Pa and nu are no longer keys; a file that still has them parses
+        path = tmp_path / "membrane.cfg"
+        _write_config(small_gap_membrane(), path)
+        plain = from_config(MembraneSpec, read_config(path))
+        path.write_text(path.read_text() + "E_Pa = 1e9\nnu = 0.9\n")
         assert from_config(MembraneSpec, read_config(path)) == plain
 
     def test_superconductor_round_trip(self, tmp_path):
         p = SuperconductorParams(Omega=4.0, gamma0=1e-2, RRR=3.0, Tc=9.2)
         path = tmp_path / "sc.cfg"
-        write_config(p, path)
+        _write_config(p, path)
         assert from_config(SuperconductorParams, read_config(path)) == p
 
     def test_conversion_round_trip(self, tmp_path):
         f = ConversionFactors(force_per_w2=7.83e-16, pressure_per_w2=1.55e-9,
                               deflection_per_w2=6.28e-19, basis=Basis.LINEAR_SQUARED)
         path = tmp_path / "factors.cfg"
-        write_config(f, path)
+        _write_config(f, path)
         assert from_config(ConversionFactors, read_config(path)) == f
 
     def test_comments_and_blank_lines(self, tmp_path):
