@@ -84,10 +84,10 @@ class QuadratureConfig:
     """Stopping rule and cap of the Matsubara sum: no index above the cap
     is evaluated, and a sum that stops with ``truncation_bound >= 1`` is
     not converged.  Its momentum integrals take no tolerance: each is one
-    fixed Gauss-Legendre rule, the same 136 nodes for every ``l >= 1`` term
-    and, unless its condensate layer is thin, the static TE term
-    (``_dynamic_integrals``, ``_static_te_integral``); both are checked to
-    1e-9 against adaptive quadrature."""
+    fixed rule, 24 Gauss-Laguerre nodes for a block of ``l >= 1`` terms far
+    from the photon edge, 136 Gauss-Legendre nodes for a block near it and,
+    unless its condensate layer is thin, the static TE term; all are checked
+    to 1e-9 against adaptive quadrature."""
 
     term_stop_rel: float = 1e-10     # per-term stopping ratio
     max_matsubara: int = 100_000     # hard cap on the mode index
@@ -157,8 +157,16 @@ def _static_te(k, kp):
 _STATIC_TM = {2: 2.0 * CONSTANTS.zeta3, 3: 6.0 * CONSTANTS.zeta3}
 
 
-# the first panel sits at the photon edge, next to the branch point of s
-_U_NODES, _U_WEIGHTS = _doubling_panels(1e-3, _Y_SPAN, 8)
+# (nodes, weights) in u = y - y0.  The edge rule's first panel sits next to the
+# branch point of s; from y0 = 3 on, the integrand is smooth times exp(-u), and
+# 24 Gauss-Laguerre nodes, weights times exp(u) (DLMF 3.5(v)), take it to 1e-13
+_EDGE_RULE = _doubling_panels(1e-3, _Y_SPAN, 8)
+_LAGUERRE_RULE = next((u, w * np.exp(u)) for u, w in [np.polynomial.laguerre.laggauss(24)])
+
+
+def _momentum_rule(d: float, xi_first: float):
+    """The rule of a block of ``l >= 1`` terms, chosen by its first energy."""
+    return _LAGUERRE_RULE if 2.0 * d * (xi_first / _HBAR_C) >= 3.0 else _EDGE_RULE
 
 
 # y^power Sum_r t/(1 - t)^(power - 1), t = r^2 exp(-y): every term's
@@ -180,7 +188,7 @@ def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
     fixed rule in ``y``: 8 Gauss-Legendre nodes per panel, a first panel
     ``[0, min(1e-3, y_p / 4)]`` with ``y_p = 2 d omega_eff / hbar_c`` the
     condensate layer where the reflection switches on, then panels doubling
-    in width.  That is the ``l >= 1`` rule for ``y_p >= 4e-3``, and finer
+    in width.  That is the ``l >= 1`` edge rule for ``y_p >= 4e-3``, and finer
     only near Tc (312 nodes at ``y_p = 1e-9``).  Against adaptive quadrature
     at ``epsrel`` 1e-13 it agrees to 1e-9 relative for d in [50 nm, 5 um],
     both powers, and ``omega_eff`` from 0.1 K to 1e-13 K below Tc up to
@@ -202,19 +210,20 @@ def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
 
 def _dynamic_integrals(d: float, xi, eps, power: int) -> np.ndarray:
     """Momentum integrals of the ``l >= 1`` terms at energies ``xi`` with
-    permittivities ``eps``, each over ``[y0, y0 + 50]`` on one fixed rule
-    in ``u = y - y0``: 8 Gauss-Legendre nodes per panel, a first panel
-    [0, 1e-3], then panels doubling in width (136 nodes).  The Fresnel and
-    momentum arithmetic is one ``(len(xi) x 136)`` array.  Against adaptive
+    permittivities ``eps``, in ``u = y - y0`` on the rule that the photon
+    edge ``y0`` of ``xi[0]`` picks: below 3, 8 Gauss-Legendre nodes per
+    panel on [0, 50], a first panel [0, 1e-3], then panels doubling in width
+    (136 nodes); from 3 on, 24 Gauss-Laguerre nodes.  Against adaptive
     quadrature at ``epsrel`` 1e-13 it agrees to 1e-9 relative (worst seen
     1.5e-11) for d in [50 nm, 5 um], T in [0.1, 20] K, Drude, plasma and
-    BCS responses of dirty and clean films, both powers and every ``l`` up
-    to ``y0 = 50``.  A term that overflows (the permittivity or ``eps * q``
-    at tiny T, or ``y**power`` at huge T) is non-finite, without warning."""
+    BCS responses of dirty and clean films, both powers and ``y0`` up to 50
+    (200 on the Laguerre rule).  A term that overflows (the permittivity or
+    ``eps * q`` at tiny T, or ``y**power`` at huge T) is non-finite, without warning."""
     with np.errstate(over="ignore", invalid="ignore"):
+        nodes, weights = _momentum_rule(d, xi[0])
         x = xi[:, None] / _HBAR_C
-        y = 2.0 * d * x + _U_NODES
-        return _integrand(y, power, *_fresnel(eps[:, None], y * (0.5 / d), x)) @ _U_WEIGHTS
+        y = 2.0 * d * x + nodes
+        return _integrand(y, power, *_fresnel(eps[:, None], y * (0.5 / d), x)) @ weights
 
 
 # read-only energies and permittivities of the indices [first, stop), kept per

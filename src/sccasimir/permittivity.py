@@ -113,13 +113,13 @@ def condensate_fraction(T: float, p: SuperconductorParams) -> float:
     if math.hypot(x_max, a) * (4.0 * x_max * x_max + 1.0) == math.inf:
         raise ValueError(f"relaxation energy {gamma:.3g} eV is too small against "
                          f"the gap {delta:.3g} eV and kB T = {_KB * T:.3g} eV")
-    first = math.pi / (2.0 * eta) * math.tanh(1.0 / (4.0 * eta * t_red))
+    # tanh(u) rounds to 1.0 above u = 19.1, so clipping u at 40 here and at 20
+    # below changes no bit, and keeps u finite where 4 eta t or t underflows
+    first = math.pi / (2.0 * eta) * math.tanh(1.0 / max(4.0 * eta * t_red, 0.025))
     # tanh(E/2t) = 1 to double precision once t < a/40, so t below a/1000
     # needs no narrower panel (and T -> 0 no unbounded panel count)
     x, weights = _doubling_panels(0.25 * min(a, max(t_red, 1e-3 * a), 0.5), x_max, 16)
     e = np.hypot(x, a)
-    # tanh(u) rounds to 1.0 above u = 19.1, so clipping e at 40 t_red changes
-    # no bit and keeps e / (2 t_red) finite
     th = np.tanh(np.minimum(e, 40.0 * t_red) / (2.0 * t_red))
     head = np.dot(weights, th / (e * (4.0 * x * x + 1.0)))
     return float(first - (head + 0.125 / (x_max * x_max)) / (eta * eta))
@@ -145,6 +145,8 @@ _GAUSS_LEGENDRE = {n: (x + 1.0, w) for n in (8, 16)
                    for x, w in [np.polynomial.legendre.leggauss(n)]}
 # 2**k for every panel count of a finite b / a < 2**1024
 _POW2 = np.exp2(np.arange(1024))
+# a / b, raising FloatingPointError where it would warn of a zero divisor, inf or nan
+_raising_divide = np.errstate(divide="raise", over="raise", invalid="raise")(np.divide)
 
 
 def _doubling_panels(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +199,11 @@ def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
     ap = e_qp * z + delta * delta
     w = qp + 1j * p.gamma
     eps2 = eps * eps
-    g_plus = (eps2 * qp + w * ap) / (qp * (eps2 - w * w))
+    try:  # with xi and gamma both tiny, qp (eps2 - w*w) underflows
+        g_plus = _raising_divide(eps2 * qp + w * ap, qp * (eps2 - w * w))
+    except FloatingPointError:
+        raise ValueError(f"pairing kernel denominator underflows at xi = {xi:.3g} eV, "
+                         f"T = {T:.3g} K, relaxation energy {p.gamma:.3g} eV") from None
     th = 1.0 if kT == 0.0 else np.tanh(e_qp / (2.0 * kT))
     return 2.0 * float(np.dot(weights, th / e_qp * g_plus.real))
 

@@ -171,6 +171,10 @@ class TestMain:
         *[([*command, "--max-matsubara", "64", "--gamma0", gamma0], 2)
           for gamma0 in ("1e154", "1e300", "1e307", "1.7e308")
           for command in (["pressure", "--d", "190e-9", "--t", "4"], ["jump"])],
+        # xi and the relaxation energy both so small that the pairing
+        # kernel's denominator underflows
+        (["gradient", "--d", "1e-9", "--t", "1e-300", "--gamma0", "1e-100", "--model",
+          "bcs"], 2),
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
@@ -236,8 +240,10 @@ class TestMain:
         # the default film's error, whatever the condensate's relaxation energy
         *[(["--t", "1e-300", "--model", "bcs", "--gamma0", gamma0],
            "Matsubara terms overflow at T = 1e-300 K") for gamma0 in ("10", "1e5", "1e150")],
+        (["--t", "1e-300", "--model", "bcs", "--gamma0", "1e-100"],
+         "pairing kernel denominator underflows at xi = 5.41e-304 eV, T = 1e-300 K"),
     ], ids=["t-floor", "huge-t", "omega", "rrr", "floor-gamma0-10", "floor-gamma0-1e5",
-            "floor-gamma0-1e150"])
+            "floor-gamma0-1e150", "floor-gamma0-1e-100"])
     def test_rejected_value_names_its_cause(self, runner, args, message):
         result = runner.invoke(main, ["gradient", "--d", "1e-3", *args])
         assert result.exit_code == 2

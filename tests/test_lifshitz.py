@@ -27,10 +27,9 @@ from sccasimir.lifshitz import (
     _ABS_TOL_PRESSURE,
     _BLOCK,
     _STATIC_TM,
-    _U_NODES,
-    _U_WEIGHTS,
     _dynamic_integrals,
     _fresnel,
+    _momentum_rule,
     _static_te,
     _static_te_integral,
     _static_te_omega,
@@ -255,10 +254,25 @@ def quad_term(d, T, model, xi, power):
     return value
 
 
+def energy_at_edge(d, y0):
+    """The least energy whose photon edge ``2 d xi / hbar_c``, computed as
+    the engine computes it, is at least ``y0``."""
+    def edge(xi):
+        return 2.0 * d * (xi / CONSTANTS.hbar_c_eVm)
+
+    xi = y0 * CONSTANTS.hbar_c_eVm / (2.0 * d)
+    while edge(xi) < y0:
+        xi = np.nextafter(xi, np.inf)
+    while edge(np.nextafter(xi, 0.0)) >= y0:
+        xi = np.nextafter(xi, 0.0)
+    return xi
+
+
 def per_term_sum(spec, power):
     """The Matsubara sum one scalar momentum integral at a time, with the
-    engine's stopping rule: the reference for its blocked head.  Returns
-    ``(n_terms, value, converged)``, the value in Pa or Pa/m."""
+    engine's stopping rule and its momentum rule, chosen by the first index
+    of the block that holds ``l``: the reference for its blocked head.
+    Returns ``(n_terms, value, converged)``, the value in Pa or Pa/m."""
     d, T, cfg = spec.d, spec.T, spec.quad
     pref = CONSTANTS.kB_J * T / (8.0 * math.pi * d ** (power + 1))
     zero = 0.5 * (_STATIC_TM[power] + _static_te_integral(d, _static_te_omega(spec), power))
@@ -268,14 +282,16 @@ def per_term_sum(spec, power):
         xi = matsubara_frequency(l, T)
         eps = permittivity_iw(spec.model, xi, T)
         x = xi / CONSTANTS.hbar_c_eVm
-        y = 2.0 * d * x + _U_NODES
+        first = (l - 1) // _BLOCK * _BLOCK + 1
+        nodes, weights = _momentum_rule(d, matsubara_frequency(first, T))
+        y = 2.0 * d * x + nodes
         q = y * (0.5 / d)
         s = np.sqrt(q * q + (eps - 1.0) * x * x)
         f = 0.0
         for r in ((q - s) / (q + s), (eps * q - s) / (eps * q + s)):
             t = r * r * np.exp(-y)
             f = f + t / (1.0 - t) ** (power - 1)
-        term = float(np.dot(_U_WEIGHTS, y ** power * f))
+        term = float(np.dot(weights, y ** power * f))
         terms.append(term)
         running += term
         small = abs(term) <= cfg.term_stop_rel * abs(running)
@@ -404,6 +420,40 @@ class TestMomentumRule:
                     got = dynamic_terms(d, T, model, ls, power)
                     want = [quad_term(d, T, model, l * xi_1, power) for l in ls]
                     worst = max(worst, np.max(np.abs(got / want - 1.0)))
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_far_blocks_against_adaptive_oracle(self, sc_params, monkeypatch, name):
+        # arrays from l = 1 always start at the edge; these blocks start at
+        # y0 = 3 exactly, just above it, and far from it, where the engine
+        # takes 24 Gauss-Laguerre nodes, and at the largest y0 below 3,
+        # where it keeps the 136-node rule
+        make, overrides = self.MODELS[name]
+        model = make(replace(sc_params, **overrides))
+        choose, rules = lifshitz._momentum_rule, []
+
+        def spy(d, xi_first):
+            nodes, weights = choose(d, xi_first)
+            rules.append(len(nodes))
+            return nodes, weights
+
+        monkeypatch.setattr(lifshitz, "_momentum_rule", spy)
+        worst = 0.0
+        # no energy puts the edge at 3.0 exactly for d = 5 um, one does for 4.99 um
+        for d in (50e-9, 190e-9, 500e-9, 1213e-9, 4.99e-6):
+            at_3 = energy_at_edge(d, 3.0)
+            assert 2.0 * d * (at_3 / CONSTANTS.hbar_c_eVm) == 3.0
+            firsts = [np.nextafter(at_3, 0.0), at_3,
+                      *(energy_at_edge(d, y0) for y0 in (3.0 + 1e-9, 10.0, 40.0, 200.0))]
+            for first in firsts:
+                xi = first + matsubara_frequency(np.arange(_BLOCK), 4.0)
+                eps = permittivity_iw(model, xi, 4.0)
+                for power in (2, 3):
+                    got = _dynamic_integrals(d, xi, eps, power)
+                    for k in (0, 1, _BLOCK - 1):
+                        want = quad_term(d, 4.0, model, xi[k], power)
+                        worst = max(worst, abs(got[k] / want - 1.0))
+        assert rules == ([136] * 2 + [24] * 10) * 5
         assert worst <= 1e-9
 
 

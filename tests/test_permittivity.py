@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
 from sccasimir import permittivity
-from sccasimir.physcore import CONSTANTS, SuperconductorParams
+from sccasimir.physcore import CONSTANTS, SuperconductorParams, matsubara_frequency
 from sccasimir.permittivity import (
     bcs,
     bcs_g,
@@ -141,6 +142,15 @@ class TestCondensateWeight:
         with pytest.raises(ValueError, match="relaxation energy"):
             condensate_fraction(0.99 * p.Tc, p)
 
+    # once 4 eta kB T / gamma underflows to 0 (a clean film below ~1e-300 K)
+    # every tanh is 1, as it already is at 1e-300 K
+    def test_underflowing_temperature_gives_the_cold_fraction(self):
+        clean = SuperconductorParams(gamma0=1e-4)
+        cold = condensate_fraction(1e-300, clean)
+        assert 0.0 < cold < 1.0
+        for T in (1e-320, 5e-324):
+            assert condensate_fraction(T, clean) == cold
+
     # near Tc the fraction tends to c * Delta**2; for a clean film it is the
     # difference of two terms about 7 kB T / gamma times larger (9e7 at
     # gamma0 = 1e-10 eV)
@@ -208,6 +218,16 @@ class TestPairingFunction:
         t = 0.5 * sc_params.Tc
         for xi in (1e-4, 1e-3, 1e-2, 0.1):
             assert bcs_g(xi, t, sc_params) > 0.0
+
+    # with xi and gamma both tiny the denominator qp (eps^2 - w^2) is 0 at
+    # some nodes (1e-100 eV) or so small that the quotient overflows (1e-85)
+    @pytest.mark.parametrize("gamma0", [1e-100, 1e-85])
+    def test_underflowing_denominator_is_refused(self, gamma0):
+        p = SuperconductorParams(gamma0=gamma0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="pairing kernel denominator underflows"):
+                bcs_g(matsubara_frequency(1, 1e-300), 1e-300, p)
 
     def test_domain_errors(self, sc_params):
         with pytest.raises(ValueError):

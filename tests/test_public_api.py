@@ -112,7 +112,7 @@ def test_matsubara_reuse_has_one_owner():
 
 # the package's size: code that grows past this is an edit of this line,
 # with its reason
-SRC_LINE_BUDGET = 2167  # 2,209 - 42: the helpers that only their own tests read are gone
+SRC_LINE_BUDGET = 2182  # 2,167 + 15: the per-block momentum rule (9), bcs_g's underflow error (6)
 
 
 def test_src_line_budget():
