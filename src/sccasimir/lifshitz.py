@@ -31,7 +31,6 @@ from .errors import ConvergenceError
 from .physcore import CONSTANTS, SuperconductorParams, matsubara_frequency
 from .permittivity import (
     DielectricModel,
-    ModelKind,
     _doubling_panels,
     bcs,
     drude,
@@ -105,8 +104,7 @@ def _check_d_t(d: float, T: float) -> None:
     # d**4 divides the gradient; the product overflows to inf where ** raises
     if not (d > 0.0 and 0.0 < d * d * d * d < math.inf):
         raise ValueError(f"separation must have 0 < d**4 < inf, got {d} m")
-    # at 1.4e-301 K and below, bcs_g and the condensate fraction overflow
-    # with warnings or tracebacks (a log grid found 1.6e-301 K clean)
+    # far below it the first panel of the pairing kernel underflows to 0 (1e-320 K)
     if not 1e-300 <= T < math.inf:
         raise ValueError(f"temperature must be finite and >= 1e-300 K, got {T} K")
 
@@ -226,16 +224,6 @@ def _dynamic_integrals(d: float, xi, eps, power: int) -> np.ndarray:
         return _integrand(y, power, *_fresnel(eps[:, None], y * (0.5 / d), x)) @ weights
 
 
-# read-only energies and permittivities of the indices [first, stop), kept per
-# (model, T) for the process; the cap holds every block of one default-cap sum
-@lru_cache(maxsize=QuadratureConfig().max_matsubara // _BLOCK)
-def _block_permittivity(model: DielectricModel, T: float, first: int, stop: int):
-    xi = matsubara_frequency(np.arange(first, stop), T)
-    eps = permittivity_iw(model, xi, T)
-    xi.flags.writeable = eps.flags.writeable = False
-    return xi, eps
-
-
 # the read-only l >= 1 term blocks of one series by offset 0, 32, ..., stored by
 # the first sum to read each (or by two, with equal terms); two hold tc_jump's sides
 @lru_cache(maxsize=2)
@@ -274,13 +262,10 @@ def _matsubara_sum(spec: LifshitzSpec, power: int) -> LifshitzDetail:
     rel, tol = cfg.term_stop_rel, _ABS_TOL_PRESSURE if power == 2 else -math.inf
     series = _term_series(spec.model, spec.T, spec.d, power, cfg.max_matsubara)
     running, consec, last, l = zero, 0, 0.0, 0
-    # only a block that runs the pairing kernel (once per energy) is worth its ~1 kB memo
-    evaluate = (_block_permittivity if spec.model.kind is ModelKind.BCS
-                and spec.T < spec.model.params.Tc else _block_permittivity.__wrapped__)
     while consec < 3 and l < cfg.max_matsubara:
         if l not in series:
-            block = _dynamic_integrals(spec.d, *evaluate(
-                spec.model, spec.T, l + 1, min(l + _BLOCK, cfg.max_matsubara) + 1), power)
+            xi = matsubara_frequency(np.arange(l, min(l + _BLOCK, cfg.max_matsubara)) + 1, spec.T)
+            block = _dynamic_integrals(spec.d, xi, permittivity_iw(spec.model, xi, spec.T), power)
             if not np.isfinite(block).all():
                 raise ValueError(f"Matsubara terms overflow at T = {spec.T} K, d = {spec.d} m")
             block.flags.writeable = False

@@ -128,7 +128,8 @@ def lcpd_fit(points, m: MembraneSpec) -> LcpdResult:
     if not np.isfinite(f2).all():
         raise ValueError(f"f_Hz squared overflows at V_volt = "
                          f"{v[~np.isfinite(f2)][0].item()!r}")
-    coeffs, cov = np.polyfit(v, f2, 2, cov=True)
+    e = np.frexp(f2.max())[1]  # fit f2 / 2**e: its covariance, O(f**4), stays finite
+    coeffs, cov = np.polyfit(v, np.ldexp(f2, -e), 2, cov=True)
     a, b, c = coeffs
     if a >= 0.0:
         raise FitError("convex fit: data do not show an electrostatic parabola")
@@ -143,7 +144,7 @@ def lcpd_fit(points, m: MembraneSpec) -> LcpdResult:
         # linearized propagation through v0 = -b/2a, rho ~ 1/a, sigma ~ f2_apex/a
         da, db, dc = (math.sqrt(max(cov[i, i], 0.0)) for i in range(3))
         v0_err = abs(v0) * math.hypot(da / abs(a), db / abs(b)) if b != 0 else db / (2 * abs(a))
-        rho_err = rho * da / abs(a)
+        rho, rho_err = np.ldexp(rho, -e), np.ldexp(rho * da / abs(a), -e)  # only these scale
         grad_f2 = math.hypot(dc, (b / (2 * a)) * db) + (b * b / (4 * a * a)) * da
         sigma_err = abs(sigma) * math.hypot(grad_f2 / f2_apex, da / abs(a))
     result = LcpdResult(V0=v0, sigma=sigma, rho=rho,

@@ -13,7 +13,7 @@ response.  Its ``xi -> 0`` limit is the condensate spectral fraction
 ``w**2 = condensate_fraction(T)``, so the permittivity develops the
 plasma-like singularity ``1 + (w*Omega)**2 / xi**2`` below the
 transition.  At ``T >= Tc`` the correction is gated off and BCS coincides
-with Drude exactly.
+with Drude exactly.  Above ``10 Delta(T)`` g is read from Chebyshev tables.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebinterpolate, chebval
 
 from .physcore import CONSTANTS, SuperconductorParams
 
@@ -169,16 +171,9 @@ def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
     [0, a] with ``a = min(Delta, sqrt(Delta xi)) / 4``, then panels that
     double in width, the last one ending at the cut-off.  The integrand is
     evaluated once, as one array over all nodes.  Returns 0 at and above
-    the transition.
-
-    Parameters
-    ----------
-    xi : float
-        Imaginary-frequency energy in eV, > 0.  The zero-frequency
-        behavior is handled by the static reflection coefficients of the
-        Lifshitz module, not here.
-    T : float
-        Temperature in K, >= 0 (``bcs_gap`` rejects a negative one).
+    the transition.  ``xi`` > 0 is in eV (the static term is the Lifshitz
+    module's) and ``T`` >= 0 in K.  Pure and uncached: ``permittivity_iw``
+    calls it under ``10 Delta`` and at the nodes of its tables above.
     """
     if xi <= 0.0:
         raise ValueError(f"bcs_g requires xi > 0, got {xi}")
@@ -204,16 +199,26 @@ def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
     except FloatingPointError:
         raise ValueError(f"pairing kernel denominator underflows at xi = {xi:.3g} eV, "
                          f"T = {T:.3g} K, relaxation energy {p.gamma:.3g} eV") from None
-    th = 1.0 if kT == 0.0 else np.tanh(e_qp / (2.0 * kT))
+    # tanh(u) rounds to 1.0 above 19.1: clipping u at 20 keeps it finite at subnormal kT
+    th = 1.0 if kT == 0.0 else np.tanh(np.minimum(e_qp, 40.0 * kT) / (2.0 * kT))
     return 2.0 * float(np.dot(weights, th / e_qp * g_plus.real))
+
+
+@lru_cache(maxsize=256)
+def _g_decade(T: float, p: SuperconductorParams, k: int) -> tuple[float, ...]:
+    """16-node Chebyshev coefficients of ``g xi**2`` on [1, 10] 10**k xi_c, xi_c = 10 Delta."""
+    def h(s):  # looks bcs_g up in the module, so a spy that replaces it sees each call
+        xi = 10.0 * bcs_gap(T, p) * 10.0 ** (k + 0.5 * (s + 1.0))
+        return np.array([bcs_g(v, T, p) * v * v for v in xi.tolist()])
+    return tuple(chebinterpolate(h, 15).tolist())  # a cosine sum: no least squares
 
 
 def permittivity_iw(model: DielectricModel, xi, T: float) -> float | np.ndarray:
     """Dielectric function at imaginary frequency ``i*xi``; real and >= 1.
 
-    An array ``xi`` gives one value per energy.  ``T`` only matters for BCS:
-    below the transition ``bcs_g`` runs once per energy on every call; at
-    and above it BCS is the Drude expression, bit for bit, with no ``bcs_g``.
+    An array ``xi`` gives one value per energy, as scalar calls do, bit for bit.
+    ``T`` only matters for BCS: below Tc, g is ``bcs_g`` under ``10 Delta(T)`` and
+    read from ``_g_decade`` above; at and above Tc BCS is Drude, bit for bit.
     """
     x = np.asarray(xi, dtype=float)
     if (x <= 0.0).any():
@@ -221,7 +226,12 @@ def permittivity_iw(model: DielectricModel, xi, T: float) -> float | np.ndarray:
     p = model.params
     paired = model.kind is ModelKind.BCS and bcs_gap(T, p) != 0.0
     if paired:
-        g = np.array([bcs_g(v, T, p) for v in x.ravel().tolist()]).reshape(x.shape)
+        u = np.log10(x) - math.log10(10.0 * bcs_gap(T, p))  # log10(xi / xi_c)
+        k, g = np.floor(u), np.zeros_like(u)
+        g[u < 0.0] = [bcs_g(v, T, p) for v in x[u < 0.0].tolist()]
+        for j in set(k[u >= 0.0].tolist()):  # one Chebyshev table per decade
+            on = k == j
+            g[on] = chebval(2.0 * (u[on] - j) - 1.0, _g_decade(T, p, int(j))) / x[on] ** 2
     with np.errstate(all="ignore"):  # tiny energies overflow to inf, silently
         if model.kind is ModelKind.PLASMA:
             r = p.Omega / x  # r * r overflows to inf where ** would raise

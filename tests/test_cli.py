@@ -157,8 +157,8 @@ class TestMain:
         (["lcpd-fit", "--csv", "{lcpd_huge_f}"], 3),
         (["sweep", "--small", "{sweep}", "--big", "{sweep}", "--window", "13.2", "14.19",
           "--out", "{out_missing_dir}"], 3),
-        # a parabola fit whose propagated stress and errors overflow to inf
-        (["lcpd-fit", "--csv", "{lcpd_inf_fit}"], 3),
+        # a parabola fit of tiny frequencies whose density overflows to inf
+        (["lcpd-fit", "--csv", "{lcpd_inf_rho}"], 3),
         # a negative threshold, which flags every row, and a negative seed
         (["tables", "--flag-above", "-1"], 2),
         (["generate-sweep", "--out", "{out}", "--seed", "-1"], 3),
@@ -198,8 +198,8 @@ class TestMain:
             "lcpd_huge_f": "V_volt,f_Hz\n" + "".join(
                 f"{0.25 * i - 1.0!r},{1e200 if i == 3 else 352800.0 - 100.0 * i * i!r}\n"
                 for i in range(9)),
-            "lcpd_inf_fit": "V_volt,f_Hz\n" + "".join(
-                f"{0.25 * i - 1.0!r},{1e150 if i == 3 else 352800.0 - 100.0 * i * i!r}\n"
+            "lcpd_inf_rho": "V_volt,f_Hz\n" + "".join(
+                f"{0.25 * i - 1.0!r},{1e-152 * (352800.0 - 100.0 * (i - 4) ** 2)!r}\n"
                 for i in range(9)),
         }
         paths = {"out": tmp_path / "out.csv",
@@ -632,6 +632,23 @@ class TestFitCommands:
         assert values["V0"] == pytest.approx(0.2572, abs=1e-6)
         assert values["sigma"] == pytest.approx(677e6, rel=1e-6)
         assert values["rho"] == pytest.approx(4992.0, rel=1e-6)
+
+    @pytest.mark.parametrize("f_huge", [1e100, 1e150, 1e154])
+    def test_lcpd_fit_huge_frequency(self, runner, tmp_path, f_huge):
+        # one f_Hz whose square is finite but whose fit covariance, O(f^4),
+        # would overflow: the fit runs on f^2 scaled by a power of two
+        path = tmp_path / "lcpd.csv"
+        path.write_text("V_volt,f_Hz\n" + "".join(
+            f"{0.25 * i - 1.0!r},{f_huge if i == 3 else 352800.0 - 100.0 * i * i!r}\n"
+            for i in range(9)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["lcpd-fit", "--csv", str(path), "--format", "csv"])
+        assert [str(w.message) for w in caught] == []
+        assert result.exit_code == 0
+        values = csv_values(result.output)
+        assert all(math.isfinite(value) for value in values.values())
+        assert values["rho"] > 0.0 and values["sigma"] > 0.0
 
     def test_lcpd_bad_header(self, runner, tmp_path):
         path = tmp_path / "lcpd.csv"

@@ -49,17 +49,17 @@ LOOSE = QuadratureConfig(term_stop_rel=1e-6)
 
 def dynamic_terms(d, T, model, ls, power):
     """The engine's momentum integrals of the indices ``ls``, with energies
-    and permittivities built here rather than read from its block memo."""
+    and permittivities built here rather than read from its term series."""
     xi = matsubara_frequency(np.asarray(ls), T)
     return _dynamic_integrals(d, xi, permittivity_iw(model, xi, T), power)
 
 
 @pytest.fixture
 def cold_memo():
-    """Empty the engine's memos of block permittivities and of term series, so
+    """Empty the pairing-kernel table and the engine's memo of term series, so
     a test counts every evaluation; returns the function that empties them again."""
     def clear():
-        lifshitz._block_permittivity.cache_clear()
+        permittivity._g_decade.cache_clear()
         lifshitz._term_series.cache_clear()
     clear()
     return clear
@@ -683,14 +683,15 @@ class TestTcJump:
 
 
 class TestBlockMemo:
-    """The engine evaluates the BCS permittivity of each 32-index block once
-    per (model, T) and reuses it across sums, prescriptions and separations.
-    It keeps the term blocks of its two most recent (model, T, d, power, cap)
-    series, so the prescriptions and stopping ratios of one sum share them."""
+    """The engine keeps the term blocks of its two most recent (model, T, d,
+    power, cap) series, so the prescriptions and stopping ratios of one sum
+    share them; the BCS permittivity reads the pairing kernel from a table
+    kept per (T, film, decade of xi)."""
 
     def test_jump_all_evaluates_each_energy_once(self, sc_params, monkeypatch, cold_memo):
-        # the three tc_jump calls of `jump --all` share both sides' blocks:
-        # their pairing kernels and their momentum integrals
+        # the three tc_jump calls of `jump --all` share both sides' blocks, and
+        # every energy of the superconducting side sits above 10 Delta: the
+        # kernel runs at the 16 nodes of each of 4 decades of the table
         energies, blocks, after_each = [], [], []
         kernel, integrals = permittivity.bcs_g, lifshitz._dynamic_integrals
         monkeypatch.setattr(permittivity, "bcs_g", lambda xi, T, p:
@@ -700,7 +701,7 @@ class TestBlockMemo:
         for approach in ZeroFreqApproach:
             tc_jump(190e-9, sc_params.Tc, 0.1, approach, sc_params)
             after_each.append(len(blocks))
-        assert len(energies) == len(set(energies)) == 1376
+        assert len(energies) == len(set(energies)) == 4 * 16
         assert after_each == [85] * 3
 
     @pytest.mark.parametrize("detail", [casimir_pressure_detail,
@@ -760,15 +761,15 @@ class TestBlockMemo:
         pytest.param(bcs, 15.0, id="bcs-above-tc"),
     ])
     def test_closed_form_blocks_are_not_kept(self, sc_params, cold_memo, make, T):
+        # closed-form permittivities build no pairing-kernel table
         casimir_pressure_detail(LifshitzSpec(d=190e-9, T=T, model=make(sc_params)))
-        assert lifshitz._block_permittivity.cache_info().currsize == 0
+        assert permittivity._g_decade.cache_info().currsize == 0
 
     def test_memoised_block_is_read_only(self, sc_params, cold_memo):
         casimir_pressure_detail(LifshitzSpec(d=190e-9, T=4.0, model=bcs(sc_params),
                                              quad=LOOSE))
-        xi, eps = lifshitz._block_permittivity(bcs(sc_params), 4.0, 1, _BLOCK + 1)
         series = lifshitz._term_series(bcs(sc_params), 4.0, 190e-9, 2, LOOSE.max_matsubara)
-        assert len(xi) == len(eps) == len(series[0]) == _BLOCK
-        for array in (xi, eps, *series.values()):
+        assert len(series[0]) == _BLOCK
+        for array in series.values():
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0

@@ -114,6 +114,20 @@ class TestLcpdFit:
             errors.append(abs(lcpd_fit(points, small_gap).V0 - 0.2572))
         assert max(errors) < 1e-3
 
+    @pytest.mark.parametrize("k", [-200, -1, 1, 7, 200, 400])
+    def test_power_of_two_frequency_scale(self, small_gap, k):
+        # the fit runs on f^2 / 2**e, e the exponent of its largest value: a
+        # factor 2**k on every f changes only rho ~ 1/a and its error, by 2**-2k.
+        # Whole-hertz frequencies have exact squares, which libm's pow keeps exact
+        points = [(v, float(round(f))) for v, f in
+                  synthetic_voltage_sweep(small_gap, 0.2572, noise=1e-3, seed=7)]
+        base = lcpd_fit(points, small_gap)
+        scaled = lcpd_fit([(v, math.ldexp(f, k)) for v, f in points], small_gap)
+        for name in ("V0", "sigma", "V0_err", "sigma_err"):
+            assert getattr(scaled, name) == getattr(base, name)
+        assert scaled.rho == math.ldexp(base.rho, -2 * k)
+        assert scaled.rho_err == math.ldexp(base.rho_err, -2 * k)
+
     def test_too_few_points(self, small_gap):
         with pytest.raises(FitError):
             lcpd_fit(synthetic_voltage_sweep(small_gap, 0.2572, n=4), small_gap)

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
@@ -51,6 +52,28 @@ def brute_force_g(xi, T, p, n=100_000):
     eps = np.linspace(0.0, 200.0 * max(delta, xi), n + 1)
     kT = CONSTANTS.kB_eV * T
     return 2.0 * simpson(pairing_integrand(eps, xi, delta, p.gamma, kT), x=eps)
+
+
+def fixed_rule_g_mp(xi, T, p):
+    """``bcs_g``'s own fixed rule (its nodes and weights, as floats) with the
+    integrand in 40-digit ``mpmath``: the kernel's arithmetic error alone."""
+    delta = bcs_gap(T, p)
+    kT = CONSTANTS.kB_eV * T
+    emax = max(200.0 * delta, 200.0 * xi, 50.0 * kT)
+    nodes, weights = permittivity._doubling_panels(
+        0.25 * min(delta, math.sqrt(delta * xi)), emax, 16)
+    with mpmath.workdps(40):
+        d, x, gamma = mpmath.mpf(delta), mpmath.mpf(xi), mpmath.mpf(p.gamma)
+        total = mpmath.mpf(0)
+        for eps, weight in zip(nodes.tolist(), weights.tolist()):
+            eps = mpmath.mpf(eps)
+            e_qp = mpmath.sqrt(eps * eps + d * d)
+            z = mpmath.mpc(e_qp, x)
+            qp = mpmath.sqrt(z * z - d * d)
+            w = qp + mpmath.mpc(0, gamma)
+            g_plus = (eps * eps * qp + w * (e_qp * z + d * d)) / (qp * (eps * eps - w * w))
+            total += weight * mpmath.tanh(e_qp / (2 * kT)) / e_qp * mpmath.re(g_plus)
+        return float(2 * total)
 
 
 def quad_g(xi, T, p):
@@ -206,6 +229,15 @@ class TestPairingFunction:
         for xi in np.geomspace(1e-3 * delta, min(0.2, top_in_gaps * delta), 25):
             assert bcs_g(xi, t, p) == pytest.approx(quad_g(xi, t, p), rel=1e-6)
 
+    # the absolute error of the float kernel over every energy the
+    # permittivity's table samples, 10 Delta to 100 eV (worst seen 2e-12)
+    @pytest.mark.parametrize("p", [SuperconductorParams(), P_MEV], ids=["dirty", "clean"])
+    @pytest.mark.parametrize("t", [4.0, 14.1, 14.19])
+    def test_against_40_digit_fixed_rule(self, p, t):
+        for xi in np.geomspace(10.0 * bcs_gap(t, p), 100.0, 5).tolist():
+            assert bcs_g(xi, t, p) == pytest.approx(fixed_rule_g_mp(xi, t, p), rel=0.0,
+                                                    abs=5e-12)
+
     def test_small_frequency_limit_is_condensate_fraction(self, sc_params):
         # numerical limit extrapolation: the xi*log(xi) correction dies out
         t = 0.5 * sc_params.Tc
@@ -228,6 +260,12 @@ class TestPairingFunction:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="pairing kernel denominator underflows"):
                 bcs_g(matsubara_frequency(1, 1e-300), 1e-300, p)
+
+    def test_subnormal_temperature_is_quiet(self, sc_params):
+        # e_qp / 2 kT would overflow; every tanh is 1, as at 1e-300 K
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bcs_g(1e-3, 1e-310, sc_params) == bcs_g(1e-3, 1e-300, sc_params)
 
     def test_domain_errors(self, sc_params):
         with pytest.raises(ValueError):
@@ -315,6 +353,7 @@ class TestPermittivity:
         kernel = permittivity.bcs_g
         monkeypatch.setattr(permittivity, "bcs_g",
                             lambda *args: calls.append(args) or kernel(*args))
+        permittivity._g_decade.cache_clear()
         model = factory(sc_params)
         xi = 2.0 * math.pi * CONSTANTS.kB_eV * T * np.arange(1, 41)
         got = permittivity_iw(model, xi, T)
@@ -324,8 +363,29 @@ class TestPermittivity:
         if T >= TC:
             assert got.tobytes() == permittivity_iw(drude(sc_params), xi, T).tobytes()
         assert type(permittivity_iw(model, xi[0], T)) is float
-        # 40 energies in the array call, 40 scalar calls, and xi[0] once more
-        assert len(calls) == (81 if factory is bcs and T < TC else 0)
+        # at 7 K the first 5 energies sit below 10 Delta and call the kernel:
+        # in the array call, in the scalar calls and for xi[0] once more; the
+        # other 35 share one decade of the table, 16 kernel calls built once
+        assert len(calls) == (5 + 16 + 5 + 1 if factory is bcs and T < TC else 0)
+
+    @pytest.mark.parametrize("p", [SuperconductorParams(), P_MEV], ids=["dirty", "clean"])
+    @pytest.mark.parametrize("T", [0.3, 1.0, 4.0, 13.2, 14.1, 14.19])
+    def test_table_matches_kernel(self, p, T):
+        # above xi_c = 10 Delta the permittivity reads g from one Chebyshev
+        # table per decade of xi / xi_c; on either side of each decade edge,
+        # just below xi_c and across 10 Delta to 100 eV it stays within 1e-10
+        # of the permittivity built on the kernel, and arrays keep scalar bits
+        permittivity._g_decade.cache_clear()
+        xi_c = 10.0 * bcs_gap(T, p)
+        edges = xi_c * 10.0 ** np.arange(5)
+        xi = np.concatenate([np.geomspace(xi_c, 100.0, 40), edges, np.nextafter(edges, 0.0),
+                             [0.999 * xi_c]])
+        g = np.array([bcs_g(v, T, p) for v in xi.tolist()])
+        want = 1.0 + (p.Omega ** 2 / xi) * (1.0 / (xi + p.gamma) + g / xi)
+        got = permittivity_iw(bcs(p), xi, T)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+        scalar = [permittivity_iw(bcs(p), v, T) for v in xi.tolist()]
+        assert got.tobytes() == np.array(scalar).tobytes()
 
     def test_tiny_energies_overflow_quietly(self, sc_params):
         # float arithmetic overflows to inf; so does the array form, silently
