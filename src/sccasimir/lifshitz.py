@@ -60,9 +60,10 @@ _HBAR_C = CONSTANTS.hbar_c_eVm
 _Y_SPAN = 50.0
 # Pa; a pressure term this small counts as small whatever the sum
 _ABS_TOL_PRESSURE = 1e-9
-# Matsubara indices per array evaluation; up to _BLOCK - 1 terms past the
-# stop are dropped, and larger blocks' temporaries no longer fit in cache
-_BLOCK = 32
+# Matsubara indices per array evaluation; up to _BLOCK - 1 terms past the stop are
+# dropped.  perfbench normal_state wall_s at 32/64/128/256/512: 0.16/0.10/0.08/0.09/0.11
+# s (2-vCPU Xeon); past 128 each doubling is slower and adds about 1.4 MB of peak RSS
+_BLOCK = 128
 
 
 class ZeroFreqApproach(enum.Enum):
@@ -80,13 +81,12 @@ class ZeroFreqApproach(enum.Enum):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Stopping rule and cap of the Matsubara sum: no index above the cap
-    is evaluated, and a sum that stops with ``truncation_bound >= 1`` is
-    not converged.  Its momentum integrals take no tolerance: each is one
-    fixed rule, 24 Gauss-Laguerre nodes for a block of ``l >= 1`` terms far
-    from the photon edge, 136 Gauss-Legendre nodes for a block near it and,
-    unless its condensate layer is thin, the static TE term; all are checked
-    to 1e-9 against adaptive quadrature."""
+    """Stopping rule and cap of the Matsubara sum: no index above the cap is
+    evaluated, and a sum that stops with ``truncation_bound >= 1`` is not
+    converged.  Its momentum integrals take no tolerance: each is one fixed rule,
+    24 Gauss-Laguerre nodes for a block of ``l >= 1`` terms far from the photon
+    edge, 48 to 136 Gauss-Legendre nodes near it, and 136 for the static TE term
+    unless its condensate layer is thin; all are checked to 1e-9 against adaptive quadrature."""
 
     term_stop_rel: float = 1e-10     # per-term stopping ratio
     max_matsubara: int = 100_000     # hard cap on the mode index
@@ -104,7 +104,7 @@ def _check_d_t(d: float, T: float) -> None:
     # d**4 divides the gradient; the product overflows to inf where ** raises
     if not (d > 0.0 and 0.0 < d * d * d * d < math.inf):
         raise ValueError(f"separation must have 0 < d**4 < inf, got {d} m")
-    # far below it the first panel of the pairing kernel underflows to 0 (1e-320 K)
+    # far below it the Matsubara energies are subnormal
     if not 1e-300 <= T < math.inf:
         raise ValueError(f"temperature must be finite and >= 1e-300 K, got {T} K")
 
@@ -136,17 +136,22 @@ class LifshitzDetail:
     truncation_bound: float  # relative truncation estimate (10x last term)
 
 
-# (r_te, r_tm) from q and x = xi/hbar_c; vacuum gives 0 as sqrt(q*q) == q
+# (r_te, r_tm) from q and x = xi/hbar_c, overwriting an array q to keep a
+# block's temporaries few; vacuum gives 0 as sqrt(q*q) == q
 def _fresnel(epsilon, q, x):
     s = np.sqrt(q * q + (epsilon - 1.0) * x * x)
-    eq = epsilon * q
-    return (q - s) / (q + s), (eq - s) / (eq + s)
+    r_te = (q - s) / (q + s)
+    q *= epsilon
+    r_tm = q - s
+    q += s
+    r_tm /= q
+    return r_te, r_tm
 
 
-# static TE coefficient (k - hypot(k, kp)) / (k + hypot(k, kp)) without the
-# cancellation that loses the small coefficient at k >> kp; scalars or arrays
+# static TE coefficient (k - hypot(k, kp)) / (k + hypot(k, kp)) without the cancellation
+# that loses it at k >> kp, and squaring a ratio <= 1, so nothing overflows; scalars or arrays
 def _static_te(k, kp):
-    return -kp * kp / (k + np.hypot(k, kp)) ** 2
+    return -(kp / (k + np.hypot(k, kp))) ** 2
 
 
 # static TM integrals with unit reflection, t = exp(-y): Int y^2 t/(1-t) dy
@@ -155,16 +160,18 @@ def _static_te(k, kp):
 _STATIC_TM = {2: 2.0 * CONSTANTS.zeta3, 3: 6.0 * CONSTANTS.zeta3}
 
 
-# (nodes, weights) in u = y - y0.  The edge rule's first panel sits next to the
-# branch point of s; from y0 = 3 on, the integrand is smooth times exp(-u), and
-# 24 Gauss-Laguerre nodes, weights times exp(u) (DLMF 3.5(v)), take it to 1e-13
-_EDGE_RULE = _doubling_panels(1e-3, _Y_SPAN, 8)
-_LAGUERRE_RULE = next((u, w * np.exp(u)) for u, w in [np.polynomial.laguerre.laggauss(24)])
+# (nodes, weights) in u = y - y0 for a first y0 in [_RULE_STARTS[i-1], _RULE_STARTS[i]).
+# Below 3, the edge band: doubling panels, the first [0, 1e-3 2^k] no wider than y0, the
+# distance from u = 0 to the branch points of s.  From 3 on the integrand is smooth times
+# exp(-u): 24 Gauss-Laguerre nodes, weights times exp(u) (DLMF 3.5(v)), take it to 1e-13
+_RULE_STARTS = np.append(1e-3 * 2.0 ** np.arange(1, 12), 3.0)
+_RULES = [_doubling_panels(1e-3 * 2.0 ** k, _Y_SPAN, 8) for k in range(12)] + [
+    next((u, w * np.exp(u)) for u, w in [np.polynomial.laguerre.laggauss(24)])]
 
 
 def _momentum_rule(d: float, xi_first: float):
     """The rule of a block of ``l >= 1`` terms, chosen by its first energy."""
-    return _LAGUERRE_RULE if 2.0 * d * (xi_first / _HBAR_C) >= 3.0 else _EDGE_RULE
+    return _RULES[np.searchsorted(_RULE_STARTS, 2.0 * d * (float(xi_first) / _HBAR_C), "right")]
 
 
 # y^power Sum_r t/(1 - t)^(power - 1), t = r^2 exp(-y): every term's
@@ -174,11 +181,8 @@ def _integrand(y, power: int, *reflections):
     for t in reflections:
         t *= t
         t *= e
-        den = 1.0 - t
-        if power == 3:
-            den *= den
-        t /= den
-    return y ** power * sum(reflections[1:], reflections[0])
+        t /= (1.0 - t) ** (power - 1)
+    return np.multiply(y ** power, sum(reflections[1:], reflections[0]), out=e)
 
 
 def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
@@ -186,16 +190,15 @@ def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
     fixed rule in ``y``: 8 Gauss-Legendre nodes per panel, a first panel
     ``[0, min(1e-3, y_p / 4)]`` with ``y_p = 2 d omega_eff / hbar_c`` the
     condensate layer where the reflection switches on, then panels doubling
-    in width.  That is the ``l >= 1`` edge rule for ``y_p >= 4e-3``, and finer
-    only near Tc (312 nodes at ``y_p = 1e-9``).  Against adaptive quadrature
+    in width.  That is the finest ``l >= 1`` edge rule (136 nodes) for ``y_p >= 4e-3``,
+    and finer only near Tc (312 nodes at ``y_p = 1e-9``).  Against adaptive quadrature
     at ``epsrel`` 1e-13 it agrees to 1e-9 relative for d in [50 nm, 5 um],
     both powers, and ``omega_eff`` from 0.1 K to 1e-13 K below Tc up to
     ``Omega = 1e4`` eV."""
     if omega_eff == 0.0:
         return 0.0
     y_p = 2.0 * d * omega_eff / _HBAR_C
-    # below y_p = 1e-300 the rule's panel count overflows, and once the
-    # squares of y_p underflow, 0/0 and t = 1 give a non-finite term
+    # below y_p = 1e-300 the rule's panel count overflows; an infinite y_p gives nan
     if y_p > 1e-300:
         y, weights = _doubling_panels(min(1e-3, 0.25 * y_p), _Y_SPAN, 8)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -208,15 +211,15 @@ def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
 
 def _dynamic_integrals(d: float, xi, eps, power: int) -> np.ndarray:
     """Momentum integrals of the ``l >= 1`` terms at energies ``xi`` with
-    permittivities ``eps``, in ``u = y - y0`` on the rule that the photon
-    edge ``y0`` of ``xi[0]`` picks: below 3, 8 Gauss-Legendre nodes per
-    panel on [0, 50], a first panel [0, 1e-3], then panels doubling in width
-    (136 nodes); from 3 on, 24 Gauss-Laguerre nodes.  Against adaptive
-    quadrature at ``epsrel`` 1e-13 it agrees to 1e-9 relative (worst seen
-    1.5e-11) for d in [50 nm, 5 um], T in [0.1, 20] K, Drude, plasma and
-    BCS responses of dirty and clean films, both powers and ``y0`` up to 50
-    (200 on the Laguerre rule).  A term that overflows (the permittivity or
-    ``eps * q`` at tiny T, or ``y**power`` at huge T) is non-finite, without warning."""
+    permittivities ``eps``, in ``u = y - y0`` on the rule that the photon edge ``y0``
+    of ``xi[0]`` picks: below 3, 8 Gauss-Legendre nodes per panel on [0, 50], the
+    first [0, 1e-3 2^k] with the largest k <= 11 that keeps it no wider than y0
+    (k = 0 below 2e-3), then panels doubling in width, 8 (17 - k) nodes; from 3 on,
+    24 Gauss-Laguerre nodes.  Against adaptive quadrature at ``epsrel`` 1e-13 it
+    agrees to 1e-9 relative (worst seen 1.5e-11) for d in [50 nm, 5 um], T in [0.1,
+    20] K, Drude, plasma and BCS responses of dirty and clean films, both powers and
+    ``y0`` up to 50 (200 on the Laguerre rule).  A term that overflows (the permittivity
+    or ``eps * q`` at tiny T, or ``y**power`` at huge T) is non-finite, without warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         nodes, weights = _momentum_rule(d, xi[0])
         x = xi[:, None] / _HBAR_C
@@ -224,7 +227,7 @@ def _dynamic_integrals(d: float, xi, eps, power: int) -> np.ndarray:
         return _integrand(y, power, *_fresnel(eps[:, None], y * (0.5 / d), x)) @ weights
 
 
-# the read-only l >= 1 term blocks of one series by offset 0, 32, ..., stored by
+# the read-only l >= 1 term blocks of one series by offset 0, _BLOCK, ..., stored by
 # the first sum to read each (or by two, with equal terms); two hold tc_jump's sides
 @lru_cache(maxsize=2)
 def _term_series(model: DielectricModel, T: float, d: float, power: int, cap: int):
@@ -232,21 +235,15 @@ def _term_series(model: DielectricModel, T: float, d: float, power: int, cap: in
 
 
 def _static_te_omega(spec: LifshitzSpec) -> float:
-    """Effective plasma energy feeding the static TE coefficient.
-
-    Superconducting side (T < Tc): the weighted plasma energy for the
-    Drude- and plasma-paired prescriptions, the bare plasma energy for the
-    plasma-plasma prescription.  Normal side (T >= Tc): zero (no static TE
-    reflection) for the Drude pairing, the bare plasma energy otherwise.
-    """
-    p = spec.model.params
+    """Effective plasma energy feeding the static TE coefficient.  Below Tc:
+    the weighted plasma energy for the Drude- and plasma-paired prescriptions,
+    the bare one for plasma-plasma.  At and above Tc: zero (no static TE
+    reflection) for the Drude pairing, the bare plasma energy otherwise."""
+    p, approach = spec.model.params, spec.approach
     if spec.T < p.Tc:
-        if spec.approach is ZeroFreqApproach.PLASMA_PLASMA:
-            return p.Omega
-        return effective_plasma_frequency(spec.T, p)
-    if spec.approach is ZeroFreqApproach.DRUDE_BCS:
-        return 0.0
-    return p.Omega
+        plasma_plasma = approach is ZeroFreqApproach.PLASMA_PLASMA
+        return p.Omega if plasma_plasma else effective_plasma_frequency(spec.T, p)
+    return 0.0 if approach is ZeroFreqApproach.DRUDE_BCS else p.Omega
 
 
 # the sum times -kB T / (8 pi d^3) (power 2, P) or +kB T / (8 pi d^4) (power 3,
@@ -255,8 +252,7 @@ def _matsubara_sum(spec: LifshitzSpec, power: int) -> LifshitzDetail:
     cfg = spec.quad
     pref = CONSTANTS.kB_J * spec.T / (8.0 * math.pi * spec.d ** (power + 1))
     prefactor = -pref if power == 2 else pref
-    te0 = _static_te_integral(spec.d, _static_te_omega(spec), power)
-    zero = 0.5 * (_STATIC_TM[power] + te0)
+    zero = 0.5 * (_STATIC_TM[power] + _static_te_integral(spec.d, _static_te_omega(spec), power))
 
     # the absolute tolerance applies to the pressure only
     rel, tol = cfg.term_stop_rel, _ABS_TOL_PRESSURE if power == 2 else -math.inf

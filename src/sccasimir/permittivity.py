@@ -183,8 +183,12 @@ def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
     kT = _KB * T
     emax = max(200.0 * delta, 200.0 * xi, 50.0 * kT)
     # the first panel resolves the narrow sqrt(delta*xi) layer that carries
-    # the condensate weight at small xi
-    eps, weights = _doubling_panels(0.25 * min(delta, math.sqrt(delta * xi)), emax, 16)
+    # the condensate weight at small xi, and is 0 where delta*xi underflows
+    first = 0.25 * min(delta, math.sqrt(delta * xi))
+    if first == 0.0:
+        raise ValueError(f"pairing kernel's first panel underflows to 0 at xi = {xi:.3g} eV, "
+                         f"gap {delta:.3g} eV")
+    eps, weights = _doubling_panels(first, emax, 16)
 
     e_qp = np.hypot(eps, delta)
     # principal-branch sqrt keeps Re >= 0, which makes Re[G+] decay at

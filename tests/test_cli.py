@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from sccasimir import __version__
 from sccasimir.cli import main
+from sccasimir.lifshitz import classical_terms
 from sccasimir.membrane import dw2_from_gradient, fundamental_frequency
 from sccasimir.physcore import (
     CONSTANTS,
@@ -148,10 +149,9 @@ class TestMain:
           "1e-300", "--rrr", "1e300"], 2),
         (["pressure", "--d", "190e-9", "--t", "14.0", "--skip-exponent", "--config",
           "{gamma_zero}"], 3),
-        # condensate layers whose square underflows (0/0, then 1/0), and
-        # thinner ones on which the static TE rule cannot be built
+        # condensate layers so thin that the static TE rule cannot be built
         *[(["pressure", "--d", "190e-9", "--t", "14.0", "--skip-exponent", "--omega",
-            omega], 2) for omega in ("1e-300", "1e-160", "1e-305", "1e-320")],
+            omega], 2) for omega in ("1e-300", "1e-302", "1e-305", "1e-320")],
         # a voltage sweep whose f^2 overflows, and a report that cannot be
         # written after the pipeline has run
         (["lcpd-fit", "--csv", "{lcpd_huge_f}"], 3),
@@ -175,6 +175,14 @@ class TestMain:
         # kernel's denominator underflows
         (["gradient", "--d", "1e-9", "--t", "1e-300", "--gamma0", "1e-100", "--model",
           "bcs"], 2),
+        # a condensate layer so large that the square in the static TE
+        # coefficient overflowed, before the Matsubara terms overflow
+        (["gradient", "--d", "1e20", "--t", "4", "--omega", "1e150"], 2),
+        (["jump", "--d", "1e3", "--omega", "1e150"], 2),
+        # a gap and xi whose product underflows: the pairing kernel's
+        # first panel would be [0, 0]
+        *[([command, "--d", "190e-9", "--t", "1e-300", "--tc", "1e-20"], 2)
+          for command in ("gradient", "pressure", "exponent")],
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
@@ -317,6 +325,19 @@ class TestPressureCommand:
         values = csv_values(result.output)
         assert values["pressure"] == pytest.approx(-0.402, rel=5e-2)
         assert values["pressure_gradient"] > 0.0
+
+    def test_vanishing_plasma_energy_leaves_the_static_tm_term(self, runner):
+        # the condensate layer's square is subnormal at --omega 1e-160, but the
+        # static TE coefficient squares a ratio <= 1 and stays finite; with no
+        # other reflection left, the pressure is the universal static TM term
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["pressure", "--d", "190e-9", "--t", "14.0",
+                                          "--skip-exponent", "--omega", "1e-160",
+                                          "--format", "csv"])
+        assert result.exit_code == 0
+        p_tm0, _ = classical_terms(190e-9, 14.0)
+        assert csv_values(result.output)["pressure"] == pytest.approx(p_tm0, rel=1e-8)
 
     def test_usage_error_exit_code(self, runner):
         result = runner.invoke(main, ["pressure"])

@@ -261,6 +261,15 @@ class TestPairingFunction:
             with pytest.raises(ValueError, match="pairing kernel denominator underflows"):
                 bcs_g(matsubara_frequency(1, 1e-300), 1e-300, p)
 
+    def test_underflowing_first_panel_is_refused(self):
+        # at Tc = 1e-20 K the gap is 1.5e-24 eV, and its product with
+        # xi = 5.4e-304 eV underflows, so the first panel would be [0, 0]
+        p = SuperconductorParams(Tc=1e-20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="pairing kernel's first panel underflows"):
+                bcs_g(matsubara_frequency(1, 1e-300), 1e-300, p)
+
     def test_subnormal_temperature_is_quiet(self, sc_params):
         # e_qp / 2 kT would overflow; every tanh is 1, as at 1e-300 K
         with warnings.catch_warnings():
