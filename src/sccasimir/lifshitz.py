@@ -24,6 +24,7 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -60,10 +61,10 @@ _HBAR_C = CONSTANTS.hbar_c_eVm
 _Y_SPAN = 50.0
 # Pa; a pressure term this small counts as small whatever the sum
 _ABS_TOL_PRESSURE = 1e-9
-# Matsubara indices per array evaluation; up to _BLOCK - 1 terms past the stop are
-# dropped.  perfbench normal_state wall_s at 32/64/128/256/512: 0.16/0.10/0.08/0.09/0.11
-# s (2-vCPU Xeon); past 128 each doubling is slower and adds about 1.4 MB of peak RSS
-_BLOCK = 128
+# (term, node) pairs per block of l >= 1 terms, so 45 terms on the 136-node rule and
+# 768 on 8 nodes; up to a block less one past the stop are dropped.  8192 or 12288
+# overran into pairing-kernel decades no sum reads (16 or 32 bcs_g calls more)
+_PAIRS = 6144
 
 
 class ZeroFreqApproach(enum.Enum):
@@ -84,7 +85,7 @@ class QuadratureConfig:
     """Stopping rule and cap of the Matsubara sum: no index above the cap is
     evaluated, and a sum that stops with ``truncation_bound >= 1`` is not
     converged.  Its momentum integrals take no tolerance: each is one fixed rule,
-    24 Gauss-Laguerre nodes for a block of ``l >= 1`` terms far from the photon
+    24 to 8 Gauss-Laguerre nodes for a block of ``l >= 1`` terms far from the photon
     edge, 48 to 136 Gauss-Legendre nodes near it, and 136 for the static TE term
     unless its condensate layer is thin; all are checked to 1e-9 against adaptive quadrature."""
 
@@ -163,15 +164,22 @@ _STATIC_TM = {2: 2.0 * CONSTANTS.zeta3, 3: 6.0 * CONSTANTS.zeta3}
 # (nodes, weights) in u = y - y0 for a first y0 in [_RULE_STARTS[i-1], _RULE_STARTS[i]).
 # Below 3, the edge band: doubling panels, the first [0, 1e-3 2^k] no wider than y0, the
 # distance from u = 0 to the branch points of s.  From 3 on the integrand is smooth times
-# exp(-u): 24 Gauss-Laguerre nodes, weights times exp(u) (DLMF 3.5(v)), take it to 1e-13
-_RULE_STARTS = np.append(1e-3 * 2.0 ** np.arange(1, 12), 3.0)
+# exp(-u): 24, 16, 12 and 8 Gauss-Laguerre nodes from 3, 4, 6 and 16, weights times
+# exp(u) (DLMF 3.5(v)), take it to 1.3e-11 (12 nodes at y0 = 6, d = 50 nm) or better
+_RULE_STARTS = np.append(1e-3 * 2.0 ** np.arange(1, 12), [3.0, 4.0, 6.0, 16.0])
 _RULES = [_doubling_panels(1e-3 * 2.0 ** k, _Y_SPAN, 8) for k in range(12)] + [
-    next((u, w * np.exp(u)) for u, w in [np.polynomial.laguerre.laggauss(24)])]
+    (u, w * np.exp(u)) for u, w in map(np.polynomial.laguerre.laggauss, (24, 16, 12, 8))]
 
 
 def _momentum_rule(d: float, xi_first: float):
     """The rule of a block of ``l >= 1`` terms, chosen by its first energy."""
     return _RULES[np.searchsorted(_RULE_STARTS, 2.0 * d * (float(xi_first) / _HBAR_C), "right")]
+
+
+def _block_xi(d: float, T: float, l: int, cap: int) -> np.ndarray:
+    """Energies of the l >= 1 block at offset ``l``: _PAIRS // nodes of its rule, to the cap."""
+    xi = matsubara_frequency(np.arange(l + 1, min(l + _PAIRS // len(_RULES[-1][0]), cap) + 1), T)
+    return xi[:_PAIRS // len(_momentum_rule(d, xi[0])[0])]  # cut from the longest block, on 8 nodes
 
 
 # y^power Sum_r t/(1 - t)^(power - 1), t = r^2 exp(-y): every term's
@@ -186,15 +194,13 @@ def _integrand(y, power: int, *reflections):
 
 
 def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
-    """Momentum integral of the static TE term over ``[0, 50]`` on one
-    fixed rule in ``y``: 8 Gauss-Legendre nodes per panel, a first panel
-    ``[0, min(1e-3, y_p / 4)]`` with ``y_p = 2 d omega_eff / hbar_c`` the
-    condensate layer where the reflection switches on, then panels doubling
-    in width.  That is the finest ``l >= 1`` edge rule (136 nodes) for ``y_p >= 4e-3``,
-    and finer only near Tc (312 nodes at ``y_p = 1e-9``).  Against adaptive quadrature
-    at ``epsrel`` 1e-13 it agrees to 1e-9 relative for d in [50 nm, 5 um],
-    both powers, and ``omega_eff`` from 0.1 K to 1e-13 K below Tc up to
-    ``Omega = 1e4`` eV."""
+    """Momentum integral of the static TE term over ``[0, 50]`` on one fixed rule in ``y``:
+    8 Gauss-Legendre nodes per panel, a first panel ``[0, min(1e-3, y_p / 4)]`` with
+    ``y_p = 2 d omega_eff / hbar_c`` the condensate layer where the reflection switches
+    on, then panels doubling in width.  That is the finest ``l >= 1`` edge rule (136 nodes)
+    for ``y_p >= 4e-3``, and finer only near Tc (312 nodes at ``y_p = 1e-9``).  Against
+    adaptive quadrature at ``epsrel`` 1e-13 it agrees to 1e-9 relative for d in [50 nm,
+    5 um], both powers, and ``omega_eff`` from 0.1 K to 1e-13 K below Tc up to 1e4 eV."""
     if omega_eff == 0.0:
         return 0.0
     y_p = 2.0 * d * omega_eff / _HBAR_C
@@ -211,15 +217,13 @@ def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
 
 def _dynamic_integrals(d: float, xi, eps, power: int) -> np.ndarray:
     """Momentum integrals of the ``l >= 1`` terms at energies ``xi`` with
-    permittivities ``eps``, in ``u = y - y0`` on the rule that the photon edge ``y0``
-    of ``xi[0]`` picks: below 3, 8 Gauss-Legendre nodes per panel on [0, 50], the
-    first [0, 1e-3 2^k] with the largest k <= 11 that keeps it no wider than y0
-    (k = 0 below 2e-3), then panels doubling in width, 8 (17 - k) nodes; from 3 on,
-    24 Gauss-Laguerre nodes.  Against adaptive quadrature at ``epsrel`` 1e-13 it
-    agrees to 1e-9 relative (worst seen 1.5e-11) for d in [50 nm, 5 um], T in [0.1,
-    20] K, Drude, plasma and BCS responses of dirty and clean films, both powers and
-    ``y0`` up to 50 (200 on the Laguerre rule).  A term that overflows (the permittivity
-    or ``eps * q`` at tiny T, or ``y**power`` at huge T) is non-finite, without warning."""
+    permittivities ``eps``, in ``u = y - y0`` on the rule that the photon edge ``y0`` of
+    ``xi[0]`` picks: 8 (17 - k) Gauss-Legendre nodes below 3, then 24, 16, 12 and 8
+    Gauss-Laguerre nodes from 3, 4, 6 and 16 (see ``_RULES``).  Against adaptive quadrature
+    at ``epsrel`` 1e-13 it agrees to 1e-9 relative (worst seen 1.5e-11) for d in [50 nm,
+    5 um], T in [0.1, 20] K, Drude, plasma and BCS responses of dirty and clean films, both
+    powers and ``y0`` up to 50 (200 on the Laguerre rules).  A term that overflows (the
+    permittivity or ``eps * q`` at tiny T, or ``y**power`` at huge T) is non-finite, quietly."""
     with np.errstate(over="ignore", invalid="ignore"):
         nodes, weights = _momentum_rule(d, xi[0])
         x = xi[:, None] / _HBAR_C
@@ -227,8 +231,8 @@ def _dynamic_integrals(d: float, xi, eps, power: int) -> np.ndarray:
         return _integrand(y, power, *_fresnel(eps[:, None], y * (0.5 / d), x)) @ weights
 
 
-# the read-only l >= 1 term blocks of one series by offset 0, _BLOCK, ..., stored by
-# the first sum to read each (or by two, with equal terms); two hold tc_jump's sides
+# the read-only l >= 1 term blocks of one series by their offsets, which _block_xi sets, stored
+# by the first sum to read each (or by two, with equal terms); two hold tc_jump's sides
 @lru_cache(maxsize=2)
 def _term_series(model: DielectricModel, T: float, d: float, power: int, cap: int):
     return {}
@@ -253,34 +257,33 @@ def _matsubara_sum(spec: LifshitzSpec, power: int) -> LifshitzDetail:
     pref = CONSTANTS.kB_J * spec.T / (8.0 * math.pi * spec.d ** (power + 1))
     prefactor = -pref if power == 2 else pref
     zero = 0.5 * (_STATIC_TM[power] + _static_te_integral(spec.d, _static_te_omega(spec), power))
-
-    # the absolute tolerance applies to the pressure only
-    rel, tol = cfg.term_stop_rel, _ABS_TOL_PRESSURE if power == 2 else -math.inf
+    rel, tol = cfg.term_stop_rel, _ABS_TOL_PRESSURE if power == 2 else -math.inf  # P only
     series = _term_series(spec.model, spec.T, spec.d, power, cfg.max_matsubara)
-    running, consec, last, l = zero, 0, 0.0, 0
-    while consec < 3 and l < cfg.max_matsubara:
+    running, window, stops, read, l = zero, np.zeros(2, bool), [], [], 0
+    while not len(stops) and l < cfg.max_matsubara:
         if l not in series:
-            xi = matsubara_frequency(np.arange(l, min(l + _BLOCK, cfg.max_matsubara)) + 1, spec.T)
+            xi = _block_xi(spec.d, spec.T, l, cfg.max_matsubara)
             block = _dynamic_integrals(spec.d, xi, permittivity_iw(spec.model, xi, spec.T), power)
             if not np.isfinite(block).all():
                 raise ValueError(f"Matsubara terms overflow at T = {spec.T} K, d = {spec.d} m")
             block.flags.writeable = False
             series[l] = block
-        for n, term in enumerate(series[l].tolist(), 1):
-            running += term
-            last = abs(term)
-            small = last <= rel * abs(running) or pref * last <= tol
-            consec = consec + 1 if small else 0
-            if consec == 3:
-                break
+        # running totals by sequential addition, as term by term; a stop ends a run of 3
+        # small terms in the window of this block's terms and the last two before them
+        totals, size = np.cumsum(np.append(running, series[l]))[1:], np.abs(series[l])
+        window = np.append(window[-2:], (size <= rel * np.abs(totals)) | (pref * size <= tol))
+        stops = np.flatnonzero(window[:-2] & window[1:-1] & window[2:])
+        n = int(stops[0]) + 1 if len(stops) else len(size)
+        running, last = float(totals[n - 1]), float(size[n - 1])
+        read.append(series[l][:n])
         l += n
 
-    read = [series[k] for k in range(0, l, _BLOCK)]  # the blocks this sum read
-    total = math.fsum(np.concatenate([[zero], *read])[:l + 1])  # correctly rounded for any split
+    # correctly rounded for any split, read as Python floats a block at a time
+    total = math.fsum(chain([zero], chain.from_iterable(b.tolist() for b in read)))
     achieved = last / abs(total) if total != 0.0 else math.inf
     detail = LifshitzDetail(prefactor * total, l, zero, total - zero, last, 10.0 * achieved)
     # _ABS_TOL_PRESSURE can stop a sum whose last term is still >= 10% of it
-    if consec < 3 or detail.truncation_bound >= 1.0:
+    if not len(stops) or detail.truncation_bound >= 1.0:
         raise ConvergenceError(f"Matsubara sum not converged after {l} terms "
                                f"(last relative term {achieved:.3e})", detail)
     return detail
@@ -384,11 +387,10 @@ def tc_jump(d: float, Tc: float, dT: float, approach: ZeroFreqApproach,
             quad_cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """Pressure-gradient change across the superconducting transition.
 
-    Evaluates ``P'(d, Tc + dT)`` with the normal-state prescription minus
-    ``P'(d, Tc - dT)`` with the superconducting-state prescription of the
-    chosen approach.  Every approach uses the Drude response for the
-    dynamic terms above the transition and the pairing-corrected response
-    below it; only the static transverse-electric coefficient differs.
+    Evaluates ``P'(d, Tc + dT)`` with the normal-state prescription minus ``P'(d, Tc - dT)``
+    with the superconducting-state prescription of the chosen approach.  Every approach
+    uses the Drude response for the dynamic terms above the transition and the
+    pairing-corrected response below it; only the static TE coefficient differs.
 
     ``dT = 0`` is allowed and degenerates to an exact zero for every
     prescription (both sides then sit in the normal state).

@@ -93,15 +93,13 @@ def condensate_fraction(T: float, p: SuperconductorParams) -> float:
         pi/(2 eta) tanh(1/(4 eta t)) - (1/eta**2) *
             Int_0^inf dx tanh(E(x)/(2 t)) / (E(x) (4 x**2 + 1))
 
-    with ``eta = gamma/(2 Delta)``, ``t = kB T / gamma`` and
-    ``E(x) = sqrt(x**2 + a**2)``, ``a = 1/(2 eta)``.  The integral is one
-    fixed composite Gauss-Legendre rule with 16 nodes per panel on
-    [0, x_max], ``x_max = 1e4 max(a, t, 1)``: a first panel
-    ``min(a, max(t, a/1000), 1/2) / 4`` wide, then panels that double in
-    width.  Past ``x_max``, ``tanh = 1`` and ``E = x`` to double precision,
-    so the rest is the closed form ``1 / (8 x_max**2)``.  This quantity is the
-    ``xi -> 0`` limit of ``bcs_g`` (verified against brute-force
-    quadrature of the pairing integrand in the tests).
+    with ``eta = gamma/(2 Delta)``, ``t = kB T / gamma`` and ``E(x) = sqrt(x**2 + a**2)``,
+    ``a = 1/(2 eta)``.  The integral is one fixed composite Gauss-Legendre rule with 16
+    nodes per panel on [0, x_max], ``x_max = 1e4 max(a, t, 1)``: a first panel
+    ``min(a, max(t, a/1000), 1/2) / 4`` wide, then panels that double in width.  Past
+    ``x_max``, ``tanh = 1`` and ``E = x`` to double precision, so the rest is the closed
+    form ``1 / (8 x_max**2)``.  This quantity is the ``xi -> 0`` limit of ``bcs_g``
+    (verified against brute-force quadrature of the pairing integrand in the tests).
     """
     if not (0.0 < T < p.Tc):
         raise ValueError(f"superconducting state requires 0 < T < Tc, got {T} K")
@@ -164,16 +162,14 @@ def _doubling_panels(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.n
 def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
     """Dimensionless pairing correction ``g(xi; T)`` to the Drude response.
 
-    The epsilon integral is folded onto [0, inf) and doubled using the even
-    symmetry of the integrand, then truncated at
-    ``max(200 Delta, 200 xi, 50 kB T)``.  The window is covered by a fixed
-    composite Gauss-Legendre rule with 16 nodes per panel: a first panel
-    [0, a] with ``a = min(Delta, sqrt(Delta xi)) / 4``, then panels that
-    double in width, the last one ending at the cut-off.  The integrand is
-    evaluated once, as one array over all nodes.  Returns 0 at and above
-    the transition.  ``xi`` > 0 is in eV (the static term is the Lifshitz
-    module's) and ``T`` >= 0 in K.  Pure and uncached: ``permittivity_iw``
-    calls it under ``10 Delta`` and at the nodes of its tables above.
+    The epsilon integral is folded onto [0, inf) and doubled using the even symmetry of
+    the integrand, then truncated at ``max(200 Delta, 200 xi, 50 kB T)``.  The window is
+    covered by a fixed composite Gauss-Legendre rule with 16 nodes per panel: a first
+    panel [0, a] with ``a = min(Delta, sqrt(Delta xi)) / 4``, then panels that double in
+    width, the last one ending at the cut-off.  The integrand is evaluated once, as one
+    array over all nodes.  Returns 0 at and above the transition.  ``xi`` > 0 is in eV
+    (the static term is the Lifshitz module's) and ``T`` >= 0 in K.  Pure and uncached:
+    ``permittivity_iw`` calls it under ``10 Delta`` and at the nodes of its tables above.
     """
     if xi <= 0.0:
         raise ValueError(f"bcs_g requires xi > 0, got {xi}")
@@ -190,14 +186,16 @@ def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
                          f"gap {delta:.3g} eV")
     eps, weights = _doubling_panels(first, emax, 16)
 
-    e_qp = np.hypot(eps, delta)
-    # principal-branch sqrt keeps Re >= 0, which makes Re[G+] decay at
-    # large eps and the integral converge
+    e_qp, eps2 = np.hypot(eps, delta), eps * eps
     z = e_qp + 1j * xi
-    qp = np.sqrt(z ** 2 - delta * delta)
+    # qp**2 = z**2 - delta**2, whose real part e_qp**2 - xi**2 - delta**2 is eps**2 - xi**2
+    # without the cancellation that loses the xi -> 0 plateau; the principal-branch sqrt
+    # keeps Re >= 0, which makes Re[G+] decay at large eps and the integral converge
+    qp = z * z
+    qp.real = eps2 - xi * xi
+    qp = np.sqrt(qp)
     ap = e_qp * z + delta * delta
     w = qp + 1j * p.gamma
-    eps2 = eps * eps
     try:  # with xi and gamma both tiny, qp (eps2 - w*w) underflows
         g_plus = _raising_divide(eps2 * qp + w * ap, qp * (eps2 - w * w))
     except FloatingPointError:

@@ -4,6 +4,7 @@ import sys
 import threading
 import warnings
 from dataclasses import replace
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from sccasimir.lifshitz import (
     SpherePlate,
     ZeroFreqApproach,
     _ABS_TOL_PRESSURE,
-    _BLOCK,
+    _PAIRS,
     _STATIC_TM,
+    _block_xi,
     _dynamic_integrals,
     _fresnel,
     _momentum_rule,
@@ -53,6 +55,23 @@ def dynamic_terms(d, T, model, ls, power):
     and permittivities built here rather than read from its term series."""
     xi = matsubara_frequency(np.asarray(ls), T)
     return _dynamic_integrals(d, xi, permittivity_iw(model, xi, T), power)
+
+
+def partition(d, T, cap):
+    """The engine's blocks of l >= 1 terms up to the cap, as ``_block_xi`` lays them
+    out: yields each block's offset and energies, lazily."""
+    offset = 0
+    while offset < cap:
+        xi = _block_xi(d, T, offset, cap)
+        yield offset, xi
+        offset += len(xi)
+
+
+def block_holding(d, T, cap, n):
+    """Offset and energies of the block that holds term ``n``."""
+    for offset, xi in partition(d, T, cap):
+        if n <= offset + len(xi):
+            return offset, xi
 
 
 @pytest.fixture
@@ -277,14 +296,17 @@ def per_term_sum(spec, power):
     d, T, cfg = spec.d, spec.T, spec.quad
     pref = CONSTANTS.kB_J * T / (8.0 * math.pi * d ** (power + 1))
     zero = 0.5 * (_STATIC_TM[power] + _static_te_integral(d, _static_te_omega(spec), power))
-    terms, running, consec, l = [zero], zero, 0, 0
+    terms, running, consec, l, end = [zero], zero, 0, 0, 0
+    blocks = partition(d, T, cfg.max_matsubara)
     while consec < 3 and l < cfg.max_matsubara:
         l += 1
+        if l > end:  # the first energy of the next block picks the rule
+            offset, block = next(blocks)
+            end = offset + len(block)
+            nodes, weights = _momentum_rule(d, block[0])
         xi = matsubara_frequency(l, T)
         eps = permittivity_iw(spec.model, xi, T)
         x = xi / CONSTANTS.hbar_c_eVm
-        first = (l - 1) // _BLOCK * _BLOCK + 1
-        nodes, weights = _momentum_rule(d, matsubara_frequency(first, T))
         y = 2.0 * d * x + nodes
         q = y * (0.5 / d)
         s = np.sqrt(q * q + (eps - 1.0) * x * x)
@@ -317,9 +339,9 @@ def scalar_stop_sum(spec, power):
         spec.d, _static_te_omega(spec), power))
     terms, running, consec, last, l = [zero], zero, 0, 0.0, 0
     converged = by_abs_tol = False
-    while not converged and l < cfg.max_matsubara:
-        block = dynamic_terms(spec.d, spec.T, spec.model, range(
-            l + 1, min(l + _BLOCK, cfg.max_matsubara) + 1), power)
+    for offset, xi in partition(spec.d, spec.T, cfg.max_matsubara):
+        block = dynamic_terms(spec.d, spec.T, spec.model,
+                              range(offset + 1, offset + len(xi) + 1), power)
         for term in block.tolist():
             l += 1
             terms.append(term)
@@ -333,6 +355,8 @@ def scalar_stop_sum(spec, power):
             if consec >= 3:
                 converged = True
                 break
+        if converged:
+            break
     total = math.fsum(terms)
     result = (l, prefactor * total, last, 10.0 * (last / abs(total)))
     return result, converged, by_abs_tol
@@ -344,33 +368,38 @@ class TestStoppingRule:
 
     DETAIL = {2: casimir_pressure_detail, 3: casimir_pressure_gradient_detail}
 
-    # where the stopping run lies, and whether the absolute pressure
-    # tolerance made its last term small
-    @pytest.mark.parametrize("make, d, T, rel, power, where, abs_tol", [
-        (drude, 5e-6, 20.0, 1e-4, 3, "first-block", False),
-        (drude, 5e-6, 20.0, 1e-4, 2, "first-block", True),
-        (drude, 500e-9, 10.5, 1e-4, 2, "across-blocks", False),
-        (plasma, 190e-9, 13.0, 1e-5, 3, "across-blocks", False),
-        (drude, 1213e-9, 4.0, 1e-10, 2, "later-block", True),
-        (bcs, 1213e-9, 14.058, 1e-6, 3, "later-block", False),
+    # where the stopping run lies, the node count of the rule of the block that
+    # holds the stop, and whether the absolute pressure tolerance made its last
+    # term small
+    @pytest.mark.parametrize("make, d, T, rel, power, where, nodes, abs_tol", [
+        (drude, 5e-6, 20.0, 1e-4, 3, "first-block", 64, False),
+        (drude, 5e-6, 20.0, 1e-4, 2, "first-block", 64, True),
+        (drude, 1213e-9, 25.0, 1e-5, 2, "across-blocks", 12, False),
+        (plasma, 190e-9, 10.5, 1e-10, 3, "across-blocks", 8, False),
+        (drude, 1213e-9, 4.0, 1e-10, 2, "later-block", 16, True),
+        (bcs, 1213e-9, 14.058, 1e-6, 3, "later-block", 12, False),
+        (plasma, 500e-9, 4.0, 1e-10, 3, "later-block", 8, False),
     ], ids=["first-block-P'", "first-block-abs-tol-P", "across-blocks-P",
-            "across-blocks-P'", "abs-tol-P", "bcs-P'"])
+            "across-blocks-P'", "abs-tol-P", "bcs-P'", "eight-node-block-P'"])
     def test_equals_term_by_term_rule(self, sc_params, make, d, T, rel, power,
-                                      where, abs_tol):
+                                      where, nodes, abs_tol):
         spec = LifshitzSpec(d=d, T=T, model=make(sc_params),
                             quad=QuadratureConfig(term_stop_rel=rel))
         want, converged, by_abs_tol = scalar_stop_sum(spec, power)
         n_terms = want[0]
         assert converged
-        assert (n_terms <= _BLOCK) == (where == "first-block")
+        offset, xi = block_holding(d, T, spec.quad.max_matsubara, n_terms)
+        assert (offset == 0) == (where == "first-block")
         # a stop 1 or 2 terms into a block continues a run from the last one
-        assert (n_terms % _BLOCK in (1, 2)) == (where == "across-blocks")
+        assert (n_terms - offset in (1, 2)) == (where == "across-blocks")
+        assert len(_momentum_rule(d, xi[0])[0]) == nodes
         assert by_abs_tol == abs_tol
         got = self.DETAIL[power](spec)
         assert (got.n_terms, got.value, got.last_term, got.truncation_bound) == want
 
     @pytest.mark.parametrize("power", [2, 3], ids=["P", "Pprime"])
-    @pytest.mark.parametrize("cap", [5, 33, 70])
+    # a cap of 1 makes a one-term block, the edge case of the scan's window
+    @pytest.mark.parametrize("cap", [1, 5, 33, 70])
     def test_capped_sum_error_equals_term_by_term_rule(self, sc_params, cap, power):
         spec = LifshitzSpec(d=190e-9, T=4.0, model=bcs(sc_params),
                             quad=QuadratureConfig(max_matsubara=cap))
@@ -391,8 +420,9 @@ class TestStoppingRule:
                             calls.append(len(xi)) or permittivity_iw(model, xi, T))
         got = casimir_pressure_gradient_detail(LifshitzSpec(
             d=190e-9, T=14.0, model=make(sc_params), quad=LOOSE))
-        assert len(calls) == math.ceil(got.n_terms / _BLOCK)
-        assert calls[:-1] == [_BLOCK] * (len(calls) - 1)
+        blocks = partition(190e-9, 14.0, LOOSE.max_matsubara)
+        assert calls == [len(xi) for _, xi in takewhile(
+            lambda block: block[0] < got.n_terms, blocks)]
 
 
 class TestMomentumRule:
@@ -423,12 +453,11 @@ class TestMomentumRule:
                     worst = max(worst, np.max(np.abs(got / want - 1.0)))
         assert worst <= 1e-9
 
-    @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_far_blocks_against_adaptive_oracle(self, sc_params, monkeypatch, name):
-        # arrays from l = 1 always start at the edge; these blocks start at
-        # y0 = 3 exactly, just above it, and far from it, where the engine
-        # takes 24 Gauss-Laguerre nodes, and at the largest y0 below 3,
-        # where it takes the coarsest rule of the edge band, 48 nodes
+    def oracle_blocks(self, sc_params, monkeypatch, name, starts):
+        """Blocks of film ``name`` at 4 K that start at each ``(d, first energy)`` of
+        ``starts`` and are as long as the engine makes a block on the rule that energy
+        picks: the node counts of the rules chosen, one per block and power, and the
+        worst relative error of terms 0, 1 and the last against ``quad_term``."""
         make, overrides = self.MODELS[name]
         model = make(replace(sc_params, **overrides))
         choose, rules = lifshitz._momentum_rule, []
@@ -440,21 +469,32 @@ class TestMomentumRule:
 
         monkeypatch.setattr(lifshitz, "_momentum_rule", spy)
         worst = 0.0
+        for d, first in starts:
+            n_terms = _PAIRS // len(choose(d, first)[0])
+            xi = first + matsubara_frequency(np.arange(n_terms), 4.0)
+            eps = permittivity_iw(model, xi, 4.0)
+            for power in (2, 3):
+                got = _dynamic_integrals(d, xi, eps, power)
+                for k in (0, 1, n_terms - 1):
+                    want = quad_term(d, 4.0, model, xi[k], power)
+                    worst = max(worst, abs(got[k] / want - 1.0))
+        return rules, worst
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_far_blocks_against_adaptive_oracle(self, sc_params, monkeypatch, name):
+        # arrays from l = 1 always start at the edge; these blocks start at
+        # y0 = 3 exactly, just above it, and far from it, where the engine
+        # takes 24, 12 and 8 Gauss-Laguerre nodes, and at the largest y0 below
+        # 3, where it takes the coarsest rule of the edge band, 48 nodes
+        starts = []
         # no energy puts the edge at 3.0 exactly for d = 5 um, one does for 4.99 um
         for d in (50e-9, 190e-9, 500e-9, 1213e-9, 4.99e-6):
             at_3 = energy_at_edge(d, 3.0)
             assert 2.0 * d * (at_3 / CONSTANTS.hbar_c_eVm) == 3.0
-            firsts = [np.nextafter(at_3, 0.0), at_3,
-                      *(energy_at_edge(d, y0) for y0 in (3.0 + 1e-9, 10.0, 40.0, 200.0))]
-            for first in firsts:
-                xi = first + matsubara_frequency(np.arange(_BLOCK), 4.0)
-                eps = permittivity_iw(model, xi, 4.0)
-                for power in (2, 3):
-                    got = _dynamic_integrals(d, xi, eps, power)
-                    for k in (0, 1, _BLOCK - 1):
-                        want = quad_term(d, 4.0, model, xi[k], power)
-                        worst = max(worst, abs(got[k] / want - 1.0))
-        assert rules == ([48] * 2 + [24] * 10) * 5
+            starts += [(d, first) for first in (np.nextafter(at_3, 0.0), at_3, *(
+                energy_at_edge(d, y0) for y0 in (3.0 + 1e-9, 10.0, 40.0, 200.0)))]
+        rules, worst = self.oracle_blocks(sc_params, monkeypatch, name, starts)
+        assert rules == ([48] * 2 + [24] * 4 + [12] * 2 + [8] * 4) * 5
         assert worst <= 1e-9
 
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -462,38 +502,38 @@ class TestMomentumRule:
         # blocks that start at each octave edge 1e-3 2^k of y0 up to 3, and
         # just below it: the first panel of the rule, [0, 1e-3 2^k] for the
         # largest k <= 11 that keeps it no wider than y0, gives 8 (17 - k) nodes
-        make, overrides = self.MODELS[name]
-        model = make(replace(sc_params, **overrides))
-        choose, rules = lifshitz._momentum_rule, []
-
-        def spy(d, xi_first):
-            nodes, weights = choose(d, xi_first)
-            rules.append(len(nodes))
-            return nodes, weights
-
-        monkeypatch.setattr(lifshitz, "_momentum_rule", spy)
-        worst, want_rules = 0.0, []
+        starts, want_rules = [], []
         for d in (50e-9, 500e-9, 4.99e-6):
-            # the edge 3 itself starts the Laguerre rule
+            # the edge 3 itself starts the Laguerre rules
             for k, edge in enumerate([1e-3 * 2.0 ** k for k in range(12)] + [3.0]):
                 below, at = 8 * (17 - max(k - 1, 0)), 8 * (17 - k) if k < 12 else 24
                 want_rules += [below] * 2 + [at] * 2  # one call per power
                 at_edge = energy_at_edge(d, edge)
-                for first in (np.nextafter(at_edge, 0.0), at_edge):
-                    xi = first + matsubara_frequency(np.arange(_BLOCK), 4.0)
-                    eps = permittivity_iw(model, xi, 4.0)
-                    for power in (2, 3):
-                        got = _dynamic_integrals(d, xi, eps, power)
-                        for j in (0, 1, _BLOCK - 1):
-                            want = quad_term(d, 4.0, model, xi[j], power)
-                            worst = max(worst, abs(got[j] / want - 1.0))
+                starts += [(d, np.nextafter(at_edge, 0.0)), (d, at_edge)]
+        rules, worst = self.oracle_blocks(sc_params, monkeypatch, name, starts)
         assert rules == want_rules
+        assert worst <= 1e-9
+
+    # worst seen over the six films: 1.3e-11, 12 nodes at y0 = 6 and d = 50 nm
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_laguerre_band_against_adaptive_oracle(self, sc_params, monkeypatch, name):
+        # blocks that start at each start of the Laguerre band, y0 = 3, 4, 6 and 16,
+        # where the rule falls to 24, 16, 12 and 8 nodes, and just below each,
+        # where the block is the longest the rule before it makes
+        starts = []
+        for d in (50e-9, 190e-9, 500e-9, 1213e-9, 4.99e-6):
+            for y0 in (3.0, 4.0, 6.0, 16.0):
+                at_edge = energy_at_edge(d, y0)
+                starts += [(d, np.nextafter(at_edge, 0.0)), (d, at_edge)]
+        rules, worst = self.oracle_blocks(sc_params, monkeypatch, name, starts)
+        pairs = [(48, 24), (24, 16), (16, 12), (12, 8)]  # (below, at) each start
+        assert rules == [n for below_at in pairs for n in below_at for _ in (2, 3)] * 5
         assert worst <= 1e-9
 
     # y0 = 1.9e-310, inf (given, or overflowing from a finite energy) and nan:
     # no comparison, quotient or product warns
     @pytest.mark.parametrize("xi, n_nodes", [
-        (1e-310, 136), (math.inf, 24), (1e308, 24), (math.nan, 24),
+        (1e-310, 136), (math.inf, 8), (1e308, 8), (math.nan, 8),
     ], ids=["subnormal", "inf", "overflow", "nan"])
     def test_rule_of_an_extreme_edge_is_chosen_quietly(self, xi, n_nodes):
         with warnings.catch_warnings():
@@ -588,7 +628,10 @@ class TestEngine:
                 calls.clear()
                 cold_memo()  # each sum evaluates its own blocks
                 got = detail(LifshitzSpec(d=d, T=4.0, model=drude(sc_params)))
-                assert got.n_terms <= len(calls) <= got.n_terms + _BLOCK - 1
+                # the block that holds the stop is the last one evaluated
+                offset, xi = block_holding(d, 4.0, 100_000, got.n_terms)
+                assert got.n_terms <= len(calls) == offset + len(xi)
+                assert len(calls) <= got.n_terms + len(xi) - 1
 
     def test_prescription_equivalence_above_transition(self, sc_params):
         # the three prescriptions may only differ in the l = 0 term
@@ -747,7 +790,23 @@ class TestBlockMemo:
             tc_jump(190e-9, sc_params.Tc, 0.1, approach, sc_params)
             after_each.append(len(blocks))
         assert len(energies) == len(set(energies)) == 4 * 16
-        assert after_each == [22] * 3
+        assert after_each == [12] * 3  # 6 blocks a side, 54 to 768 terms long
+
+    def test_scan_evaluates_each_energy_once(self, sc_params, monkeypatch, cold_memo):
+        # the 1213 nm scan's five BCS temperatures, each with its gradient and its
+        # exponent, run the kernel 262 times at 258 energies: the first Matsubara
+        # energy at 13.2 and 13.45 K sits under 10 Delta, so each of the three sums at
+        # d and d 1.01^(+-1) runs it.  A block that overran into a decade of xi no sum
+        # reads would add a table of 16
+        energies = []
+        kernel = permittivity.bcs_g
+        monkeypatch.setattr(permittivity, "bcs_g", lambda xi, T, p:
+                            energies.append((xi, T)) or kernel(xi, T, p))
+        for T in (13.2, 13.45, 13.7, 13.95, 14.19):
+            spec = LifshitzSpec(d=1213e-9, T=T, model=bcs(sc_params))
+            casimir_pressure_gradient(spec)
+            local_exponent(spec)
+        assert (len(energies), len(set(energies))) == (262, 258)
 
     @pytest.mark.parametrize("detail", [casimir_pressure_detail,
                                         casimir_pressure_gradient_detail],
@@ -814,7 +873,7 @@ class TestBlockMemo:
         casimir_pressure_detail(LifshitzSpec(d=190e-9, T=4.0, model=bcs(sc_params),
                                              quad=LOOSE))
         series = lifshitz._term_series(bcs(sc_params), 4.0, 190e-9, 2, LOOSE.max_matsubara)
-        assert len(series[0]) == _BLOCK
+        assert len(series[0]) == len(_block_xi(190e-9, 4.0, 0, LOOSE.max_matsubara))
         for array in series.values():
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0

@@ -246,6 +246,15 @@ class TestPairingFunction:
             assert v == pytest.approx(FRACTION_HALF_TC, rel=1e-2)
         assert abs(values[-1] - FRACTION_HALF_TC) <= abs(values[0] - FRACTION_HALF_TC)
 
+    # Re qp^2 is formed as eps^2 - xi^2: as e_qp^2 - xi^2 - delta^2 it cancels, and
+    # g read 0.0639 at 1e-20 eV and 4 K against a plateau of 0.0145 (worst seen 3.8e-10)
+    @pytest.mark.parametrize("p", [SuperconductorParams(), P_MEV], ids=["dirty", "clean"])
+    @pytest.mark.parametrize("t", [0.3, 4.0, 13.2, TC - 0.01])
+    def test_plateau_is_flat_as_xi_vanishes(self, p, t):
+        plateau = bcs_g(1e-16, t, p)
+        for xi in np.geomspace(1e-16, 1e-300, 36).tolist():
+            assert bcs_g(xi, t, p) == pytest.approx(plateau, rel=1e-9, abs=0.0)
+
     def test_positive_below_transition(self, sc_params):
         t = 0.5 * sc_params.Tc
         for xi in (1e-4, 1e-3, 1e-2, 0.1):
