@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import FitError
 from .membrane import SweepRecord, gradient_from_dw2
-from .permittivity import _GAUSS_LEGENDRE
+from .permittivity import _composite_rule
 from .physcore import (
     CONSTANTS,
     Basis,
@@ -244,10 +244,8 @@ def _energy_rule(v: np.ndarray, p: DynesParams, kT: float) -> tuple[np.ndarray, 
                 offsets = [*graded, *(top + cap * k for k in n)]
                 edges += [x0, x1] + [c + s * o for o in offsets if d0 < o < d1]
         panel_edges.append(np.unique(edges))
-    left = np.concatenate([e[:-1] for e in panel_edges])
-    half = 0.5 * (np.concatenate([e[1:] for e in panel_edges]) - left)[:, None]
-    shifted, weights = _GAUSS_LEGENDRE[16]
-    return (left[:, None] + half * shifted).ravel(), (half * weights).ravel()
+    return _composite_rule(np.concatenate([e[:-1] for e in panel_edges]),
+                           np.concatenate([e[1:] for e in panel_edges]), 16)
 
 
 def dynes_fit(points, T: float) -> DynesParams:
@@ -280,9 +278,16 @@ def dynes_fit(points, T: float) -> DynesParams:
         raise FitError(f"bias range +-{span:.3g} V spans less than ~3 Delta "
                        f"(estimated Delta = {delta0:.3g} eV)")
 
+    # a start that scipy would warn on, then refuse, is refused here, before its first step
+    if delta0 * delta0 < np.finfo(float).tiny:
+        raise FitError(f"the starting gap {delta0:.3g} eV squares below the float range")
+
     def resid(theta):
         delta, gamma, a = theta
-        return dynes_conductance(v, DynesParams(Delta=delta, gamma=gamma, T=T, A=a)) - g
+        r = dynes_conductance(v, DynesParams(Delta=delta, gamma=gamma, T=T, A=a)) - g
+        if not np.isfinite(r).all() and np.array_equal(theta, x0):  # scipy's first call
+            raise FitError("the residuals at the starting point are not finite")
+        return r
 
     from scipy.optimize import least_squares  # only this command needs scipy
 

@@ -347,8 +347,6 @@ def sweep(small_path, big_path, window, preset, membrane_config, factors_config,
 def generate_sweep_cmd(out_path, slope, intercept, jump_dw2, jump_gradient, tc_step,
                        noise_f, t_min, t_max, n_points, seed, preset, membrane_config):
     """Write a deterministic synthetic sweep CSV for pipeline tests."""
-    if (jump_dw2 is None) and (jump_gradient is None):
-        jump_dw2 = 0.0
     if (jump_dw2 is not None) and (jump_gradient is not None):
         raise click.UsageError("give at most one of --jump-dw2 / --jump-gradient")
     spec_m = _membrane_spec(preset, membrane_config)
@@ -357,7 +355,8 @@ def generate_sweep_cmd(out_path, slope, intercept, jump_dw2, jump_gradient, tc_s
     if n_points < 2 or t_max <= t_min:
         raise click.UsageError("need n_points >= 2 and t_max > t_min")
     grid = tuple(t_min + i * (t_max - t_min) / (n_points - 1) for i in range(n_points))
-    truth = analysis.SweepTruth(slope=slope, intercept=intercept, jump=jump_dw2,
+    truth = analysis.SweepTruth(slope=slope, intercept=intercept,
+                                jump=0.0 if jump_dw2 is None else jump_dw2,
                                 Tc=tc_step, noise_f=noise_f, grid=grid)
     records = analysis.generate_sweep(truth, seed=seed)
     # full float precision: these files round-trip through the pipeline
@@ -406,10 +405,8 @@ def dynes_fit_cmd(csv_path, temperature, fmt):
 @_format_option
 def tables(flag_above, fmt):
     """Ideal-conductor force comparison across published geometries."""
-    if not math.isfinite(flag_above):
-        raise ValueError(f"--flag-above must be finite, got {flag_above}")
-    if flag_above < 0.0:
-        raise ValueError(f"--flag-above must be >= 0, got {flag_above}")
+    if not 0.0 <= flag_above < math.inf:
+        raise ValueError(f"--flag-above must be finite and >= 0, got {flag_above}")
     lines, suspects = [], []
     for section, geom_name, rows, exclude in (
             ("plate-plate (average/median exclude This work)", "area_m2",

@@ -24,7 +24,6 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .permittivity import (
     DielectricModel,
     _doubling_panels,
     bcs,
-    drude,
     effective_plasma_frequency,
     permittivity_iw,
 )
@@ -84,18 +82,16 @@ class ZeroFreqApproach(enum.Enum):
 class QuadratureConfig:
     """Stopping rule and cap of the Matsubara sum: no index above the cap is
     evaluated, and a sum that stops with ``truncation_bound >= 1`` is not
-    converged.  Its momentum integrals take no tolerance: each is one fixed rule,
-    24 to 8 Gauss-Laguerre nodes for a block of ``l >= 1`` terms far from the photon
-    edge, 48 to 136 Gauss-Legendre nodes near it, and 136 for the static TE term
-    unless its condensate layer is thin; all are checked to 1e-9 against adaptive quadrature."""
+    converged.  Its momentum integrals take no tolerance: each is one fixed rule
+    (``_RULES``, ``_static_te_integral``), checked to 1e-9 against adaptive quadrature."""
 
     term_stop_rel: float = 1e-10     # per-term stopping ratio
     max_matsubara: int = 100_000     # hard cap on the mode index
 
     def __post_init__(self):
-        if not 0.0 < self.term_stop_rel < math.inf:
-            raise ValueError(f"term_stop_rel must be finite and > 0, "
-                             f"got {self.term_stop_rel}")
+        # a ratio of 1 or more marks every term small
+        if not 0.0 < self.term_stop_rel < 1.0:
+            raise ValueError(f"term_stop_rel must be in (0, 1), got {self.term_stop_rel}")
         if self.max_matsubara < 1:
             raise ValueError("max_matsubara must be >= 1")
 
@@ -216,14 +212,13 @@ def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
 
 
 def _dynamic_integrals(d: float, xi, eps, power: int) -> np.ndarray:
-    """Momentum integrals of the ``l >= 1`` terms at energies ``xi`` with
-    permittivities ``eps``, in ``u = y - y0`` on the rule that the photon edge ``y0`` of
-    ``xi[0]`` picks: 8 (17 - k) Gauss-Legendre nodes below 3, then 24, 16, 12 and 8
-    Gauss-Laguerre nodes from 3, 4, 6 and 16 (see ``_RULES``).  Against adaptive quadrature
-    at ``epsrel`` 1e-13 it agrees to 1e-9 relative (worst seen 1.5e-11) for d in [50 nm,
-    5 um], T in [0.1, 20] K, Drude, plasma and BCS responses of dirty and clean films, both
-    powers and ``y0`` up to 50 (200 on the Laguerre rules).  A term that overflows (the
-    permittivity or ``eps * q`` at tiny T, or ``y**power`` at huge T) is non-finite, quietly."""
+    """Momentum integrals of the ``l >= 1`` terms at energies ``xi`` with permittivities
+    ``eps``, in ``u = y - y0`` on the one of ``_RULES`` that the photon edge ``y0`` of
+    ``xi[0]`` picks.  Against adaptive quadrature at ``epsrel`` 1e-13 it agrees to 1e-9
+    relative (worst seen 1.5e-11) for d in [50 nm, 5 um], T in [0.1, 20] K, Drude, plasma
+    and BCS responses of dirty and clean films, both powers and ``y0`` up to 50 (200 on the
+    Laguerre rules).  A term that overflows (the permittivity or ``eps * q`` at tiny T, or
+    ``y**power`` at huge T) is non-finite, quietly."""
     with np.errstate(over="ignore", invalid="ignore"):
         nodes, weights = _momentum_rule(d, xi[0])
         x = xi[:, None] / _HBAR_C
@@ -239,15 +234,14 @@ def _term_series(model: DielectricModel, T: float, d: float, power: int, cap: in
 
 
 def _static_te_omega(spec: LifshitzSpec) -> float:
-    """Effective plasma energy feeding the static TE coefficient.  Below Tc:
-    the weighted plasma energy for the Drude- and plasma-paired prescriptions,
-    the bare one for plasma-plasma.  At and above Tc: zero (no static TE
-    reflection) for the Drude pairing, the bare plasma energy otherwise."""
+    """Effective plasma energy feeding the static TE coefficient: the bare one for
+    plasma-plasma, and for plasma-bcs at and above Tc; otherwise the weighted one,
+    which is zero (no static TE reflection) at and above Tc."""
     p, approach = spec.model.params, spec.approach
-    if spec.T < p.Tc:
-        plasma_plasma = approach is ZeroFreqApproach.PLASMA_PLASMA
-        return p.Omega if plasma_plasma else effective_plasma_frequency(spec.T, p)
-    return 0.0 if approach is ZeroFreqApproach.DRUDE_BCS else p.Omega
+    if approach is ZeroFreqApproach.PLASMA_PLASMA or (
+            approach is ZeroFreqApproach.PLASMA_BCS and spec.T >= p.Tc):
+        return p.Omega
+    return effective_plasma_frequency(spec.T, p)
 
 
 # the sum times -kB T / (8 pi d^3) (power 2, P) or +kB T / (8 pi d^4) (power 3,
@@ -259,7 +253,7 @@ def _matsubara_sum(spec: LifshitzSpec, power: int) -> LifshitzDetail:
     zero = 0.5 * (_STATIC_TM[power] + _static_te_integral(spec.d, _static_te_omega(spec), power))
     rel, tol = cfg.term_stop_rel, _ABS_TOL_PRESSURE if power == 2 else -math.inf  # P only
     series = _term_series(spec.model, spec.T, spec.d, power, cfg.max_matsubara)
-    running, window, stops, read, l = zero, np.zeros(2, bool), [], [], 0
+    total, window, stops, l = zero, np.zeros(2, bool), [], 0
     while not len(stops) and l < cfg.max_matsubara:
         if l not in series:
             xi = _block_xi(spec.d, spec.T, l, cfg.max_matsubara)
@@ -268,18 +262,16 @@ def _matsubara_sum(spec: LifshitzSpec, power: int) -> LifshitzDetail:
                 raise ValueError(f"Matsubara terms overflow at T = {spec.T} K, d = {spec.d} m")
             block.flags.writeable = False
             series[l] = block
-        # running totals by sequential addition, as term by term; a stop ends a run of 3
-        # small terms in the window of this block's terms and the last two before them
-        totals, size = np.cumsum(np.append(running, series[l]))[1:], np.abs(series[l])
+        # running totals by sequential addition, as term by term, so the value does not
+        # depend on the blocks; a stop ends a run of 3 small terms in the window of this
+        # block's terms and the last two before them
+        totals, size = np.cumsum(np.append(total, series[l]))[1:], np.abs(series[l])
         window = np.append(window[-2:], (size <= rel * np.abs(totals)) | (pref * size <= tol))
         stops = np.flatnonzero(window[:-2] & window[1:-1] & window[2:])
         n = int(stops[0]) + 1 if len(stops) else len(size)
-        running, last = float(totals[n - 1]), float(size[n - 1])
-        read.append(series[l][:n])
+        total, last = float(totals[n - 1]), float(size[n - 1])
         l += n
 
-    # correctly rounded for any split, read as Python floats a block at a time
-    total = math.fsum(chain([zero], chain.from_iterable(b.tolist() for b in read)))
     achieved = last / abs(total) if total != 0.0 else math.inf
     detail = LifshitzDetail(prefactor * total, l, zero, total - zero, last, 10.0 * achieved)
     # _ABS_TOL_PRESSURE can stop a sum whose last term is still >= 10% of it
@@ -387,10 +379,9 @@ def tc_jump(d: float, Tc: float, dT: float, approach: ZeroFreqApproach,
             quad_cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """Pressure-gradient change across the superconducting transition.
 
-    Evaluates ``P'(d, Tc + dT)`` with the normal-state prescription minus ``P'(d, Tc - dT)``
-    with the superconducting-state prescription of the chosen approach.  Every approach
-    uses the Drude response for the dynamic terms above the transition and the
-    pairing-corrected response below it; only the static TE coefficient differs.
+    Evaluates ``P'(d, Tc + dT)`` minus ``P'(d, Tc - dT)`` in the chosen approach, both
+    sides with the BCS response, which is Drude at and above the transition; only the
+    static TE coefficient differs between approaches.
 
     ``dT = 0`` is allowed and degenerates to an exact zero for every
     prescription (both sides then sit in the normal state).
@@ -398,8 +389,6 @@ def tc_jump(d: float, Tc: float, dT: float, approach: ZeroFreqApproach,
     if not (0.0 <= dT < Tc):
         raise ValueError(f"need 0 <= dT < Tc, got dT={dT}, Tc={Tc}")
     params = replace(p, Tc=Tc)
-    above = LifshitzSpec(d=d, T=Tc + dT, model=drude(params),
-                         approach=approach, quad=quad_cfg)
-    below = LifshitzSpec(d=d, T=Tc - dT, model=bcs(params),
-                         approach=approach, quad=quad_cfg)
+    above, below = (LifshitzSpec(d=d, T=T, model=bcs(params), approach=approach,
+                                 quad=quad_cfg) for T in (Tc + dT, Tc - dT))
     return casimir_pressure_gradient(above) - casimir_pressure_gradient(below)

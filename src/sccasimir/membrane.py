@@ -10,9 +10,11 @@ N/m spring constant.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.exceptions import RankWarning
 
 from .errors import FitError, ParseError
 from .physcore import CONSTANTS, MembraneSpec, _require_finite, read_csv
@@ -128,25 +130,33 @@ def lcpd_fit(points, m: MembraneSpec) -> LcpdResult:
     if not np.isfinite(f2).all():
         raise ValueError(f"f_Hz squared overflows at V_volt = "
                          f"{v[~np.isfinite(f2)][0].item()!r}")
-    e = np.frexp(f2.max())[1]  # fit f2 / 2**e: its covariance, O(f**4), stays finite
-    coeffs, cov = np.polyfit(v, np.ldexp(f2, -e), 2, cov=True)
+    # fit f2 / 2**e against v / 2**s, so that V**2 and the covariance, O(f**4), stay
+    # finite; exact powers of two take the results back: v0 ~ 2**s, rho ~ 4**s / 2**e
+    e, s = np.frexp(f2.max())[1], np.frexp(np.abs(v).max())[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RankWarning)
+        try:
+            coeffs, cov = np.polyfit(np.ldexp(v, -s), np.ldexp(f2, -e), 2, cov=True)
+        except RankWarning:
+            raise FitError("rank-deficient fit: the voltages do not fix a parabola") from None
     a, b, c = coeffs
     if a >= 0.0:
         raise FitError("convex fit: data do not show an electrostatic parabola")
-    v0 = -b / (2.0 * a)
-    if not (v.min() < v0 < v.max()):
-        raise FitError(f"apex {v0:.4g} V outside the sampled voltage range")
     with np.errstate(all="ignore"):  # an overflow gives inf or nan, refused below
+        v0 = np.ldexp(-b / (2.0 * a), s)
         f2_apex = c - b * b / (4.0 * a)
         rho = -CONSTANTS.eps0 / (4.0 * math.pi ** 2 * a * m.h * m.d ** 3)
-        sigma = 2.0 * m.L ** 2 * rho * f2_apex / m.Y_ratio
+        sigma = np.ldexp(2.0 * m.L ** 2 * rho * f2_apex / m.Y_ratio, 2 * s)
 
         # linearized propagation through v0 = -b/2a, rho ~ 1/a, sigma ~ f2_apex/a
         da, db, dc = (math.sqrt(max(cov[i, i], 0.0)) for i in range(3))
-        v0_err = abs(v0) * math.hypot(da / abs(a), db / abs(b)) if b != 0 else db / (2 * abs(a))
-        rho, rho_err = np.ldexp(rho, -e), np.ldexp(rho * da / abs(a), -e)  # only these scale
+        v0_err = (abs(v0) * math.hypot(da / abs(a), db / abs(b)) if b != 0
+                  else np.ldexp(db / (2 * abs(a)), s))
+        rho, rho_err = np.ldexp(rho, 2 * s - e), np.ldexp(rho * da / abs(a), 2 * s - e)
         grad_f2 = math.hypot(dc, (b / (2 * a)) * db) + (b * b / (4 * a * a)) * da
         sigma_err = abs(sigma) * math.hypot(grad_f2 / f2_apex, da / abs(a))
+    if not (v.min() < v0 < v.max()):
+        raise FitError(f"apex {v0:.4g} V outside the sampled voltage range")
     result = LcpdResult(V0=v0, sigma=sigma, rho=rho,
                         V0_err=v0_err, sigma_err=sigma_err, rho_err=rho_err)
     for name, value in vars(result).items():

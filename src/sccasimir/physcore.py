@@ -60,15 +60,8 @@ CONSTANTS = Constants()
 
 
 def matsubara_frequency(l, T: float) -> float | np.ndarray:
-    """Thermal (Matsubara) energy ``2 pi l kB T`` in eV.
-
-    Parameters
-    ----------
-    l : int or array of int
-        Mode index, >= 0. ``l = 0`` returns exactly 0.
-    T : float
-        Temperature in K, > 0.
-    """
+    """Thermal (Matsubara) energy ``2 pi l kB T`` in eV of the mode index ``l`` >= 0,
+    an int or an array of them (``l = 0`` gives exactly 0), at ``T`` > 0 K."""
     ls = np.asarray(l)
     if (ls < 0).any():
         raise ValueError(f"Matsubara index must be >= 0, got {ls.min()}")

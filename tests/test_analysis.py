@@ -566,6 +566,24 @@ class TestDynesFit:
         for v in biases:
             assert v.tobytes() == np.array([p[0] for p in points]).tobytes()
 
+    def test_start_whose_gap_squares_to_zero_is_refused(self, monkeypatch):
+        # every bias times 1e-200: the starting gap, about 3e-203 eV, squares to 0,
+        # and the density divided by zero; scipy then warned and raised its own error
+        import scipy.optimize
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", None)  # must not be reached
+        points = [(v * 1e-200, g) for v, g in synthetic_conductance(DYNES_REF)]
+        with pytest.raises(FitError, match="squares below the float range"):
+            dynes_fit(points, T=4.6)
+
+    def test_start_with_non_finite_residuals_is_refused(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "dynes_conductance", lambda V, p:
+                            calls.append(p) or np.full(len(V), math.nan))
+        with pytest.raises(FitError, match="residuals at the starting point"):
+            dynes_fit(synthetic_conductance(DYNES_REF), T=4.6)
+        assert len(calls) == 1  # scipy's first evaluation, before any step
+
     def test_too_few_points(self):
         with pytest.raises(FitError):
             dynes_fit(synthetic_conductance(DYNES_REF, n=10), T=4.6)

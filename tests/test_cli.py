@@ -1,11 +1,15 @@
 import hashlib
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import sccasimir
 from sccasimir import __version__
 from sccasimir.cli import main
 from sccasimir.lifshitz import classical_terms
@@ -183,6 +187,10 @@ class TestMain:
         # first panel would be [0, 0]
         *[([command, "--d", "190e-9", "--t", "1e-300", "--tc", "1e-20"], 2)
           for command in ("gradient", "pressure", "exponent")],
+        # a stopping ratio of 1 or more, which marks every term small; the
+        # largest overflowed rel * |total| with a warning
+        *[(["gradient", "--d", "190e-9", "--t", "4", "--term-stop", rel], 2)
+          for rel in ("1", "2", "1.7e308")],
     ])
     def test_rejected_value_exits_without_traceback(self, runner, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
@@ -225,6 +233,39 @@ class TestMain:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
         assert result.stdout == ""
+
+    # LAPACK's Fortran I/O writes to file descriptor 1, past CliRunner, so these
+    # inputs, which once printed warnings or LAPACK messages, run in a process
+    @pytest.mark.parametrize("args, code", [
+        (["gradient", "--d", "190e-9", "--t", "4", "--term-stop", "1.7e308"], 2),
+        # one voltage of 1e155 to 1e200 of 51, whose square overflowed in polyfit
+        *[(["lcpd-fit", "--csv", f"{{lcpd_{v}}}"], 3) for v in ("1e155", "1e170", "1e200")],
+        # every bias times 1e-200, so that the starting gap squared underflows
+        (["dynes-fit", "--csv", "{dynes_tiny_v}", "--t", "4.6"], 3),
+    ], ids=["term-stop", "lcpd-fit-1e155", "lcpd-fit-1e170", "lcpd-fit-1e200", "dynes-fit"])
+    def test_rejected_input_in_a_process_prints_one_error(self, tmp_path, args, code):
+        from test_analysis import DYNES_REF, synthetic_conductance
+        m = small_gap_membrane()
+        curvature = CONSTANTS.eps0 / (4 * math.pi ** 2 * m.rho * m.h * m.d ** 3)
+        f = [math.sqrt(fundamental_frequency(m) ** 2 - curvature * (v - 0.2572) ** 2)
+             for v in np.linspace(-0.75, 1.25, 51).tolist()]
+        paths = {"dynes_tiny_v": tmp_path / "dynes.csv"}
+        paths["dynes_tiny_v"].write_text("V_volt,G_arb\n" + "".join(
+            f"{float(v) * 1e-200!r},{float(g)!r}\n" for v, g in synthetic_conductance(DYNES_REF)))
+        for v_huge in ("1e155", "1e170", "1e200"):
+            paths[f"lcpd_{v_huge}"] = tmp_path / f"lcpd_{v_huge}.csv"
+            paths[f"lcpd_{v_huge}"].write_text("V_volt,f_Hz\n" + "".join(
+                f"{v_huge if i == 10 else repr(v)},{fv!r}\n"
+                for i, (v, fv) in enumerate(zip(np.linspace(-0.75, 1.25, 51).tolist(), f))))
+        src = Path(sccasimir.__file__).resolve().parent.parent
+        result = subprocess.run([sys.executable, "-m", "sccasimir.cli",
+                                 *[arg.format(**paths) for arg in args]],
+                                cwd=src, capture_output=True, text=True, timeout=60)
+        assert result.returncode == code
+        assert result.stdout == ""
+        assert "Warning" not in result.stderr
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("command", [["pressure", "--d", "190e-9", "--t", "4"],
                                          ["jump"]], ids=["pressure", "jump"])

@@ -296,7 +296,7 @@ def per_term_sum(spec, power):
     d, T, cfg = spec.d, spec.T, spec.quad
     pref = CONSTANTS.kB_J * T / (8.0 * math.pi * d ** (power + 1))
     zero = 0.5 * (_STATIC_TM[power] + _static_te_integral(d, _static_te_omega(spec), power))
-    terms, running, consec, l, end = [zero], zero, 0, 0, 0
+    running, consec, l, end = zero, 0, 0, 0
     blocks = partition(d, T, cfg.max_matsubara)
     while consec < 3 and l < cfg.max_matsubara:
         l += 1
@@ -315,14 +315,13 @@ def per_term_sum(spec, power):
             t = r * r * np.exp(-y)
             f = f + t / (1.0 - t) ** (power - 1)
         term = float(np.dot(weights, y ** power * f))
-        terms.append(term)
         running += term
         small = abs(term) <= cfg.term_stop_rel * abs(running)
         if power == 2 and pref * abs(term) <= _ABS_TOL_PRESSURE:
             small = True
         consec = consec + 1 if small else 0
     sign = -1.0 if power == 2 else 1.0
-    return l, sign * pref * math.fsum(terms), consec >= 3
+    return l, sign * pref * running, consec >= 3
 
 
 def scalar_stop_sum(spec, power):
@@ -337,14 +336,13 @@ def scalar_stop_sum(spec, power):
     prefactor = -pref if power == 2 else pref
     zero = 0.5 * (_STATIC_TM[power] + _static_te_integral(
         spec.d, _static_te_omega(spec), power))
-    terms, running, consec, last, l = [zero], zero, 0, 0.0, 0
+    running, consec, last, l = zero, 0, 0.0, 0
     converged = by_abs_tol = False
     for offset, xi in partition(spec.d, spec.T, cfg.max_matsubara):
         block = dynamic_terms(spec.d, spec.T, spec.model,
                               range(offset + 1, offset + len(xi) + 1), power)
         for term in block.tolist():
             l += 1
-            terms.append(term)
             running += term
             last = abs(term)
             small = last <= cfg.term_stop_rel * abs(running)
@@ -357,8 +355,7 @@ def scalar_stop_sum(spec, power):
                 break
         if converged:
             break
-    total = math.fsum(terms)
-    result = (l, prefactor * total, last, 10.0 * (last / abs(total)))
+    result = (l, prefactor * running, last, 10.0 * (last / abs(running)))
     return result, converged, by_abs_tol
 
 
@@ -726,8 +723,10 @@ class TestEngine:
                 LifshitzSpec(d=1e-7, T=T, model=drude(sc_params))
         # the floor itself is a valid temperature
         assert LifshitzSpec(d=1e-7, T=1e-300, model=drude(sc_params)).T == 1e-300
-        with pytest.raises(ValueError):
-            QuadratureConfig(term_stop_rel=0.0)
+        # a stopping ratio of 1 or more would mark every term small
+        for rel in (0.0, 1.0, 2.0, 1.7e308, math.inf, math.nan):
+            with pytest.raises(ValueError, match="term_stop_rel"):
+                QuadratureConfig(term_stop_rel=rel)
         with pytest.raises(ValueError):
             QuadratureConfig(max_matsubara=0)
 
@@ -743,6 +742,26 @@ class TestTcJump:
             tc_jump(190e-9, 14.2, -0.1, ZeroFreqApproach.PLASMA_BCS, sc_params)
         with pytest.raises(ValueError):
             tc_jump(190e-9, 14.2, 14.2, ZeroFreqApproach.PLASMA_BCS, sc_params)
+
+    def test_static_te_energy_of_each_prescription(self, sc_params):
+        # (below Tc, at Tc): the bare energy for plasma-plasma, and for plasma-bcs from
+        # Tc on; otherwise the weighted one, which is 0 from Tc on
+        weighted, bare = effective_plasma_frequency(10.0, sc_params), sc_params.Omega
+        want = {"drude-bcs": (weighted, 0.0), "plasma-bcs": (weighted, bare),
+                "plasma-plasma": (bare, bare)}
+        for approach in ZeroFreqApproach:
+            assert tuple(_static_te_omega(LifshitzSpec(
+                d=190e-9, T=T, model=bcs(sc_params), approach=approach))
+                for T in (10.0, sc_params.Tc)) == want[approach.value]
+
+    @pytest.mark.parametrize("approach", list(ZeroFreqApproach), ids=lambda a: a.value)
+    def test_normal_side_is_the_drude_sum(self, sc_params, approach):
+        # tc_jump sums both sides with the BCS response, Drude bit for bit from Tc on
+        for T in (sc_params.Tc, sc_params.Tc + 0.1):
+            got, want = (casimir_pressure_gradient_detail(LifshitzSpec(
+                d=190e-9, T=T, model=make(sc_params), approach=approach, quad=FAST))
+                for make in (bcs, drude))
+            assert got == want
 
     @pytest.mark.parametrize("approach, printed", [
         (ZeroFreqApproach.PLASMA_BCS, 5942.0),

@@ -128,6 +128,29 @@ class TestLcpdFit:
         assert scaled.rho == math.ldexp(base.rho, -2 * k)
         assert scaled.rho_err == math.ldexp(base.rho_err, -2 * k)
 
+    @pytest.mark.parametrize("k", [-480, -300, -1, 1, 7, 300, 480])
+    def test_power_of_two_voltage_scale(self, small_gap, k):
+        # the fit runs on v / 2**s, s the exponent of the largest |v|, and its results
+        # take 2**s back by ldexp: a factor 2**k on every V scales V0 and its error by
+        # 2**k and the curvature by 2**-2k, so rho, sigma and their errors by 2**2k, exactly
+        points = [(v, float(round(f))) for v, f in
+                  synthetic_voltage_sweep(small_gap, 0.2572, noise=1e-3, seed=7)]
+        base = lcpd_fit(points, small_gap)
+        scaled = lcpd_fit([(math.ldexp(v, k), f) for v, f in points], small_gap)
+        for name, power in (("V0", 1), ("V0_err", 1), ("sigma", 2), ("sigma_err", 2),
+                            ("rho", 2), ("rho_err", 2)):
+            assert getattr(scaled, name) == math.ldexp(getattr(base, name), power * k)
+
+    @pytest.mark.parametrize("v_huge", [1e50, 1e155, 1e200])
+    def test_voltages_decades_apart_are_a_fit_error(self, small_gap, v_huge):
+        # one voltage of 51 far above the rest: V**2 overflowed in polyfit, which
+        # warned and printed LAPACK messages on stdout; scaled, the fit is rank
+        # deficient, which is refused without a warning
+        points = synthetic_voltage_sweep(small_gap, 0.2572, n=51)
+        points[10] = (v_huge, points[10][1])
+        with pytest.raises(FitError, match="^rank-deficient fit"):
+            lcpd_fit(points, small_gap)
+
     def test_too_few_points(self, small_gap):
         with pytest.raises(FitError):
             lcpd_fit(synthetic_voltage_sweep(small_gap, 0.2572, n=4), small_gap)
