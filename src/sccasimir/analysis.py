@@ -268,9 +268,11 @@ def dynes_fit(points, T: float) -> DynesParams:
     v_minus = v[neg][np.argmax(g[neg])]
     delta0 = 0.5 * (v_plus - v_minus)  # > 0: v_plus > 0 > v_minus
     span = max(abs(v[0]), abs(v[-1]))
-    outer = np.abs(v) >= 0.8 * span
-    a0 = float(np.mean(g[outer])) if outer.any() else float(np.mean(g))
-    x0 = np.array([delta0, 0.1 * delta0, a0])
+    a0 = float(np.mean(g[np.abs(v) >= 0.8 * span]))  # holds the endpoint at |v| = span
+    if not 0.0 < a0 < math.inf:
+        raise FitError(f"the mean outer conductance {a0:.3g} is not positive and finite")
+    k = round(math.log2(a0))  # the tolerances are absolute: fit G / 2^k, with A near 1
+    g, x0 = np.ldexp(g, -k), np.array([delta0, 0.1 * delta0, math.ldexp(a0, -k)])
 
     # nominal requirement is a +-3 Delta span; the 2.5x guard tolerates the
     # peak-position noise in the Delta estimate itself
@@ -278,15 +280,16 @@ def dynes_fit(points, T: float) -> DynesParams:
         raise FitError(f"bias range +-{span:.3g} V spans less than ~3 Delta "
                        f"(estimated Delta = {delta0:.3g} eV)")
 
-    # a start that scipy would warn on, then refuse, is refused here, before its first step
+    # a start that scipy would warn on, then refuse, is refused before its first step: here,
+    # and at its first call, whose squares are summed in Python, as r @ r warns on overflow
     if delta0 * delta0 < np.finfo(float).tiny:
         raise FitError(f"the starting gap {delta0:.3g} eV squares below the float range")
 
     def resid(theta):
         delta, gamma, a = theta
         r = dynes_conductance(v, DynesParams(Delta=delta, gamma=gamma, T=T, A=a)) - g
-        if not np.isfinite(r).all() and np.array_equal(theta, x0):  # scipy's first call
-            raise FitError("the residuals at the starting point are not finite")
+        if np.array_equal(theta, x0) and not math.isfinite(sum(x * x for x in r.tolist())):
+            raise FitError("the squared residuals at the starting point are not finite")
         return r
 
     from scipy.optimize import least_squares  # only this command needs scipy
@@ -298,7 +301,7 @@ def dynes_fit(points, T: float) -> DynesParams:
     if not sol.success:
         raise FitError(f"no convergence after {sol.nfev} evaluations: {sol.message}")
     return DynesParams(Delta=float(sol.x[0]), gamma=float(sol.x[1]),
-                       T=T, A=float(sol.x[2]))
+                       T=T, A=math.ldexp(float(sol.x[2]), k))
 
 
 # --- synthetic sweeps and the end-to-end pipeline -----------------------------

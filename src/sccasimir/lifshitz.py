@@ -174,8 +174,8 @@ def _momentum_rule(d: float, xi_first: float):
 
 def _block_xi(d: float, T: float, l: int, cap: int) -> np.ndarray:
     """Energies of the l >= 1 block at offset ``l``: _PAIRS // nodes of its rule, to the cap."""
-    xi = matsubara_frequency(np.arange(l + 1, min(l + _PAIRS // len(_RULES[-1][0]), cap) + 1), T)
-    return xi[:_PAIRS // len(_momentum_rule(d, xi[0])[0])]  # cut from the longest block, on 8 nodes
+    n = _PAIRS // len(_momentum_rule(d, matsubara_frequency(l + 1, T))[0])
+    return matsubara_frequency(np.arange(l + 1, min(l + n, cap) + 1), T)
 
 
 # y^power Sum_r t/(1 - t)^(power - 1), t = r^2 exp(-y): every term's
@@ -226,11 +226,15 @@ def _dynamic_integrals(d: float, xi, eps, power: int) -> np.ndarray:
         return _integrand(y, power, *_fresnel(eps[:, None], y * (0.5 / d), x)) @ weights
 
 
-# the read-only l >= 1 term blocks of one series by their offsets, which _block_xi sets, stored
-# by the first sum to read each (or by two, with equal terms); two hold tc_jump's sides
-@lru_cache(maxsize=2)
-def _term_series(model: DielectricModel, T: float, d: float, power: int, cap: int):
-    return {}
+# read-only l >= 1 terms of the block at offset l; 256 hold both sides of a jump to 10 nm
+@lru_cache(maxsize=256)
+def _block(model: DielectricModel, T: float, d: float, power: int, cap: int, l: int):
+    xi = _block_xi(d, T, l, cap)
+    block = _dynamic_integrals(d, xi, permittivity_iw(model, xi, T), power)
+    if not np.isfinite(block).all():
+        raise ValueError(f"Matsubara terms overflow at T = {T} K, d = {d} m")
+    block.flags.writeable = False
+    return block
 
 
 def _static_te_omega(spec: LifshitzSpec) -> float:
@@ -252,20 +256,13 @@ def _matsubara_sum(spec: LifshitzSpec, power: int) -> LifshitzDetail:
     prefactor = -pref if power == 2 else pref
     zero = 0.5 * (_STATIC_TM[power] + _static_te_integral(spec.d, _static_te_omega(spec), power))
     rel, tol = cfg.term_stop_rel, _ABS_TOL_PRESSURE if power == 2 else -math.inf  # P only
-    series = _term_series(spec.model, spec.T, spec.d, power, cfg.max_matsubara)
     total, window, stops, l = zero, np.zeros(2, bool), [], 0
     while not len(stops) and l < cfg.max_matsubara:
-        if l not in series:
-            xi = _block_xi(spec.d, spec.T, l, cfg.max_matsubara)
-            block = _dynamic_integrals(spec.d, xi, permittivity_iw(spec.model, xi, spec.T), power)
-            if not np.isfinite(block).all():
-                raise ValueError(f"Matsubara terms overflow at T = {spec.T} K, d = {spec.d} m")
-            block.flags.writeable = False
-            series[l] = block
+        block = _block(spec.model, spec.T, spec.d, power, cfg.max_matsubara, l)
         # running totals by sequential addition, as term by term, so the value does not
         # depend on the blocks; a stop ends a run of 3 small terms in the window of this
         # block's terms and the last two before them
-        totals, size = np.cumsum(np.append(total, series[l]))[1:], np.abs(series[l])
+        totals, size = np.cumsum(np.append(total, block))[1:], np.abs(block)
         window = np.append(window[-2:], (size <= rel * np.abs(totals)) | (pref * size <= tol))
         stops = np.flatnonzero(window[:-2] & window[1:-1] & window[2:])
         n = int(stops[0]) + 1 if len(stops) else len(size)

@@ -533,6 +533,16 @@ class TestDynesFit:
         assert fit.gamma == pytest.approx(DYNES_REF.gamma, rel=1e-4)
         assert fit.A == pytest.approx(1.0, rel=1e-4)
 
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 1e-9, 1e-6, 1e30, 1e-200, 1e200])
+    def test_fit_does_not_depend_on_the_conductance_unit(self, scale):
+        # the solver's tolerances are absolute, so it fits G in its own binary scale
+        points = synthetic_conductance(DYNES_REF)
+        unscaled = dynes_fit(points, T=4.6)
+        fit = dynes_fit([(v, g * scale) for v, g in points], T=4.6)
+        assert fit.Delta == pytest.approx(unscaled.Delta, rel=1e-9)
+        assert fit.gamma == pytest.approx(unscaled.gamma, rel=1e-9)
+        assert fit.A / scale == pytest.approx(unscaled.A, rel=1e-9)
+
     def test_gap_recovery_under_noise(self):
         for seed in (0, 1, 2):
             points = synthetic_conductance(DYNES_REF, noise=0.01, seed=seed)

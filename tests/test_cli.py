@@ -242,16 +242,31 @@ class TestMain:
         *[(["lcpd-fit", "--csv", f"{{lcpd_{v}}}"], 3) for v in ("1e155", "1e170", "1e200")],
         # every bias times 1e-200, so that the starting gap squared underflows
         (["dynes-fit", "--csv", "{dynes_tiny_v}", "--t", "4.6"], 3),
-    ], ids=["term-stop", "lcpd-fit-1e155", "lcpd-fit-1e170", "lcpd-fit-1e200", "dynes-fit"])
+        # one conductance of 2e199, whose squared residual overflowed in scipy's cost
+        *[(["dynes-fit", "--csv", f"{{dynes_huge_g_{i}}}", "--t", "4.6"], 3)
+          for i in (10, 16, 22)],
+        # an outer conductance below 0, below the solver's bound on A
+        (["dynes-fit", "--csv", "{dynes_negative_outer}", "--t", "4.6"], 3),
+    ], ids=["term-stop", "lcpd-fit-1e155", "lcpd-fit-1e170", "lcpd-fit-1e200", "dynes-fit",
+            "dynes-fit-2e199-at-10", "dynes-fit-2e199-at-16", "dynes-fit-2e199-at-22",
+            "dynes-fit-negative-outer"])
     def test_rejected_input_in_a_process_prints_one_error(self, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
         m = small_gap_membrane()
         curvature = CONSTANTS.eps0 / (4 * math.pi ** 2 * m.rho * m.h * m.d ** 3)
         f = [math.sqrt(fundamental_frequency(m) ** 2 - curvature * (v - 0.2572) ** 2)
              for v in np.linspace(-0.75, 1.25, 51).tolist()]
-        paths = {"dynes_tiny_v": tmp_path / "dynes.csv"}
-        paths["dynes_tiny_v"].write_text("V_volt,G_arb\n" + "".join(
-            f"{float(v) * 1e-200!r},{float(g)!r}\n" for v, g in synthetic_conductance(DYNES_REF)))
+        curve = [(float(v), float(g)) for v, g in synthetic_conductance(DYNES_REF)]
+        dynes = {"dynes_tiny_v": [(v * 1e-200, g) for v, g in curve],
+                 "dynes_negative_outer": [(v, g - 1.1) for v, g in curve],
+                 **{f"dynes_huge_g_{i}": [(v, 2e199 if j == i else g)
+                                          for j, (v, g) in enumerate(curve)]
+                    for i in (10, 16, 22)}}
+        paths = {}
+        for name, points in dynes.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text("V_volt,G_arb\n" + "".join(f"{v!r},{g!r}\n"
+                                                               for v, g in points))
         for v_huge in ("1e155", "1e170", "1e200"):
             paths[f"lcpd_{v_huge}"] = tmp_path / f"lcpd_{v_huge}.csv"
             paths[f"lcpd_{v_huge}"].write_text("V_volt,f_Hz\n" + "".join(

@@ -2,6 +2,7 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from itertools import takewhile
@@ -76,11 +77,11 @@ def block_holding(d, T, cap, n):
 
 @pytest.fixture
 def cold_memo():
-    """Empty the pairing-kernel table and the engine's memo of term series, so
+    """Empty the pairing-kernel table and the engine's memo of term blocks, so
     a test counts every evaluation; returns the function that empties them again."""
     def clear():
         permittivity._g_decade.cache_clear()
-        lifshitz._term_series.cache_clear()
+        lifshitz._block.cache_clear()
     clear()
     return clear
 
@@ -810,6 +811,8 @@ class TestBlockMemo:
             after_each.append(len(blocks))
         assert len(energies) == len(set(energies)) == 4 * 16
         assert after_each == [12] * 3  # 6 blocks a side, 54 to 768 terms long
+        # the first prescription evaluates them, the other two read them
+        assert lifshitz._block.cache_info()[:2] == (24, 12)
 
     def test_scan_evaluates_each_energy_once(self, sc_params, monkeypatch, cold_memo):
         # the 1213 nm scan's five BCS temperatures, each with its gradient and its
@@ -875,8 +878,7 @@ class TestBlockMemo:
         for _ in range(2):  # the second sum evaluates the block again
             with pytest.raises(ValueError, match="^Matsubara terms overflow"):
                 casimir_pressure_gradient(spec)
-        series = lifshitz._term_series(spec.model, spec.T, spec.d, 3, spec.quad.max_matsubara)
-        assert series == {}
+        assert lifshitz._block.cache_info()[1:] == (2, 256, 0)  # misses, maxsize, currsize
 
     @pytest.mark.parametrize("make, T", [
         pytest.param(drude, 4.0, id="drude"),
@@ -889,10 +891,30 @@ class TestBlockMemo:
         assert permittivity._g_decade.cache_info().currsize == 0
 
     def test_memoised_block_is_read_only(self, sc_params, cold_memo):
-        casimir_pressure_detail(LifshitzSpec(d=190e-9, T=4.0, model=bcs(sc_params),
-                                             quad=LOOSE))
-        series = lifshitz._term_series(bcs(sc_params), 4.0, 190e-9, 2, LOOSE.max_matsubara)
-        assert len(series[0]) == len(_block_xi(190e-9, 4.0, 0, LOOSE.max_matsubara))
-        for array in series.values():
+        detail = casimir_pressure_detail(LifshitzSpec(d=190e-9, T=4.0, model=bcs(sc_params),
+                                                      quad=LOOSE))
+        read = lifshitz._block.cache_info().currsize
+        cap = LOOSE.max_matsubara
+        for offset, xi in partition(190e-9, 4.0, cap):
+            if offset >= detail.n_terms:
+                break
+            block = lifshitz._block(bcs(sc_params), 4.0, 190e-9, 2, cap, offset)
+            assert len(block) == len(xi)
             with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1.0
+                block[0] = 1.0
+        assert lifshitz._block.cache_info()[:2] == (read, read)  # every block was kept
+
+    def test_block_memo_is_bounded_whatever_the_cap(self, sc_params, cold_memo):
+        # a Drude sum at 10 mK runs to a cap of 150,000 through 1,631 edge-band blocks,
+        # and the memo keeps the last 256 of them (0.34 MB), not the whole series
+        spec = LifshitzSpec(d=190e-9, T=0.01, model=drude(sc_params),
+                            quad=QuadratureConfig(max_matsubara=150_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError):
+                casimir_pressure_gradient(spec)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert lifshitz._block.cache_info().misses > 256
+        assert retained < 1e6
