@@ -268,7 +268,9 @@ def dynes_fit(points, T: float) -> DynesParams:
     v_minus = v[neg][np.argmax(g[neg])]
     delta0 = 0.5 * (v_plus - v_minus)  # > 0: v_plus > 0 > v_minus
     span = max(abs(v[0]), abs(v[-1]))
-    a0 = float(np.mean(g[np.abs(v) >= 0.8 * span]))  # holds the endpoint at |v| = span
+    outer = g[np.abs(v) >= 0.8 * span]  # holds the endpoint at |v| = span
+    e = np.frexp(np.abs(outer).max())[1]  # the mean of outer / 2^e cannot overflow
+    a0 = float(np.ldexp(np.mean(np.ldexp(outer, -e)), e))
     if not 0.0 < a0 < math.inf:
         raise FitError(f"the mean outer conductance {a0:.3g} is not positive and finite")
     k = round(math.log2(a0))  # the tolerances are absolute: fit G / 2^k, with A near 1

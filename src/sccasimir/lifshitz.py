@@ -165,17 +165,12 @@ _STATIC_TM = {2: 2.0 * CONSTANTS.zeta3, 3: 6.0 * CONSTANTS.zeta3}
 _RULE_STARTS = np.append(1e-3 * 2.0 ** np.arange(1, 12), [3.0, 4.0, 6.0, 16.0])
 _RULES = [_doubling_panels(1e-3 * 2.0 ** k, _Y_SPAN, 8) for k in range(12)] + [
     (u, w * np.exp(u)) for u, w in map(np.polynomial.laguerre.laggauss, (24, 16, 12, 8))]
+_MOST = _PAIRS // min(len(u) for u, _ in _RULES)  # terms of the longest block any rule makes
 
 
 def _momentum_rule(d: float, xi_first: float):
     """The rule of a block of ``l >= 1`` terms, chosen by its first energy."""
     return _RULES[np.searchsorted(_RULE_STARTS, 2.0 * d * (float(xi_first) / _HBAR_C), "right")]
-
-
-def _block_xi(d: float, T: float, l: int, cap: int) -> np.ndarray:
-    """Energies of the l >= 1 block at offset ``l``: _PAIRS // nodes of its rule, to the cap."""
-    n = _PAIRS // len(_momentum_rule(d, matsubara_frequency(l + 1, T))[0])
-    return matsubara_frequency(np.arange(l + 1, min(l + n, cap) + 1), T)
 
 
 # y^power Sum_r t/(1 - t)^(power - 1), t = r^2 exp(-y): every term's
@@ -211,26 +206,28 @@ def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
                      f"omega_eff = {omega_eff} eV")
 
 
-def _dynamic_integrals(d: float, xi, eps, power: int) -> np.ndarray:
+def _dynamic_integrals(d: float, xi, eps, power: int, nodes, weights) -> np.ndarray:
     """Momentum integrals of the ``l >= 1`` terms at energies ``xi`` with permittivities
-    ``eps``, in ``u = y - y0`` on the one of ``_RULES`` that the photon edge ``y0`` of
-    ``xi[0]`` picks.  Against adaptive quadrature at ``epsrel`` 1e-13 it agrees to 1e-9
-    relative (worst seen 1.5e-11) for d in [50 nm, 5 um], T in [0.1, 20] K, Drude, plasma
-    and BCS responses of dirty and clean films, both powers and ``y0`` up to 50 (200 on the
-    Laguerre rules).  A term that overflows (the permittivity or ``eps * q`` at tiny T, or
-    ``y**power`` at huge T) is non-finite, quietly."""
+    ``eps``, in ``u = y - y0`` on the rule ``(nodes, weights)`` that the photon edge ``y0``
+    of ``xi[0]`` picks (``_momentum_rule``).  Against adaptive quadrature at ``epsrel``
+    1e-13 it agrees to 1e-9 relative (worst seen 1.5e-11) for d in [50 nm, 5 um], T in
+    [0.1, 20] K, Drude, plasma and BCS responses of dirty and clean films, both powers and
+    ``y0`` up to 50 (200 on the Laguerre rules).  A term that overflows (the permittivity
+    or ``eps * q`` at tiny T, or ``y**power`` at huge T) is non-finite, quietly."""
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes, weights = _momentum_rule(d, xi[0])
         x = xi[:, None] / _HBAR_C
         y = 2.0 * d * x + nodes
         return _integrand(y, power, *_fresnel(eps[:, None], y * (0.5 / d), x)) @ weights
 
 
-# read-only l >= 1 terms of the block at offset l; 256 hold both sides of a jump to 10 nm
+# read-only l >= 1 terms of the block at offset l: _PAIRS // nodes of the rule its first
+# energy picks, to the cap; 256 hold both sides of a jump to 10 nm
 @lru_cache(maxsize=256)
 def _block(model: DielectricModel, T: float, d: float, power: int, cap: int, l: int):
-    xi = _block_xi(d, T, l, cap)
-    block = _dynamic_integrals(d, xi, permittivity_iw(model, xi, T), power)
+    xi = matsubara_frequency(np.arange(l + 1, min(l + _MOST, cap) + 1), T)
+    nodes, weights = _momentum_rule(d, xi[0])
+    xi = xi[:_PAIRS // len(nodes)]
+    block = _dynamic_integrals(d, xi, permittivity_iw(model, xi, T), power, nodes, weights)
     if not np.isfinite(block).all():
         raise ValueError(f"Matsubara terms overflow at T = {T} K, d = {d} m")
     block.flags.writeable = False

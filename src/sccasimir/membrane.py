@@ -150,8 +150,7 @@ def lcpd_fit(points, m: MembraneSpec) -> LcpdResult:
 
         # linearized propagation through v0 = -b/2a, rho ~ 1/a, sigma ~ f2_apex/a
         da, db, dc = (math.sqrt(max(cov[i, i], 0.0)) for i in range(3))
-        v0_err = (abs(v0) * math.hypot(da / abs(a), db / abs(b)) if b != 0
-                  else np.ldexp(db / (2 * abs(a)), s))
+        v0_err = np.ldexp(math.hypot(b / (2 * a) * da / a, db / (2 * a)), s)
         rho, rho_err = np.ldexp(rho, 2 * s - e), np.ldexp(rho * da / abs(a), 2 * s - e)
         grad_f2 = math.hypot(dc, (b / (2 * a)) * db) + (b * b / (4 * a * a)) * da
         sigma_err = abs(sigma) * math.hypot(grad_f2 / f2_apex, da / abs(a))

@@ -533,7 +533,7 @@ class TestDynesFit:
         assert fit.gamma == pytest.approx(DYNES_REF.gamma, rel=1e-4)
         assert fit.A == pytest.approx(1.0, rel=1e-4)
 
-    @pytest.mark.parametrize("scale", [2.0 ** -40, 1e-9, 1e-6, 1e30, 1e-200, 1e200])
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 1e-9, 1e-6, 1e30, 1e-200, 1e200, 1e308])
     def test_fit_does_not_depend_on_the_conductance_unit(self, scale):
         # the solver's tolerances are absolute, so it fits G in its own binary scale
         points = synthetic_conductance(DYNES_REF)

@@ -282,6 +282,24 @@ class TestMain:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
 
+    def test_conductance_near_the_float_limit_fits_in_a_process(self, tmp_path):
+        # G times 1e308, up to 1.3e308: the mean outer conductance is taken in the binary
+        # scale of the largest, so numpy's sum neither overflows nor warns
+        from test_analysis import DYNES_REF, synthetic_conductance
+        from sccasimir.analysis import dynes_fit
+        curve = [(float(v), float(g)) for v, g in synthetic_conductance(DYNES_REF)]
+        path = tmp_path / "dynes_1e308.csv"
+        path.write_text("V_volt,G_arb\n" + "".join(f"{v!r},{g * 1e308!r}\n" for v, g in curve))
+        src = Path(sccasimir.__file__).resolve().parent.parent
+        result = subprocess.run([sys.executable, "-m", "sccasimir.cli", "dynes-fit", "--csv",
+                                 str(path), "--t", "4.6", "--format", "csv"],
+                                cwd=src, capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stderr) == (0, "")
+        values, unscaled = csv_values(result.stdout), dynes_fit(curve, T=4.6)
+        assert values["Delta"] == pytest.approx(unscaled.Delta, rel=1e-9)
+        assert values["gamma"] == pytest.approx(unscaled.gamma, rel=1e-9)
+        assert values["A"] / 1e308 == pytest.approx(unscaled.A, rel=1e-9)
+
     @pytest.mark.parametrize("command", [["pressure", "--d", "190e-9", "--t", "4"],
                                          ["jump"]], ids=["pressure", "jump"])
     def test_every_relaxation_energy_gives_a_value_or_one_error(self, runner, command):
@@ -741,6 +759,23 @@ class TestFitCommands:
         assert result.exit_code == 3
         assert result.stderr == ("error: fit failed: need at least 3 distinct "
                                  "voltages, got 2\n")
+
+    def test_dynes_fit_without_convergence_is_fit_error(self, runner, tmp_path,
+                                                        monkeypatch):
+        # dynes_fit imports least_squares when it runs, so a stub that gives up is read
+        import scipy.optimize
+        from types import SimpleNamespace
+        from test_analysis import DYNES_REF, synthetic_conductance
+        monkeypatch.setattr(scipy.optimize, "least_squares", lambda *args, **kwargs:
+                            SimpleNamespace(success=False, nfev=400, message="stub gave up"))
+        path = tmp_path / "dynes.csv"
+        path.write_text("V_volt,G_arb\n" + "".join(
+            f"{float(v)!r},{float(g)!r}\n" for v, g in synthetic_conductance(DYNES_REF)))
+        result = runner.invoke(main, ["dynes-fit", "--csv", str(path), "--t", "4.6"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == ("error: fit failed: no convergence after 400 "
+                                 "evaluations: stub gave up\n")
 
     @pytest.mark.slow
     def test_dynes_fit(self, runner, tmp_path):

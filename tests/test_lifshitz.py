@@ -30,7 +30,6 @@ from sccasimir.lifshitz import (
     _ABS_TOL_PRESSURE,
     _PAIRS,
     _STATIC_TM,
-    _block_xi,
     _dynamic_integrals,
     _fresnel,
     _momentum_rule,
@@ -55,15 +54,18 @@ def dynamic_terms(d, T, model, ls, power):
     """The engine's momentum integrals of the indices ``ls``, with energies
     and permittivities built here rather than read from its term series."""
     xi = matsubara_frequency(np.asarray(ls), T)
-    return _dynamic_integrals(d, xi, permittivity_iw(model, xi, T), power)
+    return _dynamic_integrals(d, xi, permittivity_iw(model, xi, T), power,
+                              *_momentum_rule(d, xi[0]))
 
 
 def partition(d, T, cap):
-    """The engine's blocks of l >= 1 terms up to the cap, as ``_block_xi`` lays them
-    out: yields each block's offset and energies, lazily."""
+    """The engine's blocks of l >= 1 terms up to the cap, laid out here one at a time:
+    the scalar first energy of each picks its rule, and ``_PAIRS // nodes`` of the rule
+    sizes it.  Yields each block's offset and energies, lazily."""
     offset = 0
     while offset < cap:
-        xi = _block_xi(d, T, offset, cap)
+        n = _PAIRS // len(_momentum_rule(d, matsubara_frequency(offset + 1, T))[0])
+        xi = matsubara_frequency(np.arange(offset + 1, min(offset + n, cap) + 1), T)
         yield offset, xi
         offset += len(xi)
 
@@ -451,35 +453,29 @@ class TestMomentumRule:
                     worst = max(worst, np.max(np.abs(got / want - 1.0)))
         assert worst <= 1e-9
 
-    def oracle_blocks(self, sc_params, monkeypatch, name, starts):
+    def oracle_blocks(self, sc_params, name, starts):
         """Blocks of film ``name`` at 4 K that start at each ``(d, first energy)`` of
         ``starts`` and are as long as the engine makes a block on the rule that energy
         picks: the node counts of the rules chosen, one per block and power, and the
         worst relative error of terms 0, 1 and the last against ``quad_term``."""
         make, overrides = self.MODELS[name]
         model = make(replace(sc_params, **overrides))
-        choose, rules = lifshitz._momentum_rule, []
-
-        def spy(d, xi_first):
-            nodes, weights = choose(d, xi_first)
-            rules.append(len(nodes))
-            return nodes, weights
-
-        monkeypatch.setattr(lifshitz, "_momentum_rule", spy)
-        worst = 0.0
+        rules, worst = [], 0.0
         for d, first in starts:
-            n_terms = _PAIRS // len(choose(d, first)[0])
+            nodes, weights = _momentum_rule(d, first)
+            n_terms = _PAIRS // len(nodes)
             xi = first + matsubara_frequency(np.arange(n_terms), 4.0)
             eps = permittivity_iw(model, xi, 4.0)
             for power in (2, 3):
-                got = _dynamic_integrals(d, xi, eps, power)
+                rules.append(len(nodes))
+                got = _dynamic_integrals(d, xi, eps, power, nodes, weights)
                 for k in (0, 1, n_terms - 1):
                     want = quad_term(d, 4.0, model, xi[k], power)
                     worst = max(worst, abs(got[k] / want - 1.0))
         return rules, worst
 
     @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_far_blocks_against_adaptive_oracle(self, sc_params, monkeypatch, name):
+    def test_far_blocks_against_adaptive_oracle(self, sc_params, name):
         # arrays from l = 1 always start at the edge; these blocks start at
         # y0 = 3 exactly, just above it, and far from it, where the engine
         # takes 24, 12 and 8 Gauss-Laguerre nodes, and at the largest y0 below
@@ -491,12 +487,12 @@ class TestMomentumRule:
             assert 2.0 * d * (at_3 / CONSTANTS.hbar_c_eVm) == 3.0
             starts += [(d, first) for first in (np.nextafter(at_3, 0.0), at_3, *(
                 energy_at_edge(d, y0) for y0 in (3.0 + 1e-9, 10.0, 40.0, 200.0)))]
-        rules, worst = self.oracle_blocks(sc_params, monkeypatch, name, starts)
+        rules, worst = self.oracle_blocks(sc_params, name, starts)
         assert rules == ([48] * 2 + [24] * 4 + [12] * 2 + [8] * 4) * 5
         assert worst <= 1e-9
 
     @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_edge_band_against_adaptive_oracle(self, sc_params, monkeypatch, name):
+    def test_edge_band_against_adaptive_oracle(self, sc_params, name):
         # blocks that start at each octave edge 1e-3 2^k of y0 up to 3, and
         # just below it: the first panel of the rule, [0, 1e-3 2^k] for the
         # largest k <= 11 that keeps it no wider than y0, gives 8 (17 - k) nodes
@@ -508,13 +504,13 @@ class TestMomentumRule:
                 want_rules += [below] * 2 + [at] * 2  # one call per power
                 at_edge = energy_at_edge(d, edge)
                 starts += [(d, np.nextafter(at_edge, 0.0)), (d, at_edge)]
-        rules, worst = self.oracle_blocks(sc_params, monkeypatch, name, starts)
+        rules, worst = self.oracle_blocks(sc_params, name, starts)
         assert rules == want_rules
         assert worst <= 1e-9
 
     # worst seen over the six films: 1.3e-11, 12 nodes at y0 = 6 and d = 50 nm
     @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_laguerre_band_against_adaptive_oracle(self, sc_params, monkeypatch, name):
+    def test_laguerre_band_against_adaptive_oracle(self, sc_params, name):
         # blocks that start at each start of the Laguerre band, y0 = 3, 4, 6 and 16,
         # where the rule falls to 24, 16, 12 and 8 nodes, and just below each,
         # where the block is the longest the rule before it makes
@@ -523,7 +519,7 @@ class TestMomentumRule:
             for y0 in (3.0, 4.0, 6.0, 16.0):
                 at_edge = energy_at_edge(d, y0)
                 starts += [(d, np.nextafter(at_edge, 0.0)), (d, at_edge)]
-        rules, worst = self.oracle_blocks(sc_params, monkeypatch, name, starts)
+        rules, worst = self.oracle_blocks(sc_params, name, starts)
         pairs = [(48, 24), (24, 16), (16, 12), (12, 8)]  # (below, at) each start
         assert rules == [n for below_at in pairs for n in below_at for _ in (2, 3)] * 5
         assert worst <= 1e-9
@@ -804,8 +800,8 @@ class TestBlockMemo:
         kernel, integrals = permittivity.bcs_g, lifshitz._dynamic_integrals
         monkeypatch.setattr(permittivity, "bcs_g", lambda xi, T, p:
                             energies.append((xi, T)) or kernel(xi, T, p))
-        monkeypatch.setattr(lifshitz, "_dynamic_integrals", lambda d, xi, eps, power:
-                            blocks.append(len(xi)) or integrals(d, xi, eps, power))
+        monkeypatch.setattr(lifshitz, "_dynamic_integrals", lambda d, xi, *rest:
+                            blocks.append(len(xi)) or integrals(d, xi, *rest))
         for approach in ZeroFreqApproach:
             tc_jump(190e-9, sc_params.Tc, 0.1, approach, sc_params)
             after_each.append(len(blocks))
@@ -813,6 +809,23 @@ class TestBlockMemo:
         assert after_each == [12] * 3  # 6 blocks a side, 54 to 768 terms long
         # the first prescription evaluates them, the other two read them
         assert lifshitz._block.cache_info()[:2] == (24, 12)
+
+    @pytest.mark.parametrize("make, d, T", [
+        pytest.param(drude, 190e-9, 4.0, id="drude-190nm"),
+        pytest.param(bcs, 1213e-9, 14.058, id="bcs-1213nm"),
+        pytest.param(plasma, 50e-9, 20.0, id="plasma-50nm"),
+    ])
+    def test_each_block_picks_its_rule_once(self, sc_params, monkeypatch, cold_memo,
+                                            make, d, T):
+        # one rule per evaluated block, chosen by its first energy
+        rules = []
+        choose = lifshitz._momentum_rule
+        monkeypatch.setattr(lifshitz, "_momentum_rule", lambda d, xi_first:
+                            rules.append(xi_first) or choose(d, xi_first))
+        got = casimir_pressure_gradient_detail(LifshitzSpec(d=d, T=T, model=make(sc_params)))
+        assert len(rules) == lifshitz._block.cache_info().misses > 1
+        assert rules == [xi[0] for _, xi in takewhile(lambda block: block[0] < got.n_terms,
+                                                      partition(d, T, 100_000))]
 
     def test_scan_evaluates_each_energy_once(self, sc_params, monkeypatch, cold_memo):
         # the 1213 nm scan's five BCS temperatures, each with its gradient and its

@@ -141,6 +141,20 @@ class TestLcpdFit:
                             ("rho", 2), ("rho_err", 2)):
             assert getattr(scaled, name) == math.ldexp(getattr(base, name), power * k)
 
+    def test_symmetric_sweep_fits_its_apex_at_zero(self, big_gap):
+        # 11 voltages exactly symmetric about 0 fit a linear coefficient b of exactly 0,
+        # so V0 is 0 and its error the b = 0 limit of |V0| hypot(da/a, db/b): db / 2|a|
+        curvature = CONSTANTS.eps0 / (4 * math.pi ** 2 * big_gap.rho * big_gap.h
+                                      * big_gap.d ** 3)
+        v = 0.25 * np.arange(-5, 6)
+        f = np.sqrt(fundamental_frequency(big_gap) ** 2 - curvature * v * v)
+        e, s = np.frexp(np.max(f * f))[1], np.frexp(np.max(np.abs(v)))[1]
+        (a, b, _), cov = np.polyfit(np.ldexp(v, -s), np.ldexp(f * f, -e), 2, cov=True)
+        assert b == 0.0
+        result = lcpd_fit(list(zip(v, f)), big_gap)
+        assert result.V0 == 0.0
+        assert result.V0_err == np.ldexp(math.sqrt(cov[1, 1]) / (2 * abs(a)), s) > 0.0
+
     @pytest.mark.parametrize("v_huge", [1e50, 1e155, 1e200])
     def test_voltages_decades_apart_are_a_fit_error(self, small_gap, v_huge):
         # one voltage of 51 far above the rest: V**2 overflowed in polyfit, which
