@@ -127,9 +127,11 @@ def lcpd_fit(points, m: MembraneSpec) -> LcpdResult:
         raise FitError(f"need at least 3 distinct voltages, got {len(np.unique(v))}")
     with np.errstate(over="ignore"):  # libm pow, as Python's ** is; inf is refused below
         f2 = np.float_power(f, 2)
-    if not np.isfinite(f2).all():
-        raise ValueError(f"f_Hz squared overflows at V_volt = "
-                         f"{v[~np.isfinite(f2)][0].item()!r}")
+    # a square outside the normal float range is refused: one that read 0 fitted no parabola
+    for flow, bad in (("overflows", ~np.isfinite(f2)),
+                      ("underflows", (f2 < np.finfo(float).tiny) & (f != 0.0))):
+        if bad.any():
+            raise ValueError(f"f_Hz squared {flow} at V_volt = {v[bad][0].item()!r}")
     # fit f2 / 2**e against v / 2**s, so that V**2 and the covariance, O(f**4), stay
     # finite; exact powers of two take the results back: v0 ~ 2**s, rho ~ 4**s / 2**e
     e, s = np.frexp(f2.max())[1], np.frexp(np.abs(v).max())[1]

@@ -240,6 +240,8 @@ class TestMain:
         (["gradient", "--d", "190e-9", "--t", "4", "--term-stop", "1.7e308"], 2),
         # one voltage of 1e155 to 1e200 of 51, whose square overflowed in polyfit
         *[(["lcpd-fit", "--csv", f"{{lcpd_{v}}}"], 3) for v in ("1e155", "1e170", "1e200")],
+        # every frequency times 1e-200, whose square reads 0: no parabola was found
+        (["lcpd-fit", "--csv", "{lcpd_tiny_f}"], 3),
         # every bias times 1e-200, so that the starting gap squared underflows
         (["dynes-fit", "--csv", "{dynes_tiny_v}", "--t", "4.6"], 3),
         # one conductance of 2e199, whose squared residual overflowed in scipy's cost
@@ -247,15 +249,17 @@ class TestMain:
           for i in (10, 16, 22)],
         # an outer conductance below 0, below the solver's bound on A
         (["dynes-fit", "--csv", "{dynes_negative_outer}", "--t", "4.6"], 3),
-    ], ids=["term-stop", "lcpd-fit-1e155", "lcpd-fit-1e170", "lcpd-fit-1e200", "dynes-fit",
+    ], ids=["term-stop", "lcpd-fit-1e155", "lcpd-fit-1e170", "lcpd-fit-1e200",
+            "lcpd-fit-f-times-1e-200", "dynes-fit",
             "dynes-fit-2e199-at-10", "dynes-fit-2e199-at-16", "dynes-fit-2e199-at-22",
             "dynes-fit-negative-outer"])
     def test_rejected_input_in_a_process_prints_one_error(self, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
         m = small_gap_membrane()
         curvature = CONSTANTS.eps0 / (4 * math.pi ** 2 * m.rho * m.h * m.d ** 3)
+        voltages = np.linspace(-0.75, 1.25, 51).tolist()
         f = [math.sqrt(fundamental_frequency(m) ** 2 - curvature * (v - 0.2572) ** 2)
-             for v in np.linspace(-0.75, 1.25, 51).tolist()]
+             for v in voltages]
         curve = [(float(v), float(g)) for v, g in synthetic_conductance(DYNES_REF)]
         dynes = {"dynes_tiny_v": [(v * 1e-200, g) for v, g in curve],
                  "dynes_negative_outer": [(v, g - 1.1) for v, g in curve],
@@ -271,7 +275,10 @@ class TestMain:
             paths[f"lcpd_{v_huge}"] = tmp_path / f"lcpd_{v_huge}.csv"
             paths[f"lcpd_{v_huge}"].write_text("V_volt,f_Hz\n" + "".join(
                 f"{v_huge if i == 10 else repr(v)},{fv!r}\n"
-                for i, (v, fv) in enumerate(zip(np.linspace(-0.75, 1.25, 51).tolist(), f))))
+                for i, (v, fv) in enumerate(zip(voltages, f))))
+        paths["lcpd_tiny_f"] = tmp_path / "lcpd_tiny_f.csv"
+        paths["lcpd_tiny_f"].write_text("V_volt,f_Hz\n" + "".join(
+            f"{v!r},{fv * 1e-200!r}\n" for v, fv in zip(voltages, f)))
         src = Path(sccasimir.__file__).resolve().parent.parent
         result = subprocess.run([sys.executable, "-m", "sccasimir.cli",
                                  *[arg.format(**paths) for arg in args]],

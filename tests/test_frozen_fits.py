@@ -42,6 +42,63 @@ def test_every_frozen_engine_value_is_reproduced(workload):
     assert _failures(ops.values(), workload) == []
 
 
+# the l >= 1 term count of every normal_state sum and temperature_scan gradient:
+# reference.json pins their values only, within tolerances that a moved stop can pass
+TERM_COUNTS = {
+    "normal_state": {
+        "pressure[plasma,Omega=1e4,T=0.1,d=500nm]": 43_364,
+        "pressure[plasma,T=1.0,d=190nm]": 12_521,
+        "gradient[drude,T=4.0,d=190nm]": 4_502,
+        "gradient[drude,T=25.0,d=120nm]": 1_142,
+        "pressure[drude,T=25.0,d=120.12nm]": 955,
+        "pressure[drude,T=25.0,d=119.88nm]": 957,
+        "gradient[drude,T=60.0,d=120nm]": 498,
+        "pressure[drude,T=60.0,d=120.12nm]": 419,
+        "pressure[drude,T=60.0,d=119.88nm]": 420,
+        "gradient[drude,T=25.0,d=190nm]": 790,
+        "pressure[drude,T=25.0,d=190.19nm]": 612,
+        "pressure[drude,T=25.0,d=189.81nm]": 613,
+        "gradient[drude,T=60.0,d=190nm]": 344,
+        "pressure[drude,T=60.0,d=190.19nm]": 269,
+        "pressure[drude,T=60.0,d=189.81nm]": 270,
+        "gradient[drude,T=25.0,d=300nm]": 543,
+        "pressure[drude,T=25.0,d=300.3nm]": 389,
+        "pressure[drude,T=25.0,d=299.7nm]": 389,
+        "gradient[drude,T=60.0,d=300nm]": 236,
+        "pressure[drude,T=60.0,d=300.3nm]": 172,
+        "pressure[drude,T=60.0,d=299.7nm]": 172,
+        "gradient[drude,T=25.0,d=420nm]": 409,
+        "pressure[drude,T=25.0,d=420.42nm]": 275,
+        "pressure[drude,T=25.0,d=419.58nm]": 276,
+        "gradient[drude,T=60.0,d=420nm]": 178,
+        "pressure[drude,T=60.0,d=420.42nm]": 122,
+        "pressure[drude,T=60.0,d=419.58nm]": 123,
+        "gradient[drude,T=25.0,d=500nm]": 353,
+        "pressure[drude,T=25.0,d=500.5nm]": 229,
+        "pressure[drude,T=25.0,d=499.5nm]": 230,
+        "gradient[drude,T=60.0,d=500nm]": 154,
+        "pressure[drude,T=60.0,d=500.5nm]": 102,
+        "pressure[drude,T=60.0,d=499.5nm]": 103,
+    },
+    "temperature_scan": {
+        "gradient[bcs,T=13.2,d=1213nm]": 297,
+        "gradient[bcs,T=13.45,d=1213nm]": 292,
+        "gradient[bcs,T=13.7,d=1213nm]": 287,
+        "gradient[bcs,T=13.95,d=1213nm]": 282,
+        "gradient[bcs,T=14.19,d=1213nm]": 277,
+        "gradient[drude,T=14.3,d=1213nm]": 275,
+        "gradient[drude,T=14.6,d=1213nm]": 270,
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TERM_COUNTS))
+def test_every_engine_sum_keeps_its_term_count(workload):
+    ops = [op for op in workloads.build(workload, 0, False, None)
+           if op.key.startswith(("gradient[", "pressure["))]
+    assert {op.key: op.run()["n_terms"] for op in ops} == TERM_COUNTS[workload]
+
+
 def test_every_frozen_sweep_is_reproduced(tmp_path):
     ops = workloads.pipeline(0, False, tmp_path,
                              pools=(range(workloads.SWEEP_POOL), [], None))

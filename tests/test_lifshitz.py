@@ -372,11 +372,11 @@ class TestStoppingRule:
     # holds the stop, and whether the absolute pressure tolerance made its last
     # term small
     @pytest.mark.parametrize("make, d, T, rel, power, where, nodes, abs_tol", [
-        (drude, 5e-6, 20.0, 1e-4, 3, "first-block", 64, False),
-        (drude, 5e-6, 20.0, 1e-4, 2, "first-block", 64, True),
-        (drude, 1213e-9, 25.0, 1e-5, 2, "across-blocks", 12, False),
-        (plasma, 190e-9, 10.5, 1e-10, 3, "across-blocks", 8, False),
-        (drude, 1213e-9, 4.0, 1e-10, 2, "later-block", 16, True),
+        (drude, 5e-6, 20.0, 1e-4, 3, "first-block", 32, False),
+        (drude, 5e-6, 20.0, 1e-4, 2, "first-block", 32, True),
+        (drude, 420e-9, 30.0, 1e-5, 2, "across-blocks", 12, False),
+        (plasma, 500e-9, 10.5, 1e-5, 3, "across-blocks", 12, False),
+        (drude, 1213e-9, 4.0, 1e-10, 2, "later-block", 12, True),
         (bcs, 1213e-9, 14.058, 1e-6, 3, "later-block", 12, False),
         (plasma, 500e-9, 4.0, 1e-10, 3, "later-block", 8, False),
     ], ids=["first-block-P'", "first-block-abs-tol-P", "across-blocks-P",
@@ -479,7 +479,7 @@ class TestMomentumRule:
         # arrays from l = 1 always start at the edge; these blocks start at
         # y0 = 3 exactly, just above it, and far from it, where the engine
         # takes 24, 12 and 8 Gauss-Laguerre nodes, and at the largest y0 below
-        # 3, where it takes the coarsest rule of the edge band, 48 nodes
+        # 3, where it takes the coarsest graded rule of the edge band, 24 nodes
         starts = []
         # no energy puts the edge at 3.0 exactly for d = 5 um, one does for 4.99 um
         for d in (50e-9, 190e-9, 500e-9, 1213e-9, 4.99e-6):
@@ -488,22 +488,25 @@ class TestMomentumRule:
             starts += [(d, first) for first in (np.nextafter(at_3, 0.0), at_3, *(
                 energy_at_edge(d, y0) for y0 in (3.0 + 1e-9, 10.0, 40.0, 200.0)))]
         rules, worst = self.oracle_blocks(sc_params, name, starts)
-        assert rules == ([48] * 2 + [24] * 4 + [12] * 2 + [8] * 4) * 5
+        assert rules == ([24] * 6 + [12] * 2 + [8] * 4) * 5
         assert worst <= 1e-9
 
+    # worst seen over the six films: 9.3e-12, 48 graded nodes at y0 = 8e-3, d = 4.99 um
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_edge_band_against_adaptive_oracle(self, sc_params, name):
-        # blocks that start at each octave edge 1e-3 2^k of y0 up to 3, and
-        # just below it: the first panel of the rule, [0, 1e-3 2^k] for the
-        # largest k <= 11 that keeps it no wider than y0, gives 8 (17 - k) nodes
+        # blocks that start at each start of a graded rule, y0 = 2e-3, 0.032, 0.256 and
+        # 1.024, and at 3, where the Laguerre rules start; just below each, where the block
+        # is the longest the rule before it makes; and inside each band, at the geometric
+        # middle of its ends.  Each block runs to its full length, so at 4.99 um its last
+        # term lies far above its first
+        bands = [(1e-3, 136), (2e-3, 48), (0.032, 40), (0.256, 32), (1.024, 24), (3.0, 24)]
         starts, want_rules = [], []
         for d in (50e-9, 500e-9, 4.99e-6):
-            # the edge 3 itself starts the Laguerre rules
-            for k, edge in enumerate([1e-3 * 2.0 ** k for k in range(12)] + [3.0]):
-                below, at = 8 * (17 - max(k - 1, 0)), 8 * (17 - k) if k < 12 else 24
-                want_rules += [below] * 2 + [at] * 2  # one call per power
-                at_edge = energy_at_edge(d, edge)
-                starts += [(d, np.nextafter(at_edge, 0.0)), (d, at_edge)]
+            for (low, below), (start, at) in zip(bands, bands[1:]):
+                at_edge = energy_at_edge(d, start)
+                starts += [(d, np.nextafter(at_edge, 0.0)), (d, at_edge),
+                           (d, energy_at_edge(d, math.sqrt(low * start)))]
+                want_rules += [below] * 2 + [at] * 2 + [below] * 2  # one call per power
         rules, worst = self.oracle_blocks(sc_params, name, starts)
         assert rules == want_rules
         assert worst <= 1e-9
@@ -512,17 +515,54 @@ class TestMomentumRule:
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_laguerre_band_against_adaptive_oracle(self, sc_params, name):
         # blocks that start at each start of the Laguerre band, y0 = 3, 4, 6 and 16,
-        # where the rule falls to 24, 16, 12 and 8 nodes, and just below each,
-        # where the block is the longest the rule before it makes
+        # where the rule is 24, 16, 12 and 8 nodes, and just below each, where the
+        # block is the longest the rule before it makes (24 graded nodes below 3)
         starts = []
         for d in (50e-9, 190e-9, 500e-9, 1213e-9, 4.99e-6):
             for y0 in (3.0, 4.0, 6.0, 16.0):
                 at_edge = energy_at_edge(d, y0)
                 starts += [(d, np.nextafter(at_edge, 0.0)), (d, at_edge)]
         rules, worst = self.oracle_blocks(sc_params, name, starts)
-        pairs = [(48, 24), (24, 16), (16, 12), (12, 8)]  # (below, at) each start
+        pairs = [(24, 24), (24, 16), (16, 12), (12, 8)]  # (below, at) each start
         assert rules == [n for below_at in pairs for n in below_at for _ in (2, 3)] * 5
         assert worst <= 1e-9
+
+    GRADED = [(2e-3, 48), (0.032, 40), (0.256, 32), (1.024, 24)]  # (start, nodes)
+
+    @pytest.mark.parametrize("y_lo, n", GRADED)
+    def test_graded_rule_is_gauss_legendre_in_log_u(self, y_lo, n):
+        # the rule the engine picks from y0 = y_lo integrates du and exp(-u) du over
+        # [0, 50] to rounding; up to 32 nodes its s nodes and weights are numpy's, whose
+        # eigensolve the Newton iteration replaces
+        nodes, weights = lifshitz._graded_rules((y_lo, n))[0]
+        for got, table in zip((nodes, weights), _momentum_rule(1.0, energy_at_edge(1.0, y_lo))):
+            assert np.array_equal(got, table)
+        assert weights.sum() == pytest.approx(50.0, rel=1e-14)
+        assert weights @ np.exp(-nodes) == pytest.approx(-math.expm1(-50.0), rel=1e-14)
+        if n <= 32:
+            span = math.log1p(50.0 / y_lo)
+            x, w = np.polynomial.legendre.leggauss(n)
+            assert np.log1p(nodes / y_lo) == pytest.approx(0.5 * span * (x + 1.0), abs=1e-14)
+            assert weights / (y_lo + nodes) == pytest.approx(0.5 * span * w, rel=1e-13)
+
+    # blocks of the normal_state grid and of colder sums, on every edge-band rule
+    @pytest.mark.parametrize("d, T", [(120e-9, 25.0), (190e-9, 4.0), (500e-9, 0.1)])
+    def test_term_bits_do_not_depend_on_the_block_layout(self, sc_params, d, T):
+        # the energies of each of the engine's blocks, evaluated as a block that starts
+        # 1, 3, 5, 17 or half a block later, or ends that much earlier, give every term
+        # the same bits, so the memoised series does not depend on how it is cut
+        model = drude(sc_params)
+        blocks = takewhile(lambda block: block[0] < 5000, partition(d, T, 100_000))
+        for _, xi in blocks:
+            nodes, weights = _momentum_rule(d, xi[0])
+            eps = permittivity_iw(model, xi, T)
+            for power in (2, 3):
+                whole = _dynamic_integrals(d, xi, eps, power, nodes, weights)
+                for cut in (1, 3, 5, 17, len(xi) // 2):
+                    late = _dynamic_integrals(d, xi[cut:], eps[cut:], power, nodes, weights)
+                    early = _dynamic_integrals(d, xi[:-cut], eps[:-cut], power, nodes, weights)
+                    assert np.array_equal(late, whole[cut:])
+                    assert np.array_equal(early, whole[:-cut])
 
     # y0 = 1.9e-310, inf (given, or overflowing from a finite energy) and nan:
     # no comparison, quotient or product warns
@@ -806,9 +846,9 @@ class TestBlockMemo:
             tc_jump(190e-9, sc_params.Tc, 0.1, approach, sc_params)
             after_each.append(len(blocks))
         assert len(energies) == len(set(energies)) == 4 * 16
-        assert after_each == [12] * 3  # 6 blocks a side, 54 to 768 terms long
+        assert after_each == [10] * 3  # 5 blocks a side, 128 to 768 terms long
         # the first prescription evaluates them, the other two read them
-        assert lifshitz._block.cache_info()[:2] == (24, 12)
+        assert lifshitz._block.cache_info()[:2] == (20, 10)
 
     @pytest.mark.parametrize("make, d, T", [
         pytest.param(drude, 190e-9, 4.0, id="drude-190nm"),
@@ -918,8 +958,8 @@ class TestBlockMemo:
         assert lifshitz._block.cache_info()[:2] == (read, read)  # every block was kept
 
     def test_block_memo_is_bounded_whatever_the_cap(self, sc_params, cold_memo):
-        # a Drude sum at 10 mK runs to a cap of 150,000 through 1,631 edge-band blocks,
-        # and the memo keeps the last 256 of them (0.34 MB), not the whole series
+        # a Drude sum at 10 mK runs to a cap of 150,000 through 754 edge-band blocks,
+        # and the memo keeps the last 256 of them (0.61 MB), not the whole series
         spec = LifshitzSpec(d=190e-9, T=0.01, model=drude(sc_params),
                             quad=QuadratureConfig(max_matsubara=150_000))
         tracemalloc.start()

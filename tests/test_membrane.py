@@ -165,6 +165,13 @@ class TestLcpdFit:
         with pytest.raises(FitError, match="^rank-deficient fit"):
             lcpd_fit(points, small_gap)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-200])
+    def test_frequencies_whose_square_underflows_are_refused(self, small_gap, scale):
+        # f**2 subnormal or 0: the fit saw no parabola, or a density of inf
+        points = [(v, f * scale) for v, f in synthetic_voltage_sweep(small_gap, 0.2572, n=51)]
+        with pytest.raises(ValueError, match=r"^f_Hz squared underflows at V_volt = -0\.75$"):
+            lcpd_fit(points, small_gap)
+
     def test_too_few_points(self, small_gap):
         with pytest.raises(FitError):
             lcpd_fit(synthetic_voltage_sweep(small_gap, 0.2572, n=4), small_gap)
