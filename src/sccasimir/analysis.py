@@ -245,7 +245,7 @@ def _energy_rule(v: np.ndarray, p: DynesParams, kT: float) -> tuple[np.ndarray, 
                 edges += [x0, x1] + [c + s * o for o in offsets if d0 < o < d1]
         panel_edges.append(np.unique(edges))
     return _composite_rule(np.concatenate([e[:-1] for e in panel_edges]),
-                           np.concatenate([e[1:] for e in panel_edges]), 16)
+                           np.concatenate([e[1:] for e in panel_edges]))
 
 
 def dynes_fit(points, T: float) -> DynesParams:
@@ -264,34 +264,41 @@ def dynes_fit(points, T: float) -> DynesParams:
     neg = (v < 0) & (g > 0)
     if not (pos.any() and neg.any()):
         raise FitError("bias range must span both polarities")
-    v_plus = v[pos][np.argmax(g[pos])]
-    v_minus = v[neg][np.argmax(g[neg])]
-    delta0 = 0.5 * (v_plus - v_minus)  # > 0: v_plus > 0 > v_minus
-    span = max(abs(v[0]), abs(v[-1]))
+    # Python floats, which overflow to inf without a warning; > 0: v_plus > 0 > v_minus
+    delta0 = 0.5 * float(v[pos][np.argmax(g[pos])]) - 0.5 * float(v[neg][np.argmax(g[neg])])
+    span = float(max(abs(v[0]), abs(v[-1])))
     outer = g[np.abs(v) >= 0.8 * span]  # holds the endpoint at |v| = span
     e = np.frexp(np.abs(outer).max())[1]  # the mean of outer / 2^e cannot overflow
     a0 = float(np.ldexp(np.mean(np.ldexp(outer, -e)), e))
     if not 0.0 < a0 < math.inf:
         raise FitError(f"the mean outer conductance {a0:.3g} is not positive and finite")
     k = round(math.log2(a0))  # the tolerances are absolute: fit G / 2^k, with A near 1
+    if np.frexp(np.abs(g).max())[1] - k > 1024:  # the largest |G| / 2^k overflows
+        raise FitError(f"|G_arb| = {np.abs(g).max():.3g} overflows against the mean outer "
+                       f"conductance {a0:.3g}")
     g, x0 = np.ldexp(g, -k), np.array([delta0, 0.1 * delta0, math.ldexp(a0, -k)])
 
+    # no T resolves max(Delta, |V|) near 1e154 eV in dynes_conductance; Delta may reach 10 delta0
+    scale = max(span, 10.0 * delta0)
+    if not 1e-7 * scale < (1e154 - scale) / 36.0:
+        raise FitError(f"bias range +-{span:.3g} V (estimated Delta = {delta0:.3g} eV) "
+                       f"reaches past the ~1e154 eV the conductance rule resolves")
     # nominal requirement is a +-3 Delta span; the 2.5x guard tolerates the
     # peak-position noise in the Delta estimate itself
     if span < 2.5 * delta0:
         raise FitError(f"bias range +-{span:.3g} V spans less than ~3 Delta "
                        f"(estimated Delta = {delta0:.3g} eV)")
 
-    # a start that scipy would warn on, then refuse, is refused before its first step: here,
-    # and at its first call, whose squares are summed in Python, as r @ r warns on overflow
+    # refused before scipy warns on them: a start here, and at every call (scipy moves x0 inside
+    # the bounds first) residuals whose squares overflow, summed in Python as r @ r would warn
     if delta0 * delta0 < np.finfo(float).tiny:
         raise FitError(f"the starting gap {delta0:.3g} eV squares below the float range")
 
     def resid(theta):
         delta, gamma, a = theta
         r = dynes_conductance(v, DynesParams(Delta=delta, gamma=gamma, T=T, A=a)) - g
-        if np.array_equal(theta, x0) and not math.isfinite(sum(x * x for x in r.tolist())):
-            raise FitError("the squared residuals at the starting point are not finite")
+        if not math.isfinite(sum(x * x for x in r.tolist())):
+            raise FitError(f"the squared residuals are not finite at Delta = {delta:.3g} eV")
         return r
 
     from scipy.optimize import least_squares  # only this command needs scipy

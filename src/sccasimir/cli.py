@@ -116,10 +116,10 @@ _sc_options = [
 ]
 
 _quad_options = [
-    click.option("--term-stop", type=float, default=1e-10, show_default=True,
-                 help="Per-term stopping ratio of the Matsubara sum."),
-    click.option("--max-matsubara", type=int, default=100_000, show_default=True,
-                 help="Hard cap on the Matsubara index."),
+    click.option("--term-stop", type=float, default=QuadratureConfig.term_stop_rel,
+                 show_default=True, help="Per-term stopping ratio of the Matsubara sum."),
+    click.option("--max-matsubara", type=int, default=QuadratureConfig.max_matsubara,
+                 show_default=True, help="Hard cap on the Matsubara index."),
 ]
 
 _membrane_options = [

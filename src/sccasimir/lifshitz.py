@@ -59,8 +59,8 @@ _HBAR_C = CONSTANTS.hbar_c_eVm
 _Y_SPAN = 50.0
 # Pa; a pressure term this small counts as small whatever the sum
 _ABS_TOL_PRESSURE = 1e-9
-# (term, node) pairs per block of l >= 1 terms, so 45 terms on the 136-node rule and
-# 768 on 8 nodes; up to a block less one past the stop are dropped.  8192 or 12288
+# (term, node) pairs per block of l >= 1 terms, so 128 terms on the finest rule (48
+# nodes) and 768 on 8; up to a block less one past the stop are dropped.  8192 or 12288
 # overran into pairing-kernel decades no sum reads (16 or 32 bcs_g calls more)
 _PAIRS = 6144
 
@@ -82,8 +82,8 @@ class ZeroFreqApproach(enum.Enum):
 class QuadratureConfig:
     """Stopping rule and cap of the Matsubara sum: no index above the cap is evaluated, and
     a sum that stops with ``truncation_bound >= 1`` is not converged.  Its momentum integrals
-    take no tolerance: each is one fixed rule (``_RULES``: panels, graded Gauss-Legendre or
-    Gauss-Laguerre; ``_static_te_integral``), checked to 1e-9 against adaptive quadrature."""
+    take no tolerance: each is a fixed rule (``_RULES``, graded or Laguerre; 16-node panels
+    for ``_static_te_integral``), checked to 1e-9 against adaptive quadrature."""
 
     term_stop_rel: float = 1e-10     # per-term stopping ratio
     max_matsubara: int = 100_000     # hard cap on the mode index
@@ -182,16 +182,15 @@ def _graded_rules(*bands):
 
 
 # (nodes, weights) in u = y - y0 for a first y0 in [_RULE_STARTS[i-1], _RULE_STARTS[i]).
-# Below 2e-3, doubling panels from [0, 1e-3] (136 nodes).  From 2e-3, 0.032, 0.256 and
-# 1.024, 48, 40, 32 and 24 nodes graded in s from y_lo, the start: the Bose pole u = -y0
-# lies at Re s = -inf or Im s = pi, and the Fresnel branch points near Im s = pi/2, so the
-# rule converges at a rate set by log(1 + 50/y_lo), not by y0 (Trefethen, ATAP ch. 19).
-# From 3 on the integrand is smooth times exp(-u): 24, 16, 12 and 8 Gauss-Laguerre nodes
-# from 3, 4, 6 and 16, weights times exp(u) (DLMF 3.5(v)).  Worst seen against adaptive
-# quadrature: 9.3e-12 graded (48 nodes, y0 = 8e-3, d = 4.99 um), 1.3e-11 Laguerre (12 at 6)
-_RULE_STARTS = np.array([2e-3, 0.032, 0.256, 1.024, 3.0, 4.0, 6.0, 16.0])
-_RULES = [_doubling_panels(1e-3, _Y_SPAN, 8)] + _graded_rules(
-    (2e-3, 48), (0.032, 40), (0.256, 32), (1.024, 24)) + [
+# Below 0.032, 0.256, 1.024 and 3, 48, 40, 32 and 24 nodes graded in s from y_lo = 2e-3,
+# 0.032, 0.256 and 1.024.  At u = -y0, r**2 = 1, so y**power cancels the Bose pole, and the
+# Fresnel branch points lie near Im s = pi/2: the rule converges at a rate set by log(1 +
+# 50/y_lo), not by y0 (Trefethen, ATAP ch. 19), so the first serves y0 below 2e-3 too
+# (checked from 1e-9).  From 3 on the integrand is smooth times exp(-u): 24, 16, 12 and 8
+# Gauss-Laguerre nodes from 3, 4, 6 and 16, weights times exp(u) (DLMF 3.5(v)).  Worst seen
+# against adaptive quadrature: 1.1e-11 graded (48 nodes), 1.3e-11 Laguerre (12 at 6)
+_RULE_STARTS = np.array([0.032, 0.256, 1.024, 3.0, 4.0, 6.0, 16.0])
+_RULES = _graded_rules((2e-3, 48), (0.032, 40), (0.256, 32), (1.024, 24)) + [
     (u, w * np.exp(u)) for u, w in map(np.polynomial.laguerre.laggauss, (24, 16, 12, 8))]
 _MOST = _PAIRS // min(len(u) for u, _ in _RULES)  # terms of the longest block any rule makes
 
@@ -214,10 +213,9 @@ def _integrand(y, power: int, *reflections):
 
 def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
     """Momentum integral of the static TE term over ``[0, 50]`` on one fixed rule in ``y``:
-    8 Gauss-Legendre nodes per panel, a first panel ``[0, min(1e-3, y_p / 4)]`` with
+    16 Gauss-Legendre nodes per panel, a first panel ``[0, min(1e-3, y_p / 4)]`` with
     ``y_p = 2 d omega_eff / hbar_c`` the condensate layer where the reflection switches
-    on, then panels doubling in width.  That is the finest ``l >= 1`` edge rule (136 nodes)
-    for ``y_p >= 4e-3``, and finer only near Tc (312 nodes at ``y_p = 1e-9``).  Against
+    on, then panels doubling in width: 272 nodes from ``y_p = 4e-3``, 624 at 1e-9.  Against
     adaptive quadrature at ``epsrel`` 1e-13 it agrees to 1e-9 relative for d in [50 nm,
     5 um], both powers, and ``omega_eff`` from 0.1 K to 1e-13 K below Tc up to 1e4 eV."""
     if omega_eff == 0.0:
@@ -225,7 +223,7 @@ def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
     y_p = 2.0 * d * omega_eff / _HBAR_C
     # below y_p = 1e-300 the rule's panel count overflows; an infinite y_p gives nan
     if y_p > 1e-300:
-        y, weights = _doubling_panels(min(1e-3, 0.25 * y_p), _Y_SPAN, 8)
+        y, weights = _doubling_panels(min(1e-3, 0.25 * y_p), _Y_SPAN)
         with np.errstate(divide="ignore", invalid="ignore"):
             term = float(np.dot(weights, _integrand(y, power, _static_te(y, y_p))))
         if math.isfinite(term):

@@ -118,7 +118,7 @@ def condensate_fraction(T: float, p: SuperconductorParams) -> float:
     first = math.pi / (2.0 * eta) * math.tanh(1.0 / max(4.0 * eta * t_red, 0.025))
     # tanh(E/2t) = 1 to double precision once t < a/40, so t below a/1000
     # needs no narrower panel (and T -> 0 no unbounded panel count)
-    x, weights = _doubling_panels(0.25 * min(a, max(t_red, 1e-3 * a), 0.5), x_max, 16)
+    x, weights = _doubling_panels(0.25 * min(a, max(t_red, 1e-3 * a), 0.5), x_max)
     e = np.hypot(x, a)
     th = np.tanh(np.minimum(e, 40.0 * t_red) / (2.0 * t_red))
     head = np.dot(weights, th / (e * (4.0 * x * x + 1.0)))
@@ -140,28 +140,25 @@ def effective_plasma_frequency(T: float, p: SuperconductorParams) -> float:
     return math.sqrt(fraction) * p.Omega
 
 
-# Gauss-Legendre nodes shifted onto [0, 2], and weights, per node count
-_GAUSS_LEGENDRE = {n: (x + 1.0, w) for n in (8, 16)
-                   for x, w in [np.polynomial.legendre.leggauss(n)]}
-# 2**k for every panel count of a finite b / a < 2**1024
-_POW2 = np.exp2(np.arange(1024))
+# every composite rule's 16 Gauss-Legendre nodes, shifted onto [0, 2], and weights
+_SHIFTED, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+_SHIFTED += 1.0
 # a / b, raising FloatingPointError where it would warn of a zero divisor, inf or nan
 _raising_divide = np.errstate(divide="raise", over="raise", invalid="raise")(np.divide)
 
 
-# nodes and weights of every composite Gauss-Legendre rule: n_nodes on each [left, right]
-def _composite_rule(left, right, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    shifted, weights = _GAUSS_LEGENDRE[n_nodes]
+# nodes and weights of every composite Gauss-Legendre rule: 16 nodes on each [left, right]
+def _composite_rule(left, right) -> tuple[np.ndarray, np.ndarray]:
     half = 0.5 * (right - left)[:, None]
-    return (left[:, None] + half * shifted).ravel(), (half * weights).ravel()
+    return (left[:, None] + half * _SHIFTED).ravel(), (half * _WEIGHTS).ravel()
 
 
-def _doubling_panels(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _doubling_panels(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on [0, b]: a first panel
     [0, a], then panels as wide as their distance from 0, the last ending at b."""
     n = math.ceil(math.log2(b / a))
-    edges = np.concatenate(([0.0], a * _POW2[:max(n, 0)], [b]))
-    return _composite_rule(edges[:-1], edges[1:], n_nodes)
+    edges = np.concatenate(([0.0], np.ldexp(a, np.arange(max(n, 0))), [b]))
+    return _composite_rule(edges[:-1], edges[1:])
 
 
 def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
@@ -189,7 +186,7 @@ def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
     if first == 0.0:
         raise ValueError(f"pairing kernel's first panel underflows to 0 at xi = {xi:.3g} eV, "
                          f"gap {delta:.3g} eV")
-    eps, weights = _doubling_panels(first, emax, 16)
+    eps, weights = _doubling_panels(first, emax)
 
     e_qp, eps2 = np.hypot(eps, delta), eps * eps
     z = e_qp + 1j * xi

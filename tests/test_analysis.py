@@ -586,11 +586,29 @@ class TestDynesFit:
         with pytest.raises(FitError, match="squares below the float range"):
             dynes_fit(points, T=4.6)
 
+    @pytest.mark.parametrize("points, match", [
+        ([(v * 1e200, g) for v, g in synthetic_conductance(DYNES_REF)],
+         "bias range .* reaches past the ~1e154 eV"),
+        ([(1.7e308 if i == 21 else v, g)
+          for i, (v, g) in enumerate(synthetic_conductance(DYNES_REF))],
+         "bias range .* reaches past the ~1e154 eV"),
+        ([(v, 1e300 if i == 24 else g * 1e-100)
+          for i, (v, g) in enumerate(synthetic_conductance(DYNES_REF))],
+         r"\|G_arb\| = 1e\+300 overflows against the mean outer conductance"),
+    ], ids=["bias-times-1e200", "bias-1.7e308", "g-1e300-among-1e-100"])
+    def test_input_out_of_range_is_refused_before_scipy(self, monkeypatch, points, match):
+        # each once warned of an overflow; the biases then exited 2, blaming T
+        import scipy.optimize
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", None)  # must not be reached
+        with pytest.raises(FitError, match=match):
+            dynes_fit(points, T=4.6)
+
     def test_start_with_non_finite_residuals_is_refused(self, monkeypatch):
         calls = []
         monkeypatch.setattr(analysis, "dynes_conductance", lambda V, p:
                             calls.append(p) or np.full(len(V), math.nan))
-        with pytest.raises(FitError, match="residuals at the starting point"):
+        with pytest.raises(FitError, match="squared residuals are not finite"):
             dynes_fit(synthetic_conductance(DYNES_REF), T=4.6)
         assert len(calls) == 1  # scipy's first evaluation, before any step
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import sccasimir
 from sccasimir import __version__
@@ -249,10 +250,21 @@ class TestMain:
           for i in (10, 16, 22)],
         # an outer conductance below 0, below the solver's bound on A
         (["dynes-fit", "--csv", "{dynes_negative_outer}", "--t", "4.6"], 3),
+        # biases past the conductance rule's range: every bias times 1e200, whose starting
+        # gap squared overflowed and whose refusal blamed T, and one bias of 1.7e308
+        *[(["dynes-fit", "--csv", f"{{{name}}}", "--t", "4.6"], 3)
+          for name in ("dynes_huge_v", "dynes_max_v_at_21")],
+        # G times 1e-100 with one G of 1e300, whose G / 2^k overflowed in ldexp
+        (["dynes-fit", "--csv", "{dynes_huge_g_scaled}", "--t", "4.6"], 3),
+        # biases times 1e-100 but one of 0.0013 V, and one G of 1e300: scipy moves the
+        # start inside the bounds, so its first call missed the start check, and the
+        # command warned four times and printed a fit
+        (["dynes-fit", "--csv", "{dynes_moved_start}", "--t", "4.6"], 3),
     ], ids=["term-stop", "lcpd-fit-1e155", "lcpd-fit-1e170", "lcpd-fit-1e200",
             "lcpd-fit-f-times-1e-200", "dynes-fit",
             "dynes-fit-2e199-at-10", "dynes-fit-2e199-at-16", "dynes-fit-2e199-at-22",
-            "dynes-fit-negative-outer"])
+            "dynes-fit-negative-outer", "dynes-fit-v-times-1e200", "dynes-fit-1.7e308-at-21",
+            "dynes-fit-g-1e300-among-1e-100", "dynes-fit-inf-squares-off-start"])
     def test_rejected_input_in_a_process_prints_one_error(self, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
         m = small_gap_membrane()
@@ -265,7 +277,15 @@ class TestMain:
                  "dynes_negative_outer": [(v, g - 1.1) for v, g in curve],
                  **{f"dynes_huge_g_{i}": [(v, 2e199 if j == i else g)
                                           for j, (v, g) in enumerate(curve)]
-                    for i in (10, 16, 22)}}
+                    for i in (10, 16, 22)},
+                 "dynes_huge_v": [(v * 1e200, g) for v, g in curve],
+                 "dynes_max_v_at_21": [(1.7e308 if j == 21 else v, g)
+                                       for j, (v, g) in enumerate(curve)],
+                 "dynes_huge_g_scaled": [(v, 1e300 if j == 24 else g * 1e-100)
+                                         for j, (v, g) in enumerate(curve)],
+                 "dynes_moved_start": [(0.0013 if j == 18 else v * 1e-100,
+                                        1e300 if j == 15 else g)
+                                       for j, (v, g) in enumerate(curve)]}
         paths = {}
         for name, points in dynes.items():
             paths[name] = tmp_path / f"{name}.csv"
@@ -798,3 +818,53 @@ class TestFitCommands:
         values = csv_values(result.output)
         assert values["Delta"] == pytest.approx(2.6e-3, rel=1e-3)
         assert values["gamma"] == pytest.approx(0.465e-3, rel=1e-2)
+
+
+# the float values a generated invocation draws: zeros, subnormals, finite extremes,
+# non-finite values and a negative one
+EDGE_FLOATS = ["0", "-0", "5e-324", "1e-310", "1e-300", "1e-200", "1e200", "1e300",
+               "1.7e308", "inf", "-inf", "nan", "-1"]
+_FILM_FLOATS = ["--omega", "--gamma0", "--rrr", "--tc"]
+_SUM_FLAGS = ["--max-matsubara", "300"]  # every sum stops (or fails) within 300 terms
+# each physics command: valid options, then the float options a draw may override
+PHYSICS_COMMANDS = {
+    "pressure": (["--d", "190e-9", "--t", "4", *_SUM_FLAGS],
+                 ["--d", "--t", "--area", "--radius", *_FILM_FLOATS, "--term-stop"]),
+    "gradient": (["--d", "190e-9", "--t", "4", *_SUM_FLAGS],
+                 ["--d", "--t", *_FILM_FLOATS, "--term-stop"]),
+    "exponent": (["--d", "190e-9", "--t", "4", *_SUM_FLAGS],
+                 ["--d", "--t", *_FILM_FLOATS, "--term-stop"]),
+    "jump": (_SUM_FLAGS, ["--d", "--dt", "--f0", *_FILM_FLOATS, "--term-stop"]),
+    "noise": (["--f0", "352800", "--q", "1e5", "--noise-to-signal", "1e-3", "--tau", "1"],
+              ["--f0", "--q", "--noise-to-signal", "--tau"]),
+}
+
+
+@st.composite
+def physics_invocations(draw):
+    """A physics command with 1-3 of its float options set to edge values; click
+    keeps the last of a repeated option, so a drawn value overrides the valid one."""
+    name = draw(st.sampled_from(sorted(PHYSICS_COMMANDS)))
+    valid, floats = PHYSICS_COMMANDS[name]
+    flags = draw(st.lists(st.sampled_from(floats), min_size=1, max_size=3, unique=True))
+    return [name, *valid, *(arg for flag in flags
+                             for arg in (flag, draw(st.sampled_from(EDGE_FLOATS))))]
+
+
+class TestGeneratedInputs:
+    # a fixed sequence of examples (derandomize) and no example database, so every run
+    # makes the same invocations and writes nothing.  Reporting a failing example imports
+    # libcst where it is installed, and that import warns: as an error it would abort the
+    # pytest run with an internal error and hide the example
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated")
+    @settings(max_examples=600, derandomize=True, deadline=None, database=None)
+    @given(args=physics_invocations())
+    def test_physics_command_exits_with_a_documented_code(self, args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, args)
+        assert [str(w.message) for w in caught] == []
+        assert result.exit_code in (0, 2, 3, 4)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        if result.exit_code:
+            assert result.stdout == ""

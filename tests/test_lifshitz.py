@@ -491,22 +491,25 @@ class TestMomentumRule:
         assert rules == ([24] * 6 + [12] * 2 + [8] * 4) * 5
         assert worst <= 1e-9
 
-    # worst seen over the six films: 9.3e-12, 48 graded nodes at y0 = 8e-3, d = 4.99 um
+    # worst seen over the six films: 5.5e-12, 48 graded nodes from y0 below 2e-3
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_edge_band_against_adaptive_oracle(self, sc_params, name):
-        # blocks that start at each start of a graded rule, y0 = 2e-3, 0.032, 0.256 and
-        # 1.024, and at 3, where the Laguerre rules start; just below each, where the block
-        # is the longest the rule before it makes; and inside each band, at the geometric
-        # middle of its ends.  Each block runs to its full length, so at 4.99 um its last
-        # term lies far above its first
-        bands = [(1e-3, 136), (2e-3, 48), (0.032, 40), (0.256, 32), (1.024, 24), (3.0, 24)]
+        # blocks that start at each start of a graded rule after the first, y0 = 0.032,
+        # 0.256 and 1.024, and at 3, where the Laguerre rules start; just below each, where
+        # the block is the longest the rule before it makes; inside each band, at the
+        # geometric middle of its y_lo and the next start; and far below the first rule's
+        # y_lo = 2e-3, at y0 = 1e-9, 1e-4 and 1e-3, which it serves too.  Each block runs to
+        # its full length, so at 4.99 um its last term lies far above its first
+        bands = [(2e-3, 48), (0.032, 40), (0.256, 32), (1.024, 24), (3.0, 24)]
         starts, want_rules = [], []
         for d in (50e-9, 500e-9, 4.99e-6):
+            starts += [(d, energy_at_edge(d, y0)) for y0 in (1e-9, 1e-4, 1e-3)]
+            want_rules += [48] * 6  # one call per power
             for (low, below), (start, at) in zip(bands, bands[1:]):
                 at_edge = energy_at_edge(d, start)
                 starts += [(d, np.nextafter(at_edge, 0.0)), (d, at_edge),
                            (d, energy_at_edge(d, math.sqrt(low * start)))]
-                want_rules += [below] * 2 + [at] * 2 + [below] * 2  # one call per power
+                want_rules += [below] * 2 + [at] * 2 + [below] * 2
         rules, worst = self.oracle_blocks(sc_params, name, starts)
         assert rules == want_rules
         assert worst <= 1e-9
@@ -567,7 +570,7 @@ class TestMomentumRule:
     # y0 = 1.9e-310, inf (given, or overflowing from a finite energy) and nan:
     # no comparison, quotient or product warns
     @pytest.mark.parametrize("xi, n_nodes", [
-        (1e-310, 136), (math.inf, 8), (1e308, 8), (math.nan, 8),
+        (1e-310, 48), (math.inf, 8), (1e308, 8), (math.nan, 8),
     ], ids=["subnormal", "inf", "overflow", "nan"])
     def test_rule_of_an_extreme_edge_is_chosen_quietly(self, xi, n_nodes):
         with warnings.catch_warnings():
@@ -958,7 +961,7 @@ class TestBlockMemo:
         assert lifshitz._block.cache_info()[:2] == (read, read)  # every block was kept
 
     def test_block_memo_is_bounded_whatever_the_cap(self, sc_params, cold_memo):
-        # a Drude sum at 10 mK runs to a cap of 150,000 through 754 edge-band blocks,
+        # a Drude sum at 10 mK runs to a cap of 150,000 through 751 edge-band blocks,
         # and the memo keeps the last 256 of them (0.61 MB), not the whole series
         spec = LifshitzSpec(d=190e-9, T=0.01, model=drude(sc_params),
                             quad=QuadratureConfig(max_matsubara=150_000))

@@ -61,7 +61,7 @@ def fixed_rule_g_mp(xi, T, p):
     kT = CONSTANTS.kB_eV * T
     emax = max(200.0 * delta, 200.0 * xi, 50.0 * kT)
     nodes, weights = permittivity._doubling_panels(
-        0.25 * min(delta, math.sqrt(delta * xi)), emax, 16)
+        0.25 * min(delta, math.sqrt(delta * xi)), emax)
     with mpmath.workdps(40):
         d, x, gamma = mpmath.mpf(delta), mpmath.mpf(xi), mpmath.mpf(p.gamma)
         total = mpmath.mpf(0)

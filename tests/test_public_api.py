@@ -114,7 +114,9 @@ def test_matsubara_reuse_has_one_owner():
 
 # the package's size: code that grows past this is an edit of this line,
 # with its reason
-SRC_LINE_BUDGET = 2207  # 2,207: the graded Gauss-Legendre rule builder, lcpd_fit refuses f**2 underflow
+# 2,209: one 16-node panel rule and no 136-node edge rule (-5); dynes_fit refuses an
+# overflowing G / 2^k and a bias span no temperature resolves, at every call too (+7)
+SRC_LINE_BUDGET = 2209
 
 
 def test_src_line_budget():
