@@ -78,13 +78,15 @@ def calibrate_thermal(records, window) -> CalibratedResiduals:
     if t_fit[0] == t_fit[-1]:
         raise ValueError(f"need >= 2 distinct temperatures inside the fit window, "
                          f"all {len(t_fit)} points are at {t_fit[0]} K")
-    with np.errstate(over="ignore"):  # a sigma past the float range is inf
+    with np.errstate(over="ignore", invalid="ignore"):  # sigma may be inf; w2, dw2 are checked
         w2 = np.float_power(2.0 * math.pi * f, 2)  # libm pow: Python's ** bit for bit
         sig = 8.0 * math.pi ** 2 * f * sigma_f + 0.0  # + 0.0: a -0.0 sigma_f gives +0.0
-    if not np.isfinite(w2).all():
-        raise ValueError(f"omega^2 overflows at {t[~np.isfinite(w2)][0]} K")
-    slope, intercept = np.polyfit(t_fit, w2[fit], 1)
-    dw2 = w2 - (slope * t + intercept)
+        if not np.isfinite(w2).all():
+            raise ValueError(f"omega^2 overflows at {t[~np.isfinite(w2)][0]} K")
+        slope, intercept = np.polyfit(t_fit, w2[fit], 1)
+        dw2 = w2 - (slope * t + intercept)
+    if not np.isfinite(dw2).all():
+        raise ValueError(f"the baseline residual is not finite at {t[~np.isfinite(dw2)][0]} K")
     return CalibratedResiduals(T=t, dw2=dw2, sigma=sig,
                                fit_slope=float(slope), fit_intercept=float(intercept))
 

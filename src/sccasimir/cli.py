@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-import statistics
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -422,7 +421,7 @@ def tables(flag_above, fmt):
         kept = [r for r in data if r[0] != exclude]
         table, ideal = [r[3] for r in kept], [r[4] for r in kept]
         stats = [("average", sum(table) / len(table), sum(ideal) / len(ideal)),
-                 ("median", statistics.median(table), statistics.median(ideal))]
+                 ("median", np.median(table), np.median(ideal))]
         if fmt == "csv":
             lines.append(f"# {section}")
             lines.append(f"ref,{geom_name},min_sep_m,force_table_N,force_ideal_N,"

@@ -31,7 +31,6 @@ from .errors import ConvergenceError
 from .physcore import CONSTANTS, SuperconductorParams, matsubara_frequency
 from .permittivity import (
     DielectricModel,
-    _doubling_panels,
     bcs,
     effective_plasma_frequency,
     permittivity_iw,
@@ -82,7 +81,7 @@ class ZeroFreqApproach(enum.Enum):
 class QuadratureConfig:
     """Stopping rule and cap of the Matsubara sum: no index above the cap is evaluated, and
     a sum that stops with ``truncation_bound >= 1`` is not converged.  Its momentum integrals
-    take no tolerance: each is a fixed rule (``_RULES``, graded or Laguerre; 16-node panels
+    take no tolerance: each is a fixed rule (``_RULES``, graded or Laguerre; 80 graded nodes
     for ``_static_te_integral``), checked to 1e-9 against adaptive quadrature."""
 
     term_stop_rel: float = 1e-10     # per-term stopping ratio
@@ -157,28 +156,25 @@ def _static_te(k, kp):
 _STATIC_TM = {2: 2.0 * CONSTANTS.zeta3, 3: 6.0 * CONSTANTS.zeta3}
 
 
-# for each (y_lo, n) of bands, n Gauss-Legendre nodes in s = log(1 + u/y_lo) on [0, log(1 +
-# 50/y_lo)], as (nodes, weights) in u.  Newton's method on the Legendre recurrence finds the
-# roots of all bands in one array, from Tricomi's estimate, good to 2e-5 (the eigensolve of
-# numpy's leggauss raises the peak RSS above 32 nodes, and its polish costs more import time)
-def _graded_rules(*bands):
-    counts = [count for _, count in bands]
-    y_lo, n = (np.repeat(column, counts) for column in zip(*bands))
-    j = np.concatenate([np.arange(count) for count in counts])
-    x = -(1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(np.pi * (j + 0.75) / (n + 0.5))
+# n Gauss-Legendre nodes x and P_n'(x): Newton's method on the Legendre recurrence from
+# Tricomi's estimate, good to 2e-5.  Against 40 digits, numpy's leggauss weights are off by
+# 7e-13 (40 nodes) and 1.3e-12 (48), these by 2e-14 and 1.3e-13; its eigensolve costs RSS too
+def _gauss_legendre(n: int):
+    x = -(1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
     for _ in range(4):  # quadratic convergence: the last step leaves dp at the roots
-        p0, p1, below, at = 1.0, x, np.empty_like(x), np.empty_like(x)
-        for k in range(2, n.max() + 1):
+        p0, p1 = 1.0, x
+        for k in range(2, n + 1):
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            done = n == k  # P_(n-1) and P_n of the bands of k nodes
-            below[done], at[done] = p0[done], p1[done]
-        dp = n * (below - x * at) / (1.0 - x * x)
-        x = x - at / dp
-    span = np.log1p(_Y_SPAN / y_lo)
+        dp = n * (p0 - x * p1) / (1.0 - x * x)
+        x = x - p1 / dp
+    return x, dp
+
+
+# the rule (x, dp) in s = log(1 + u/y_lo) on [0, log(1 + 50/y_lo)], as (nodes, weights) in u
+def _graded(y_lo: float, rule):
+    (x, dp), span = rule, np.log1p(_Y_SPAN / y_lo)
     s = 0.5 * span * (x + 1.0)
-    weights = y_lo * np.exp(s) * span / ((1.0 - x * x) * dp * dp)
-    cuts = np.cumsum(counts)[:-1]
-    return list(zip(np.split(y_lo * np.expm1(s), cuts), np.split(weights, cuts)))
+    return y_lo * np.expm1(s), y_lo * np.exp(s) * span / ((1.0 - x * x) * dp * dp)
 
 
 # (nodes, weights) in u = y - y0 for a first y0 in [_RULE_STARTS[i-1], _RULE_STARTS[i]).
@@ -190,9 +186,11 @@ def _graded_rules(*bands):
 # Gauss-Laguerre nodes from 3, 4, 6 and 16, weights times exp(u) (DLMF 3.5(v)).  Worst seen
 # against adaptive quadrature: 1.1e-11 graded (48 nodes), 1.3e-11 Laguerre (12 at 6)
 _RULE_STARTS = np.array([0.032, 0.256, 1.024, 3.0, 4.0, 6.0, 16.0])
-_RULES = _graded_rules((2e-3, 48), (0.032, 40), (0.256, 32), (1.024, 24)) + [
+_RULES = [_graded(y_lo, _gauss_legendre(n)) for y_lo, n in (
+    (2e-3, 48), (0.032, 40), (0.256, 32), (1.024, 24))] + [
     (u, w * np.exp(u)) for u, w in map(np.polynomial.laguerre.laggauss, (24, 16, 12, 8))]
 _MOST = _PAIRS // min(len(u) for u, _ in _RULES)  # terms of the longest block any rule makes
+_STATIC_RULE = _gauss_legendre(80)  # graded at each call by _static_te_integral
 
 
 def _momentum_rule(d: float, xi_first: float):
@@ -213,17 +211,18 @@ def _integrand(y, power: int, *reflections):
 
 def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
     """Momentum integral of the static TE term over ``[0, 50]`` on one fixed rule in ``y``:
-    16 Gauss-Legendre nodes per panel, a first panel ``[0, min(1e-3, y_p / 4)]`` with
-    ``y_p = 2 d omega_eff / hbar_c`` the condensate layer where the reflection switches
-    on, then panels doubling in width: 272 nodes from ``y_p = 4e-3``, 624 at 1e-9.  Against
-    adaptive quadrature at ``epsrel`` 1e-13 it agrees to 1e-9 relative for d in [50 nm,
-    5 um], both powers, and ``omega_eff`` from 0.1 K to 1e-13 K below Tc up to 1e4 eV."""
+    ``_STATIC_RULE``, 80 Gauss-Legendre nodes graded in ``s = log(1 + y/y_lo)`` from ``y_lo =
+    min(1e-3, y_p / 4)``, with ``y_p = 2 d omega_eff / hbar_c`` the condensate layer where the
+    reflection switches on.  Against adaptive quadrature at ``epsrel`` 1e-13 it agrees to 1e-9
+    relative for d in [50 nm, 5 um], both powers, and ``omega_eff`` from 0.1 K to 1e-13 K below
+    Tc up to 1e4 eV; against the 272-784-node panel rule it replaced, to 3.2e-13 for ``y_p`` in
+    [1e-12, 1e4] and to 6e-7 down to 1e-50, where the term is under 1e-40."""
     if omega_eff == 0.0:
         return 0.0
     y_p = 2.0 * d * omega_eff / _HBAR_C
-    # below y_p = 1e-300 the rule's panel count overflows; an infinite y_p gives nan
+    # below y_p = 1e-300, 50 / y_lo nears overflow; an infinite y_p gives nan
     if y_p > 1e-300:
-        y, weights = _doubling_panels(min(1e-3, 0.25 * y_p), _Y_SPAN)
+        y, weights = _graded(min(1e-3, 0.25 * y_p), _STATIC_RULE)
         with np.errstate(divide="ignore", invalid="ignore"):
             term = float(np.dot(weights, _integrand(y, power, _static_te(y, y_p))))
         if math.isfinite(term):

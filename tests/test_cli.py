@@ -2,6 +2,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -260,11 +261,21 @@ class TestMain:
         # start inside the bounds, so its first call missed the start check, and the
         # command warned four times and printed a fit
         (["dynes-fit", "--csv", "{dynes_moved_start}", "--t", "4.6"], 3),
+        # a small-gap sweep with a last T of 1e300 and one f times 1e-200, whose baseline
+        # residual overflowed with a warning, against a clean big-gap sweep (which then
+        # refused the point outside its support) and one that ends at 1e300 K too (which
+        # printed an infinite jump and exited 0); and one with a T of 1.7e308, which
+        # TestGeneratedInputs found warning the same way
+        *[(["sweep", "--small", f"{{{small}}}", "--big", f"{{{big}}}", "--window", "13.2",
+            "14.19"], 3) for small, big in (("sweep_small_1e300", "sweep_big"),
+                                            ("sweep_small_1e300", "sweep_big_1e300"),
+                                            ("sweep_small_max_t", "sweep_big"))],
     ], ids=["term-stop", "lcpd-fit-1e155", "lcpd-fit-1e170", "lcpd-fit-1e200",
             "lcpd-fit-f-times-1e-200", "dynes-fit",
             "dynes-fit-2e199-at-10", "dynes-fit-2e199-at-16", "dynes-fit-2e199-at-22",
             "dynes-fit-negative-outer", "dynes-fit-v-times-1e200", "dynes-fit-1.7e308-at-21",
-            "dynes-fit-g-1e300-among-1e-100", "dynes-fit-inf-squares-off-start"])
+            "dynes-fit-g-1e300-among-1e-100", "dynes-fit-inf-squares-off-start",
+            "sweep-t-1e300", "sweep-t-1e300-both", "sweep-t-1.7e308"])
     def test_rejected_input_in_a_process_prints_one_error(self, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
         m = small_gap_membrane()
@@ -299,6 +310,23 @@ class TestMain:
         paths["lcpd_tiny_f"] = tmp_path / "lcpd_tiny_f.csv"
         paths["lcpd_tiny_f"].write_text("V_volt,f_Hz\n" + "".join(
             f"{v!r},{fv * 1e-200!r}\n" for v, fv in zip(voltages, f)))
+        for name, options in (("sweep_small", ["--jump-gradient", "12.1e3"]),
+                              ("sweep_big", ["--membrane", "big", "--slope", "-2.6e7",
+                                             "--seed", "5"])):
+            paths[name] = tmp_path / f"{name}.csv"
+            result = CliRunner().invoke(main, ["generate-sweep", "--out", str(paths[name]),
+                                               "--noise-f", "0.0047", *options])
+            assert result.exit_code == 0
+        # copies of the sweeps with cells, by (row, column), set to a value or scaled
+        for name, source, cells in (
+                ("sweep_small_1e300", "sweep_small", {(-1, 0): "1e300", (4, 1): 1e-200}),
+                ("sweep_big_1e300", "sweep_big", {(-1, 0): "1e300"}),
+                ("sweep_small_max_t", "sweep_small", {(1, 0): "1.7e308"})):
+            rows = [line.split(",") for line in paths[source].read_text().splitlines()]
+            for (i, j), edit in cells.items():
+                rows[i][j] = edited(rows[i][j], edit)
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text("".join(",".join(row) + "\n" for row in rows))
         src = Path(sccasimir.__file__).resolve().parent.parent
         result = subprocess.run([sys.executable, "-m", "sccasimir.cli",
                                  *[arg.format(**paths) for arg in args]],
@@ -851,18 +879,94 @@ def physics_invocations(draw):
                              for arg in (flag, draw(st.sampled_from(EDGE_FLOATS))))]
 
 
+# the cell edits a generated data file draws: values (zeros, a subnormal, finite extremes
+# and a negative one) and factors that scale the cell
+DATA_VALUES = ["0", "-0", "1e-310", "1e-300", "1e-200", "1e200", "1e300", "1.7e308", "-1"]
+DATA_SCALES = [1e-200, 1e-100, 1e100, 1e200, -1.0]
+# each data-file command: its arguments, with the files it reads named in braces
+DATA_COMMANDS = {
+    "sweep": ["--small", "{small}", "--big", "{big}", "--window", "13.2", "14.19"],
+    "lcpd-fit": ["--csv", "{lcpd}"],
+    "dynes-fit": ["--csv", "{dynes}", "--t", "4.6"],
+}
+
+
+@pytest.fixture(scope="module")
+def clean_data(tmp_path_factory):
+    """Clean inputs of the data-file commands, like the benchmark's, as rows of cells
+    (header first) by file name, and the directory the generated test writes into."""
+    from test_analysis import DYNES_REF, synthetic_conductance
+    directory = tmp_path_factory.mktemp("generated")
+    for name, options in (("small", ["--jump-gradient", "12.1e3", "--seed", "1"]),
+                          ("big", ["--membrane", "big", "--slope", "-2.6e7",
+                                   "--seed", "50001"])):
+        result = CliRunner().invoke(main, ["generate-sweep", "--out", str(directory / name),
+                                           "--noise-f", "0.0047", *options])
+        assert result.exit_code == 0
+    rows = {name: [line.split(",") for line in (directory / name).read_text().splitlines()]
+            for name in ("small", "big")}
+    m = small_gap_membrane()
+    curvature = CONSTANTS.eps0 / (4 * math.pi ** 2 * m.rho * m.h * m.d ** 3)
+    rows["lcpd"] = [["V_volt", "f_Hz"]] + [
+        [repr(v), repr(math.sqrt(fundamental_frequency(m) ** 2 - curvature * (v - 0.2572) ** 2))]
+        for v in np.linspace(-0.75, 1.25, 51).tolist()]
+    rows["dynes"] = [["V_volt", "G_arb"]] + [
+        [repr(float(v)), repr(float(g))]
+        for v, g in synthetic_conductance(DYNES_REF, noise=0.01, seed=1)]
+    return rows, directory
+
+
+def edited(cell: str, edit) -> str:
+    return edit if isinstance(edit, str) else repr(float(cell) * edit)
+
+
 class TestGeneratedInputs:
     # a fixed sequence of examples (derandomize) and no example database, so every run
-    # makes the same invocations and writes nothing.  Reporting a failing example imports
-    # libcst where it is installed, and that import warns: as an error it would abort the
-    # pytest run with an internal error and hide the example
-    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated")
+    # makes the same invocations
     @settings(max_examples=600, derandomize=True, deadline=None, database=None)
     @given(args=physics_invocations())
     def test_physics_command_exits_with_a_documented_code(self, args):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = CliRunner().invoke(main, args)
+        assert [str(w.message) for w in caught] == []
+        assert result.exit_code in (0, 2, 3, 4)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        if result.exit_code:
+            assert result.stdout == ""
+
+    # each input it finds also runs in a process, as an id of TestMain's subprocess test:
+    # LAPACK's Fortran I/O writes past CliRunner
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_data_command_exits_with_a_documented_code(self, clean_data, data):
+        # 1-3 cells of a command's clean files set to an edge value or scaled, and in
+        # some draws one whole column scaled
+        clean, directory = clean_data
+        name = data.draw(st.sampled_from(sorted(DATA_COMMANDS)), label="command")
+        files = [key for key in clean if f"{{{key}}}" in DATA_COMMANDS[name]]
+        rows = {key: [row[:] for row in clean[key]] for key in files}
+        edit = st.sampled_from(DATA_VALUES) | st.sampled_from(DATA_SCALES)
+        for _ in range(data.draw(st.integers(1, 3), label="cells")):
+            table = rows[data.draw(st.sampled_from(files), label="file")]
+            i = data.draw(st.integers(1, len(table) - 1), label="row")
+            j = data.draw(st.integers(0, len(table[0]) - 1), label="column")
+            table[i][j] = edited(table[i][j], data.draw(edit, label="edit"))
+        if data.draw(st.booleans(), label="scale a column"):
+            table = rows[data.draw(st.sampled_from(files), label="file")]
+            j = data.draw(st.integers(0, len(table[0]) - 1), label="column")
+            scale = data.draw(st.sampled_from(DATA_SCALES), label="scale")
+            for row in table[1:]:
+                row[j] = edited(row[j], scale)
+        paths = {key: directory / f"{key}.csv" for key in files}
+        for key, path in paths.items():
+            path.write_text("".join(",".join(row) + "\n" for row in rows[key]))
+        args = [name, *(arg.format(**paths) for arg in DATA_COMMANDS[name])]
+        start = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, args)
+        assert time.perf_counter() - start < 5.0
         assert [str(w.message) for w in caught] == []
         assert result.exit_code in (0, 2, 3, 4)
         assert result.exception is None or isinstance(result.exception, SystemExit)

@@ -532,14 +532,20 @@ class TestMomentumRule:
 
     GRADED = [(2e-3, 48), (0.032, 40), (0.256, 32), (1.024, 24)]  # (start, nodes)
 
-    @pytest.mark.parametrize("y_lo, n", GRADED)
+    # and the static TE term's 80 nodes, graded from y_p = 4e-3 up and at y_p = 1e-12
+    @pytest.mark.parametrize("y_lo, n", GRADED + [(1e-3, 80), (2.5e-13, 80)])
     def test_graded_rule_is_gauss_legendre_in_log_u(self, y_lo, n):
-        # the rule the engine picks from y0 = y_lo integrates du and exp(-u) du over
-        # [0, 50] to rounding; up to 32 nodes its s nodes and weights are numpy's, whose
-        # eigensolve the Newton iteration replaces
-        nodes, weights = lifshitz._graded_rules((y_lo, n))[0]
-        for got, table in zip((nodes, weights), _momentum_rule(1.0, energy_at_edge(1.0, y_lo))):
-            assert np.array_equal(got, table)
+        # the rule the engine picks from y0 = y_lo, or grades for the static TE term,
+        # integrates du and exp(-u) du over [0, 50] to rounding; up to 32 nodes its s nodes
+        # and weights are numpy's, whose eigensolve the Newton iteration replaces
+        rule = lifshitz._gauss_legendre(n)
+        nodes, weights = lifshitz._graded(y_lo, rule)
+        # the static TE term grades the one rule it keeps; the engine keeps each band's rule
+        if n == 80:
+            pairs = zip(rule, lifshitz._STATIC_RULE)
+        else:
+            pairs = zip((nodes, weights), _momentum_rule(1.0, energy_at_edge(1.0, y_lo)))
+        assert all(np.array_equal(got, table) for got, table in pairs)
         assert weights.sum() == pytest.approx(50.0, rel=1e-14)
         assert weights @ np.exp(-nodes) == pytest.approx(-math.expm1(-50.0), rel=1e-14)
         if n <= 32:
