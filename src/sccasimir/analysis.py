@@ -20,6 +20,7 @@ from .physcore import (
     ConversionFactors,
     MembraneSpec,
     SuperconductorParams,
+    _FILE_KEYS,
     _require_finite,
 )
 
@@ -255,7 +256,10 @@ def dynes_fit(points, T: float) -> DynesParams:
 
     Deterministic initialization: Delta from half the voltage spacing of
     the two conductance maxima, gamma at a tenth of that, A from the outer
-    twenty percent of the bias range.
+    twenty percent of the bias range.  The solver is trust-region
+    reflective within bounds on all three (``_trf``), a NumPy port of
+    scipy's ``least_squares(method='trf')`` that returns its results bit
+    for bit; scipy is not needed.
     """
     vg = np.asarray(points, dtype=float).reshape(len(points), 2)  # refuses non-pairs
     if len(vg) < 20:
@@ -291,8 +295,9 @@ def dynes_fit(points, T: float) -> DynesParams:
         raise FitError(f"bias range +-{span:.3g} V spans less than ~3 Delta "
                        f"(estimated Delta = {delta0:.3g} eV)")
 
-    # refused before scipy warns on them: a start here, and at every call (scipy moves x0 inside
-    # the bounds first) residuals whose squares overflow, summed in Python as r @ r would warn
+    # refused before the solver warns on them: a start here, and at every call (the solver moves
+    # x0 inside the bounds first) residuals whose squares overflow, summed in Python as r @ r
+    # would warn
     if delta0 * delta0 < np.finfo(float).tiny:
         raise FitError(f"the starting gap {delta0:.3g} eV squares below the float range")
 
@@ -303,12 +308,11 @@ def dynes_fit(points, T: float) -> DynesParams:
             raise FitError(f"the squared residuals are not finite at Delta = {delta:.3g} eV")
         return r
 
-    from scipy.optimize import least_squares  # only this command needs scipy
+    from . import _trf  # compiled only when a fit runs
 
     lower = [1e-6 * delta0, 1e-8 * delta0, 0.0]
     upper = [10.0 * delta0, 10.0 * delta0, np.inf]
-    sol = least_squares(resid, x0, bounds=(lower, upper), max_nfev=400,
-                        xtol=1e-12, ftol=1e-12, gtol=1e-12)
+    sol = _trf.least_squares(resid, x0, lower, upper, tol=1e-12, max_nfev=400)
     if not sol.success:
         raise FitError(f"no convergence after {sol.nfev} evaluations: {sol.message}")
     return DynesParams(Delta=float(sol.x[0]), gamma=float(sol.x[1]),
@@ -370,6 +374,7 @@ class SweepReport:
     dw2_sigma: float
     gradient_jump: float          # Pa/m
     gradient_sigma: float
+    point_gradients: np.ndarray   # Pa/m, a value per differential point
     conversion: FemConversion | None
     point_conversions: FemConversion | None  # one array per field, a value per point
 
@@ -385,6 +390,8 @@ def sweep_pipeline(small_records, big_records, window, m: MembraneSpec,
     window; its uncertainty is the mean of the combined per-point
     uncertainties.  With ``factors``, the headline jump and every
     differential point are converted to force, pressure, and deflection.
+    A membrane or a factor that takes a finite value past the float range
+    is refused; an infinite sigma, which ``calibrate_thermal`` keeps, stays.
     """
     if window[0] < window[1] >= _TC:
         raise ValueError(f"fit window {window} reaches the transition at {_TC} K")
@@ -397,11 +404,29 @@ def sweep_pipeline(small_records, big_records, window, m: MembraneSpec,
     dw2 = float(np.mean(dw2_points[above]))
     sig = float(np.mean(sig_points[above]))
     conversion = points = None
-    if factors is not None:  # the differential is in (rad/s)^2; d(omega^2) = 4 pi^2 d(f^2)
-        scale = 1.0 if factors.basis is Basis.ANGULAR_SQUARED else 4.0 * math.pi ** 2
-        conversion, points = (convert_fem(v / scale, factors) for v in (dw2, dw2_points))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        gradients = [gradient_from_dw2(v, m) for v in (dw2, sig, dw2_points)]
+        if factors is not None:  # the differential is in (rad/s)^2; d(omega^2) = 4 pi^2 d(f^2)
+            scale = 1.0 if factors.basis is Basis.ANGULAR_SQUARED else 4.0 * math.pi ** 2
+            conversion, points = (convert_fem(v / scale, factors) for v in (dw2, dw2_points))
+    if _overflows(gradients, (dw2, sig, dw2_points)):
+        keys = _FILE_KEYS[MembraneSpec]
+        raise ValueError(f"keys {keys['rho']!r} = {m.rho:.3g} and {keys['h']!r} = {m.h:.3g} "
+                         f"take the gradient past the float range")
+    for name, field in (("force_per_w2", "dF"), ("pressure_per_w2", "dP"),
+                        ("deflection_per_w2", "dz")):
+        if factors is not None and _overflows([getattr(conversion, field),
+                                               getattr(points, field)], (dw2, dw2_points)):
+            raise ValueError(f"key {_FILE_KEYS[ConversionFactors][name]!r} = "
+                             f"{getattr(factors, name):.3g} takes the converted differential "
+                             f"past the float range")
     return SweepReport(small=small, big=big, differential=diff,
-                       dw2_jump=dw2, dw2_sigma=sig,
-                       gradient_jump=gradient_from_dw2(dw2, m),
-                       gradient_sigma=abs(gradient_from_dw2(sig, m)),
+                       dw2_jump=dw2, dw2_sigma=sig, gradient_jump=gradients[0],
+                       gradient_sigma=abs(gradients[1]), point_gradients=gradients[2],
                        conversion=conversion, point_conversions=points)
+
+
+def _overflows(outputs, inputs) -> bool:
+    """Whether an element of an output is not finite where its input is."""
+    return any(not np.isfinite(y).all() and np.any(np.isfinite(x) & ~np.isfinite(y))
+               for y, x in zip(outputs, inputs))

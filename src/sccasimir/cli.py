@@ -310,7 +310,7 @@ def sweep(small_path, big_path, window, preset, membrane_config, factors_config,
     converted = (np.full((len(dw2), 3), math.nan) if report.point_conversions is None
                  else np.column_stack(astuple(report.point_conversions)))
     table = np.column_stack([small.T, small.dw2, small.sigma, dw2, sigma,
-                             membrane.gradient_from_dw2(dw2, spec_m), converted])
+                             report.point_gradients, converted])
     lines = ["T_K,dw2_small,sigma_small,dw2_casimir,sigma_casimir,"
              "dPprime_Pa_per_m,dF_N,dP_Pa,dz_m"]
     lines += [",".join(f"{x:.8e}" for x in row) for row in table.tolist()]

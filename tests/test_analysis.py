@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 import sccasimir
-from sccasimir import analysis
+from sccasimir import _trf, analysis
 from sccasimir.errors import FitError, ParseError
 from sccasimir.membrane import SweepRecord, dw2_from_gradient
 from sccasimir.physcore import CONSTANTS, Basis, ConversionFactors, read_csv
@@ -550,11 +550,9 @@ class TestDynesFit:
             assert fit.Delta == pytest.approx(DYNES_REF.Delta, rel=0.02)
 
     def test_one_conductance_call_per_residual(self, monkeypatch):
-        import scipy.optimize
-
         points = synthetic_conductance(DYNES_REF, noise=0.01, seed=0)
         biases, residuals = [], []
-        conductance, least_squares = analysis.dynes_conductance, scipy.optimize.least_squares
+        conductance, least_squares = analysis.dynes_conductance, _trf.least_squares
 
         def counted_conductance(V, p):
             biases.append(np.array(V, copy=True))
@@ -567,7 +565,7 @@ class TestDynesFit:
             return least_squares(counted_fun, *args, **kwargs)
 
         monkeypatch.setattr(analysis, "dynes_conductance", counted_conductance)
-        monkeypatch.setattr(scipy.optimize, "least_squares", counted_least_squares)
+        monkeypatch.setattr(_trf, "least_squares", counted_least_squares)
         dynes_fit(points, T=4.6)
         assert len(residuals) > 3
         # the n-th residual evaluation starts after n conductance calls
@@ -578,10 +576,8 @@ class TestDynesFit:
 
     def test_start_whose_gap_squares_to_zero_is_refused(self, monkeypatch):
         # every bias times 1e-200: the starting gap, about 3e-203 eV, squares to 0,
-        # and the density divided by zero; scipy then warned and raised its own error
-        import scipy.optimize
-
-        monkeypatch.setattr(scipy.optimize, "least_squares", None)  # must not be reached
+        # and the density divided by zero; scipy's solver then warned and raised its own error
+        monkeypatch.setattr(_trf, "least_squares", None)  # must not be reached
         points = [(v * 1e-200, g) for v, g in synthetic_conductance(DYNES_REF)]
         with pytest.raises(FitError, match="squares below the float range"):
             dynes_fit(points, T=4.6)
@@ -598,9 +594,7 @@ class TestDynesFit:
     ], ids=["bias-times-1e200", "bias-1.7e308", "g-1e300-among-1e-100"])
     def test_input_out_of_range_is_refused_before_scipy(self, monkeypatch, points, match):
         # each once warned of an overflow; the biases then exited 2, blaming T
-        import scipy.optimize
-
-        monkeypatch.setattr(scipy.optimize, "least_squares", None)  # must not be reached
+        monkeypatch.setattr(_trf, "least_squares", None)  # must not be reached
         with pytest.raises(FitError, match=match):
             dynes_fit(points, T=4.6)
 
@@ -610,7 +604,7 @@ class TestDynesFit:
                             calls.append(p) or np.full(len(V), math.nan))
         with pytest.raises(FitError, match="squared residuals are not finite"):
             dynes_fit(synthetic_conductance(DYNES_REF), T=4.6)
-        assert len(calls) == 1  # scipy's first evaluation, before any step
+        assert len(calls) == 1  # the solver's first evaluation, before any step
 
     def test_too_few_points(self):
         with pytest.raises(FitError):
@@ -632,12 +626,27 @@ class TestDynesFit:
             dynes_fit(triples, T=4.6)
 
     def test_cli_import_loads_no_scipy(self):
+        # nor the fit's solver, which dynes_fit imports when it runs
         src = Path(sccasimir.__file__).resolve().parent.parent
         code = ("import sys, sccasimir.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+                " or m == 'sccasimir._trf'))")
         out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
+
+    def test_fit_loads_no_scipy(self):
+        src = Path(sccasimir.__file__).resolve().parent.parent
+        code = ("import sys, numpy as np\n"
+                "from sccasimir.analysis import DynesParams, dynes_conductance, dynes_fit\n"
+                "p = DynesParams(Delta=2.6e-3, gamma=0.465e-3, T=4.6)\n"
+                "v = np.linspace(-4 * p.Delta, 4 * p.Delta, 33)\n"
+                "print(dynes_fit(list(zip(v, dynes_conductance(v, p))), T=4.6).Delta)\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                             capture_output=True, text=True).stdout.split("\n")
+        assert float(out[0]) == pytest.approx(2.6e-3, rel=1e-9)
+        assert out[1] == "[]"
 
     def test_csv_loader(self, tmp_path):
         # dynes-fit reads its conductance file through the shared reader
@@ -649,6 +658,103 @@ class TestDynesFit:
         bad.write_text("volts,cond\n1,2\n")
         with pytest.raises(ParseError):
             read_csv(bad, ("V_volt", "G_arb"))
+
+
+def pool_curve(seed):
+    """The benchmark's frozen fit input for one noise seed: 33 biases in +-4 Delta, each
+    conductance computed alone, with 1% multiplicative noise."""
+    v = np.linspace(-4.0 * DYNES_REF.Delta, 4.0 * DYNES_REF.Delta, 33)
+    g = np.array([dynes_conductance(x, DYNES_REF) for x in v])
+    return list(zip(v, g * (1.0 + 0.01 * np.random.default_rng(seed).standard_normal(33))))
+
+
+# the unpatched solver and its reflection step, which each run wraps afresh
+SOLVE, REFLECT = _trf.least_squares, _trf._intersect_trust_region
+
+
+class TestTrustRegionSolver:
+    """dynes_fit's solver against the scipy routine it ports, least_squares with
+    method 'trf': each fit runs both on the same residuals, which must give the same
+    bits of x, the same nfev and the same status."""
+
+    @staticmethod
+    def run_both(monkeypatch, curves, cap=None):
+        from scipy.optimize import least_squares
+
+        runs, reflections = [], []  # the trust region is intersected only along a reflected step
+        monkeypatch.setattr(_trf, "_intersect_trust_region",
+                            lambda *args: reflections.append(1) or REFLECT(*args))
+
+        def both(fun, x0, lb, ub, tol, max_nfev):
+            n = max_nfev if cap is None else cap
+            before = len(reflections)
+            ours = SOLVE(fun, x0, lb, ub, tol, n)
+            theirs = least_squares(fun, x0, bounds=(lb, ub), max_nfev=n,
+                                   xtol=tol, ftol=tol, gtol=tol)
+            runs.append(([(r.x.tobytes(), r.nfev, r.status, r.success,
+                           "" if r.success else r.message)  # scipy's words on a failure
+                          for r in (ours, theirs)], len(reflections) > before))
+            return ours
+
+        monkeypatch.setattr(_trf, "least_squares", both)
+        for points, T in curves:
+            try:
+                dynes_fit(points, T=T)
+            except FitError:  # refused before the solver ran, or stopped by the cap
+                pass
+        assert all(ours == theirs for (ours, theirs), _ in runs)
+        return runs
+
+    def test_every_frozen_pool_fit_is_scipys(self, monkeypatch):
+        runs = self.run_both(monkeypatch, [(pool_curve(seed), 4.6) for seed in range(32)])
+        assert len(runs) == 32
+        assert all(ours[3] for (ours, _), _ in runs)
+
+    def test_fits_that_reflect_at_a_bound_are_scipys(self, monkeypatch):
+        # a small gamma under a few percent of noise is driven to its lower bound
+        rng, runs = np.random.default_rng(4), []
+        for _ in range(40):  # 2 draws with this seed, 1 to 29 with seeds 0 to 11
+            if any(reflected for _, reflected in runs):
+                break
+            delta = DYNES_REF.Delta * rng.uniform(0.3, 2.0)
+            p = DynesParams(Delta=delta, gamma=delta * 10 ** rng.uniform(-3.0, -2.0),
+                            T=rng.uniform(0.5, 10.0))
+            v = np.linspace(-4.0 * delta, 4.0 * delta, int(rng.integers(21, 81)))
+            g = dynes_conductance(v, p) * (1.0 + rng.uniform(0.01, 0.05)
+                                           * rng.standard_normal(len(v)))
+            runs += self.run_both(monkeypatch, [(list(zip(v, g)), p.T)])
+        assert any(reflected for _, reflected in runs)
+
+    # each case tells apart a port that scales a step differently at a bound: the
+    # reflected step, the step along the antigradient, or a Jacobian step that is not
+    # flipped back inside from an upper bound
+    @pytest.mark.parametrize("x0, lb, ub", [
+        ([-2.0, 2.0], [-np.inf, 1.5], [np.inf, np.inf]),
+        ([-0.37, 0.5], [-1.75, 0.5], [-0.17, 0.98]),
+        ([-0.48, 0.08], [-1.27, 0.02], [0.63, 0.1]),
+        ([0.91, -0.43], [-0.29, -1.03], [0.91, -0.35]),
+    ], ids=["half-open", "reflected", "antigradient", "start-on-upper-bound"])
+    def test_bounded_rosenbrock_is_scipys(self, x0, lb, ub):
+        # steps the Dynes fits rarely take, on a problem whose minimum is on a bound
+        from scipy.optimize import least_squares
+
+        def rosenbrock(x):
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+        ours = _trf.least_squares(rosenbrock, x0, lb, ub, tol=1e-12, max_nfev=400)
+        theirs = least_squares(rosenbrock, x0, bounds=(lb, ub), max_nfev=400,
+                               xtol=1e-12, ftol=1e-12, gtol=1e-12)
+        assert ((ours.x.tobytes(), ours.nfev, ours.status)
+                == (theirs.x.tobytes(), theirs.nfev, theirs.status))
+
+    @pytest.mark.parametrize("max_nfev", [3, 5, 10])
+    def test_capped_fits_are_scipys(self, monkeypatch, max_nfev):
+        # seed 5 converges after 11 evaluations, the others after 7 to 10
+        runs = self.run_both(monkeypatch, [(pool_curve(seed), 4.6) for seed in range(6)],
+                             cap=max_nfev)
+        assert len(runs) == 6
+        assert all(ours[1] <= max_nfev for (ours, _), _ in runs)
+        assert any(ours[1] == max_nfev and not ours[3] for (ours, _), _ in runs)
 
 
 class TestGenerateSweep:

@@ -19,6 +19,7 @@ from sccasimir.membrane import dw2_from_gradient, fundamental_frequency
 from sccasimir.physcore import (
     CONSTANTS,
     SuperconductorParams,
+    config_items,
     from_config,
     read_config,
     small_gap_membrane,
@@ -270,12 +271,19 @@ class TestMain:
             "14.19"], 3) for small, big in (("sweep_small_1e300", "sweep_big"),
                                             ("sweep_small_1e300", "sweep_big_1e300"),
                                             ("sweep_small_max_t", "sweep_big"))],
+        # a membrane and a factor near the float limit, whose gradient and converted
+        # differential overflowed with a warning, and which printed inf and exited 0
+        (["sweep", "--small", "{sweep_small}", "--big", "{sweep_big}", "--window", "13.2",
+          "14.19", "--membrane-config", "{membrane_h_1e300}"], 3),
+        (["sweep", "--small", "{sweep_small}", "--big", "{sweep_big}", "--window", "13.2",
+          "14.19", "--factors-config", "{factors_force_max}"], 3),
     ], ids=["term-stop", "lcpd-fit-1e155", "lcpd-fit-1e170", "lcpd-fit-1e200",
             "lcpd-fit-f-times-1e-200", "dynes-fit",
             "dynes-fit-2e199-at-10", "dynes-fit-2e199-at-16", "dynes-fit-2e199-at-22",
             "dynes-fit-negative-outer", "dynes-fit-v-times-1e200", "dynes-fit-1.7e308-at-21",
             "dynes-fit-g-1e300-among-1e-100", "dynes-fit-inf-squares-off-start",
-            "sweep-t-1e300", "sweep-t-1e300-both", "sweep-t-1.7e308"])
+            "sweep-t-1e300", "sweep-t-1e300-both", "sweep-t-1.7e308",
+            "sweep-h-1e300", "sweep-force-1.7e308"])
     def test_rejected_input_in_a_process_prints_one_error(self, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
         m = small_gap_membrane()
@@ -327,6 +335,13 @@ class TestMain:
                 rows[i][j] = edited(rows[i][j], edit)
             paths[name] = tmp_path / f"{name}.csv"
             paths[name].write_text("".join(",".join(row) + "\n" for row in rows))
+        for name, text in (
+                ("membrane_h_1e300", "".join(f"{key} = {'1e300' if key == 'h_m' else value}\n"
+                                             for key, value in config_items(m))),
+                ("factors_force_max", "force_per_w2_N = 1.7e308\npressure_per_w2_Pa = 1.55e-9\n"
+                                      "deflection_per_w2_m = 6.28e-19\nbasis = linear-squared\n")):
+            paths[name] = tmp_path / f"{name}.cfg"
+            paths[name].write_text(text)
         src = Path(sccasimir.__file__).resolve().parent.parent
         result = subprocess.run([sys.executable, "-m", "sccasimir.cli",
                                  *[arg.format(**paths) for arg in args]],
@@ -817,11 +832,11 @@ class TestFitCommands:
 
     def test_dynes_fit_without_convergence_is_fit_error(self, runner, tmp_path,
                                                         monkeypatch):
-        # dynes_fit imports least_squares when it runs, so a stub that gives up is read
-        import scipy.optimize
+        # dynes_fit reads its solver from the module when it runs, so a stub that gives up is read
         from types import SimpleNamespace
+        from sccasimir import _trf
         from test_analysis import DYNES_REF, synthetic_conductance
-        monkeypatch.setattr(scipy.optimize, "least_squares", lambda *args, **kwargs:
+        monkeypatch.setattr(_trf, "least_squares", lambda *args, **kwargs:
                             SimpleNamespace(success=False, nfev=400, message="stub gave up"))
         path = tmp_path / "dynes.csv"
         path.write_text("V_volt,G_arb\n" + "".join(
@@ -885,7 +900,8 @@ DATA_VALUES = ["0", "-0", "1e-310", "1e-300", "1e-200", "1e200", "1e300", "1.7e3
 DATA_SCALES = [1e-200, 1e-100, 1e100, 1e200, -1.0]
 # each data-file command: its arguments, with the files it reads named in braces
 DATA_COMMANDS = {
-    "sweep": ["--small", "{small}", "--big", "{big}", "--window", "13.2", "14.19"],
+    "sweep": ["--small", "{small}", "--big", "{big}", "--window", "13.2", "14.19",
+              "--membrane-config", "{membrane}", "--factors-config", "{factors}"],
     "lcpd-fit": ["--csv", "{lcpd}"],
     "dynes-fit": ["--csv", "{dynes}", "--t", "4.6"],
 }
@@ -913,11 +929,25 @@ def clean_data(tmp_path_factory):
     rows["dynes"] = [["V_volt", "G_arb"]] + [
         [repr(float(v)), repr(float(g))]
         for v, g in synthetic_conductance(DYNES_REF, noise=0.01, seed=1)]
+    # the configuration files as (key, value) rows, the benchmark's factors among them
+    rows["membrane"] = [["key", "value"], *map(list, config_items(m))]
+    rows["factors"] = [["key", "value"], ["force_per_w2_N", "7.83e-16"],
+                       ["pressure_per_w2_Pa", "1.55e-9"], ["deflection_per_w2_m", "6.28e-19"]]
     return rows, directory
+
+
+# the key = value files of the data commands, each with the lines it keeps undrawn
+CONFIG_FILES = {"membrane": "", "factors": "basis = linear-squared\n"}
 
 
 def edited(cell: str, edit) -> str:
     return edit if isinstance(edit, str) else repr(float(cell) * edit)
+
+
+def file_text(name: str, rows) -> str:
+    if name in CONFIG_FILES:
+        return "".join(f"{key} = {value}\n" for key, value in rows[1:]) + CONFIG_FILES[name]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 class TestGeneratedInputs:
@@ -941,26 +971,30 @@ class TestGeneratedInputs:
     @given(data=st.data())
     def test_data_command_exits_with_a_documented_code(self, clean_data, data):
         # 1-3 cells of a command's clean files set to an edge value or scaled, and in
-        # some draws one whole column scaled
+        # some draws one whole column scaled; of a configuration file, only values
         clean, directory = clean_data
         name = data.draw(st.sampled_from(sorted(DATA_COMMANDS)), label="command")
         files = [key for key in clean if f"{{{key}}}" in DATA_COMMANDS[name]]
         rows = {key: [row[:] for row in clean[key]] for key in files}
         edit = st.sampled_from(DATA_VALUES) | st.sampled_from(DATA_SCALES)
+
+        def column(key):
+            return data.draw(st.integers(int(key in CONFIG_FILES), len(rows[key][0]) - 1),
+                             label="column")
+
         for _ in range(data.draw(st.integers(1, 3), label="cells")):
-            table = rows[data.draw(st.sampled_from(files), label="file")]
-            i = data.draw(st.integers(1, len(table) - 1), label="row")
-            j = data.draw(st.integers(0, len(table[0]) - 1), label="column")
-            table[i][j] = edited(table[i][j], data.draw(edit, label="edit"))
+            key = data.draw(st.sampled_from(files), label="file")
+            i, j = data.draw(st.integers(1, len(rows[key]) - 1), label="row"), column(key)
+            rows[key][i][j] = edited(rows[key][i][j], data.draw(edit, label="edit"))
         if data.draw(st.booleans(), label="scale a column"):
-            table = rows[data.draw(st.sampled_from(files), label="file")]
-            j = data.draw(st.integers(0, len(table[0]) - 1), label="column")
+            key = data.draw(st.sampled_from(files), label="file")
+            j = column(key)
             scale = data.draw(st.sampled_from(DATA_SCALES), label="scale")
-            for row in table[1:]:
+            for row in rows[key][1:]:
                 row[j] = edited(row[j], scale)
         paths = {key: directory / f"{key}.csv" for key in files}
         for key, path in paths.items():
-            path.write_text("".join(",".join(row) + "\n" for row in rows[key]))
+            path.write_text(file_text(key, rows[key]))
         args = [name, *(arg.format(**paths) for arg in DATA_COMMANDS[name])]
         start = time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
