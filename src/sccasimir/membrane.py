@@ -91,11 +91,15 @@ def gradient_from_dw2(dw2: float, m: MembraneSpec) -> float:
 def predicted_frequency_jump(Pprime_jump: float, m: MembraneSpec, f0: float) -> float:
     """Linear-frequency shift in Hz from a pressure-gradient change.
 
-    ``df = d(omega^2) / (8 pi^2 f0)`` with the sign of the input preserved.
+    ``df = d(omega^2) / (8 pi^2 f0)`` with the sign of the input preserved; a finite
+    gradient whose shift overflows is refused.
     """
     if not 0.0 < f0 < math.inf:
         raise ValueError(f"f0 must be finite and > 0, got {f0}")
-    return dw2_from_gradient(Pprime_jump, m) / (8.0 * math.pi ** 2 * f0)
+    value = dw2_from_gradient(Pprime_jump, m) / (8.0 * math.pi ** 2 * f0)
+    if math.isfinite(Pprime_jump) and not math.isfinite(value):
+        raise ValueError(f"the frequency shift overflows to {value} Hz at f0 = {f0} Hz")
+    return value
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,8 @@ class TestMain:
         (["jump", "--dt", "0", "--f0", "-5", *LOOSE], 2),
         (["pressure", "--d", "190e-9", "--t", "10", "--config", "{sc}"], 3),
         (["jump", "--dt", "0", "--membrane-config", "{membrane}", *LOOSE], 3),
-        (["pressure", "--d", "190e-9", "--t", "14.0", "--gamma0", "1e-18",
-          "--skip-exponent"], 2),
+        # a frequency shift that overflows at a subnormal f0
+        (["jump", "--f0", "1e-320", *LOOSE], 2),
         (["pressure", "--d", "190e-9", "--t", "1e-300", "--skip-exponent"], 2),
         (["pressure", "--d", "190e-9", "--t", "1e-300", "--model", "plasma",
           "--approach", "plasma-plasma", "--skip-exponent"], 2),
@@ -129,16 +129,14 @@ class TestMain:
           "--approach", "plasma-plasma"], 2),
         # extreme film parameters
         (["gradient", "--d", "190e-9", "--t", "14.058", "--omega", "1e200"], 2),
-        (["gradient", "--d", "190e-9", "--t", "14.058", "--rrr", "1e308"], 2),
+        (["gradient", "--d", "190e-9", "--t", "4", "--tc", "1e200"], 2),
         (["gradient", "--d", "1e-3", "--t", "1e300", "--model", "drude"], 2),
         (["gradient", "--d", "190e-9", "--t", "1e306", "--model", "drude"], 2),
-        # below the conductance rule's kB T floor, and a condensate integrand
-        # that overflows at its upper limit
+        # below the conductance rule's kB T floor, and frequency shifts of either sign
+        # that overflow
         (["dynes-fit", "--csv", "{dynes}", "--t", "1e-300"], 2),
-        (["gradient", "--d", "190e-9", "--t", "14.058", "--gamma0", "1e-150",
-          "--term-stop", "1e-4"], 2),
-        (["pressure", "--d", "190e-9", "--t", "14.0", "--rrr", "1e140",
-          "--skip-exponent"], 2),
+        (["jump", "--all", "--f0", "5e-324", *LOOSE], 2),
+        (["jump", "--f0", "1e-310", "--approach", "drude-bcs", *LOOSE], 2),
         # a conductance rule whose largest energy squares past the float range
         (["dynes-fit", "--csv", "{dynes}", "--t", "1e157"], 2),
         # closed forms that overflow
@@ -277,13 +275,15 @@ class TestMain:
           "14.19", "--membrane-config", "{membrane_h_1e300}"], 3),
         (["sweep", "--small", "{sweep_small}", "--big", "{sweep_big}", "--window", "13.2",
           "14.19", "--factors-config", "{factors_force_max}"], 3),
+        # a frequency shift past the float range at a subnormal f0, which printed -inf Hz
+        (["jump", "--f0", "1e-320", *LOOSE], 2),
     ], ids=["term-stop", "lcpd-fit-1e155", "lcpd-fit-1e170", "lcpd-fit-1e200",
             "lcpd-fit-f-times-1e-200", "dynes-fit",
             "dynes-fit-2e199-at-10", "dynes-fit-2e199-at-16", "dynes-fit-2e199-at-22",
             "dynes-fit-negative-outer", "dynes-fit-v-times-1e200", "dynes-fit-1.7e308-at-21",
             "dynes-fit-g-1e300-among-1e-100", "dynes-fit-inf-squares-off-start",
             "sweep-t-1e300", "sweep-t-1e300-both", "sweep-t-1.7e308",
-            "sweep-h-1e300", "sweep-force-1.7e308"])
+            "sweep-h-1e300", "sweep-force-1.7e308", "jump-f0-1e-320"])
     def test_rejected_input_in_a_process_prints_one_error(self, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
         m = small_gap_membrane()
@@ -388,18 +388,41 @@ class TestMain:
         (["--t", "1e-301"], "temperature must be finite and >= 1e-300 K"),
         (["--t", "1e300", "--model", "drude"], "Matsubara terms overflow at T = 1e+300 K"),
         (["--t", "14.058", "--omega", "1e200"], "Omega must be > 0 with a finite square"),
-        (["--t", "14.058", "--rrr", "1e308"], "relaxation energy 4.65e-309 eV is too small"),
+        (["--t", "4", "--tc", "1e200"], "pairing kernel's products overflow at xi = "),
         # the default film's error, whatever the condensate's relaxation energy
         *[(["--t", "1e-300", "--model", "bcs", "--gamma0", gamma0],
            "Matsubara terms overflow at T = 1e-300 K") for gamma0 in ("10", "1e5", "1e150")],
         (["--t", "1e-300", "--model", "bcs", "--gamma0", "1e-100"],
          "pairing kernel denominator underflows at xi = 5.41e-304 eV, T = 1e-300 K"),
-    ], ids=["t-floor", "huge-t", "omega", "rrr", "floor-gamma0-10", "floor-gamma0-1e5",
+    ], ids=["t-floor", "huge-t", "omega", "huge-gap", "floor-gamma0-10", "floor-gamma0-1e5",
             "floor-gamma0-1e150", "floor-gamma0-1e-100"])
     def test_rejected_value_names_its_cause(self, runner, args, message):
         result = runner.invoke(main, ["gradient", "--d", "1e-3", *args])
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error: {message}")
+
+    # films so clean that the condensate fraction, once the difference of two terms
+    # about pi Delta / gamma larger than it, was refused: each prints the values of the
+    # clean film gamma0 = 1e-17 eV to the 9 digits of the csv format
+    @pytest.mark.parametrize("args", [
+        ["pressure", "--d", "190e-9", "--t", "14.0", "--gamma0", "1e-18", "--skip-exponent"],
+        ["gradient", "--d", "190e-9", "--t", "14.058", "--rrr", "1e308"],
+        ["gradient", "--d", "190e-9", "--t", "14.058", "--gamma0", "1e-150",
+         "--term-stop", "1e-4"],
+        ["pressure", "--d", "190e-9", "--t", "14.0", "--rrr", "1e140", "--skip-exponent"],
+        ["gradient", "--d", "1e-3", "--t", "14.058", "--rrr", "1e308"],
+    ], ids=["pressure-gamma0-1e-18", "gradient-rrr-1e308", "gradient-gamma0-1e-150",
+            "pressure-rrr-1e140", "gradient-rrr-1e308-at-1mm"])
+    def test_ultra_clean_film_prints_the_clean_limit(self, runner, args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [*args, "--format", "csv"])
+        assert [str(w.message) for w in caught] == []
+        assert (result.exit_code, result.stderr) == (0, "")
+        clean = runner.invoke(main, [*args, "--format", "csv", "--gamma0", "1e-17", "--rrr", "1"])
+        values, expected = csv_values(result.stdout), csv_values(clean.stdout)
+        assert values.keys() == expected.keys()
+        assert values == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize("args, code, message", [
         (["pressure", "--d", "190e-9"], 2,
@@ -971,27 +994,36 @@ class TestGeneratedInputs:
     @given(data=st.data())
     def test_data_command_exits_with_a_documented_code(self, clean_data, data):
         # 1-3 cells of a command's clean files set to an edge value or scaled, and in
-        # some draws one whole column scaled; of a configuration file, only values
+        # some draws one whole column scaled; of a configuration file, only values.  Or
+        # one value of one configuration file set near the float limit, every other file
+        # clean, so that the value alone reaches the gradient and the conversion
         clean, directory = clean_data
         name = data.draw(st.sampled_from(sorted(DATA_COMMANDS)), label="command")
         files = [key for key in clean if f"{{{key}}}" in DATA_COMMANDS[name]]
         rows = {key: [row[:] for row in clean[key]] for key in files}
         edit = st.sampled_from(DATA_VALUES) | st.sampled_from(DATA_SCALES)
+        configs = [key for key in files if key in CONFIG_FILES]
 
         def column(key):
             return data.draw(st.integers(int(key in CONFIG_FILES), len(rows[key][0]) - 1),
                              label="column")
 
-        for _ in range(data.draw(st.integers(1, 3), label="cells")):
-            key = data.draw(st.sampled_from(files), label="file")
-            i, j = data.draw(st.integers(1, len(rows[key]) - 1), label="row"), column(key)
-            rows[key][i][j] = edited(rows[key][i][j], data.draw(edit, label="edit"))
-        if data.draw(st.booleans(), label="scale a column"):
-            key = data.draw(st.sampled_from(files), label="file")
-            j = column(key)
-            scale = data.draw(st.sampled_from(DATA_SCALES), label="scale")
-            for row in rows[key][1:]:
-                row[j] = edited(row[j], scale)
+        one_value = bool(configs) and data.draw(st.booleans(), label="one configuration value")
+        if one_value:
+            key = data.draw(st.sampled_from(configs), label="file")
+            i = data.draw(st.integers(1, len(rows[key]) - 1), label="row")
+            rows[key][i][1] = data.draw(st.sampled_from(["1e300", "1.7e308"]), label="edit")
+        else:
+            for _ in range(data.draw(st.integers(1, 3), label="cells")):
+                key = data.draw(st.sampled_from(files), label="file")
+                i, j = data.draw(st.integers(1, len(rows[key]) - 1), label="row"), column(key)
+                rows[key][i][j] = edited(rows[key][i][j], data.draw(edit, label="edit"))
+            if data.draw(st.booleans(), label="scale a column"):
+                key = data.draw(st.sampled_from(files), label="file")
+                j = column(key)
+                scale = data.draw(st.sampled_from(DATA_SCALES), label="scale")
+                for row in rows[key][1:]:
+                    row[j] = edited(row[j], scale)
         paths = {key: directory / f"{key}.csv" for key in files}
         for key, path in paths.items():
             path.write_text(file_text(key, rows[key]))
@@ -1006,3 +1038,5 @@ class TestGeneratedInputs:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         if result.exit_code:
             assert result.stdout == ""
+        elif one_value:  # clean sweeps keep every sigma finite, so nothing prints as inf
+            assert not {"inf", "-inf", "nan"} & set(result.stdout.replace(",", " ").split())

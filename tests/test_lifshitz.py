@@ -180,10 +180,11 @@ class TestStaticTE:
     @pytest.mark.parametrize("power", [2, 3])
     def test_integral_stays_resolved_up_to_tc(self, sc_params, power):
         # from 0.1 K to 1e-13 K below Tc the condensate layer y_p shrinks
-        # by more than ten decades; bare and huge plasma energies put it
-        # at or past the end of the span
+        # by more than ten decades, for dirty, clean and ultra-clean films; bare
+        # and huge plasma energies put it at or past the end of the span
         omegas = [sc_params.Omega, 1e4]
-        for p in (sc_params, replace(sc_params, gamma0=0.465e-3)):
+        for p in (sc_params, replace(sc_params, gamma0=0.465e-3),
+                  replace(sc_params, gamma0=1e-17)):
             for below in np.geomspace(1e-13, p.Tc - 0.1, 15):
                 omegas.append(effective_plasma_frequency(p.Tc - below, p))
         worst = 0.0

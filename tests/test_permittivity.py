@@ -76,6 +76,34 @@ def fixed_rule_g_mp(xi, T, p):
         return float(2 * total)
 
 
+def condensate_series_mp(T, p, terms=64):
+    """The condensate fraction's Matsubara series in 40-digit ``mpmath``, in
+    ``x = omega / Delta``: ``terms`` terms summed, then the rest as its integral
+    (Gauss-Legendre in ``s = asinh(x)`` to 60 past the split, where the integrand has
+    fallen by e**60) and its midpoint Euler-Maclaurin corrections through ``h**6``.
+    Every term is taken over the summand at the split, ``x = a``: mpmath's tolerances
+    are absolute."""
+    with mpmath.workdps(40):
+        delta = mpmath.mpf(bcs_gap(T, p))
+        h = 2 * mpmath.pi * mpmath.mpf(CONSTANTS.kB_eV) * mpmath.mpf(T) / delta
+        g = mpmath.mpf(p.gamma) / (2 * delta)
+        a = h * terms
+        e_a = mpmath.hypot(a, 1)
+        scale = e_a ** 2 * (e_a + g)
+
+        def f(x):
+            e = mpmath.hypot(x, 1)
+            return scale / (e ** 2 * (e + g))
+
+        head = h * mpmath.fsum(f(h * (n + mpmath.mpf(0.5))) for n in range(terms))
+        s0 = mpmath.asinh(a)
+        tail = mpmath.quad(lambda s: scale / (mpmath.cosh(s) * (mpmath.cosh(s) + g)),
+                           [s0 + k for k in (0, 4, 12, 24, 40, 60)], method="gauss-legendre")
+        d = list(mpmath.diffs(f, a, 5))
+        rest = h ** 2 / 24 * d[1] - 7 * h ** 4 / 5760 * d[3] + 31 * h ** 6 / 967680 * d[5]
+        return float((head + tail + rest) / scale)
+
+
 def quad_g(xi, T, p):
     """Adaptive oracle: the pairing integrand under ``quad`` at epsrel
     1e-12 over the same truncation window, with the quasiparticle edge,
@@ -142,6 +170,24 @@ class TestCondensateWeight:
             w2 = condensate_fraction(t_frac * sc_params.Tc, sc_params)
             assert 0.0 < w2 < 1.0
 
+    # the series lies below 1 for every film; a clean one's is within an ulp of 1 as
+    # T -> 0, where the rounding of its sum must not lift it past 1
+    @pytest.mark.parametrize("gamma0", [5e-324, 1e-18, 1e-17, 1e-13, 0.465e-3])
+    def test_never_exceeds_one(self, gamma0):
+        p = SuperconductorParams(gamma0=gamma0)
+        temps = [1e-300, *(np.geomspace(1e-6, 0.999, 200) * p.Tc).tolist(),
+                 math.nextafter(p.Tc, 0.0)]
+        fractions = [condensate_fraction(T, p) for T in temps]
+        assert 0.0 < min(fractions) and max(fractions) <= 1.0
+
+    # as T -> 0 the clean limit is 1 - pi gamma / (8 Delta) + O((gamma / Delta)**2 log)
+    @pytest.mark.parametrize("gamma0", [1e-11, 1e-10, 1e-8])
+    def test_clean_limit_falls_short_of_one_linearly_in_gamma(self, gamma0):
+        p = SuperconductorParams(gamma0=gamma0)
+        deficit = 1.0 - condensate_fraction(1e-300, p)
+        assert deficit == pytest.approx(math.pi * p.gamma / (8.0 * bcs_gap(0.0, p)),
+                                        rel=1e-5, abs=0.0)
+
     def test_vanishes_toward_transition(self, sc_params):
         w2 = condensate_fraction(0.999 * sc_params.Tc, sc_params)
         assert 0.0 < w2 < 0.01 ** 2
@@ -156,17 +202,20 @@ class TestCondensateWeight:
         with pytest.raises(ValueError):
             condensate_fraction(1.5 * sc_params.Tc, sc_params)
 
-    # a relaxation energy far below the gap puts the end of the rule past
-    # the float range; RRR = 1e308 and sub-normal gamma0 both do
+    # relaxation energies that vanish against the gap, down to subnormal ones, give the
+    # clean limit, that of gamma0 = 1e-17 eV (they were refused while the fraction was
+    # the difference of two terms about pi Delta / gamma larger than it)
     @pytest.mark.parametrize("overrides", [{"RRR": 1e308}, {"gamma0": 1e-310},
                                            {"gamma0": 5e-324}])
-    def test_vanishing_relaxation_is_refused(self, overrides):
-        p = SuperconductorParams(**overrides)
-        with pytest.raises(ValueError, match="relaxation energy"):
-            condensate_fraction(0.99 * p.Tc, p)
+    def test_vanishing_relaxation_gives_the_clean_limit(self, overrides):
+        p, clean = SuperconductorParams(**overrides), SuperconductorParams(gamma0=1e-17)
+        for T in (1e-300, 0.1 * p.Tc, 0.99 * p.Tc, math.nextafter(p.Tc, 0.0)):
+            w2 = condensate_fraction(T, p)
+            assert w2 == pytest.approx(condensate_fraction(T, clean), rel=1e-12, abs=0.0)
+            assert w2 <= 1.0
 
-    # once 4 eta kB T / gamma underflows to 0 (a clean film below ~1e-300 K)
-    # every tanh is 1, as it already is at 1e-300 K
+    # once the Matsubara step 2 pi kB T underflows to 0 the series is its integral,
+    # the T = 0 value, as it already is to double precision at 1e-300 K
     def test_underflowing_temperature_gives_the_cold_fraction(self):
         clean = SuperconductorParams(gamma0=1e-4)
         cold = condensate_fraction(1e-300, clean)
@@ -174,10 +223,8 @@ class TestCondensateWeight:
         for T in (1e-320, 5e-324):
             assert condensate_fraction(T, clean) == cold
 
-    # near Tc the fraction tends to c * Delta**2; for a clean film it is the
-    # difference of two terms about 7 kB T / gamma times larger (9e7 at
-    # gamma0 = 1e-10 eV)
-    @pytest.mark.parametrize("gamma0", [0.465, 0.465e-3, 1e-6, 1e-10])
+    # near Tc the fraction tends to c * Delta**2, for dirty and clean films alike
+    @pytest.mark.parametrize("gamma0", [0.465, 0.465e-3, 1e-6, 1e-10, 1e-13, 1e-17])
     def test_continuous_up_to_tc(self, gamma0):
         p = SuperconductorParams(gamma0=gamma0)
         temps = [p.Tc - below for below in np.geomspace(1e-4, 1e-14, 21)]
@@ -185,6 +232,17 @@ class TestCondensateWeight:
         ratios = [condensate_fraction(t, p) / bcs_gap(t, p) ** 2 for t in temps]
         assert min(ratios) > 0.0
         assert max(ratios) - min(ratios) <= 1e-5 * min(ratios)
+
+    # relaxation energies from subnormal to 1 eV, temperatures from the 1e-300 K floor
+    # to the last float below Tc
+    @pytest.mark.parametrize("gamma0", [5e-324, 1e-17, 1e-13, 1e-8, 4.65e-4, 0.465, 1.0])
+    def test_against_40_digit_series(self, gamma0):
+        p = SuperconductorParams(gamma0=gamma0)
+        temps = [1e-300, *(p.Tc * t for t in (0.01, 0.1, 0.5, 0.9, 0.99, 0.999)),
+                 math.nextafter(p.Tc, 0.0)]
+        for T in temps:
+            assert condensate_fraction(T, p) == pytest.approx(condensate_series_mp(T, p),
+                                                              rel=1e-13, abs=0.0)
 
     def test_effective_plasma_frequency_gates_off(self, sc_params):
         assert effective_plasma_frequency(sc_params.Tc, sc_params) == 0.0
