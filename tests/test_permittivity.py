@@ -214,6 +214,16 @@ class TestCondensateWeight:
             assert w2 == pytest.approx(condensate_fraction(T, clean), rel=1e-12, abs=0.0)
             assert w2 <= 1.0
 
+    # a relaxation energy that is exactly 0 (gamma0 = 0, RRR = inf, or gamma0 / RRR
+    # rounding to 0) is refused by the parameters before the fraction is reached; one
+    # that is merely tiny gives the clean limit above
+    @pytest.mark.parametrize("overrides", [{"gamma0": 0.0}, {"RRR": math.inf},
+                                           {"gamma0": 5e-324, "RRR": 2.0}])
+    def test_vanishing_relaxation_is_refused(self, overrides):
+        with pytest.raises(ValueError, match=r"(gamma0|RRR) must be (> 0|finite)|"
+                                             r"gamma0 / RRR must be > 0"):
+            condensate_fraction(13.0, SuperconductorParams(**overrides))
+
     # once the Matsubara step 2 pi kB T underflows to 0 the series is its integral,
     # the T = 0 value, as it already is to double precision at 1e-300 K
     def test_underflowing_temperature_gives_the_cold_fraction(self):
