@@ -12,7 +12,7 @@ where ``t_a = r_a^2 exp(-y)`` and ``r_a`` are the Fresnel reflection
 coefficients at imaginary frequency.  The ``l = 0`` transverse-electric
 coefficient is prescription dependent (the Drude, plasma, and
 superconducting-plasma pairings differ only there); all ``l >= 1`` terms
-use the dynamic permittivity of the configured dielectric model.
+form one series, for every prescription, with the model's dynamic permittivity.
 
 Negative pressure means attraction; the gradient of an attractive
 power-law pressure is positive.
@@ -79,10 +79,11 @@ class ZeroFreqApproach(enum.Enum):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Stopping rule and cap of the Matsubara sum: no index above the cap is evaluated, and
-    a sum that stops with ``truncation_bound >= 1`` is not converged.  Its momentum integrals
-    take no tolerance: each is a fixed rule (``_RULES``, graded or Laguerre; 80 graded nodes
-    for ``_static_te_integral``), checked to 1e-9 against adaptive quadrature."""
+    """Stopping rule and cap of the Matsubara sum: 3 terms in a row below ``term_stop_rel`` of
+    the running total of the ``l >= 1`` series from the static TM term, shared by every
+    prescription, stop it.  No index above the cap is evaluated, and a sum that stops with
+    ``truncation_bound >= 1`` is not converged.  Its momentum integrals take no tolerance:
+    each is a fixed rule (``_RULES``), checked to 1e-9 against adaptive quadrature."""
 
     term_stop_rel: float = 1e-10     # per-term stopping ratio
     max_matsubara: int = 100_000     # hard cap on the mode index
@@ -95,7 +96,6 @@ class QuadratureConfig:
             raise ValueError("max_matsubara must be >= 1")
 
 
-# the separation and temperature checks of LifshitzSpec and classical_terms
 def _check_d_t(d: float, T: float) -> None:
     # d**4 divides the gradient; the product overflows to inf where ** raises
     if not (d > 0.0 and 0.0 < d * d * d * d < math.inf):
@@ -151,8 +151,8 @@ def _static_te(k, kp):
 
 
 # static TM integrals with unit reflection, t = exp(-y): Int y^2 t/(1-t) dy
-# = 2 zeta(3) and Int y^3 t/(1-t)^2 dy = 6 zeta(3).  Every prescription
-# shares them, so the universality of the static TM term is exact.
+# = 2 zeta(3) and Int y^3 t/(1-t)^2 dy = 6 zeta(3).  Half of one starts the
+# l >= 1 series that every prescription shares, so its universality is exact.
 _STATIC_TM = {2: 2.0 * CONSTANTS.zeta3, 3: 6.0 * CONSTANTS.zeta3}
 
 
@@ -189,7 +189,6 @@ _RULE_STARTS = np.array([0.032, 0.256, 1.024, 3.0, 4.0, 6.0, 16.0])
 _RULES = [_graded(y_lo, _gauss_legendre(n)) for y_lo, n in (
     (2e-3, 48), (0.032, 40), (0.256, 32), (1.024, 24))] + [
     (u, w * np.exp(u)) for u, w in map(np.polynomial.laguerre.laggauss, (24, 16, 12, 8))]
-_MOST = _PAIRS // min(len(u) for u, _ in _RULES)  # terms of the longest block any rule makes
 _STATIC_RULE = _gauss_legendre(80)  # graded at each call by _static_te_integral
 
 
@@ -215,8 +214,7 @@ def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
     min(1e-3, y_p / 4)``, with ``y_p = 2 d omega_eff / hbar_c`` the condensate layer where the
     reflection switches on.  Against adaptive quadrature at ``epsrel`` 1e-13 it agrees to 1e-9
     relative for d in [50 nm, 5 um], both powers, and ``omega_eff`` from 0.1 K to 1e-13 K below
-    Tc up to 1e4 eV; against the 272-784-node panel rule it replaced, to 3.2e-13 for ``y_p`` in
-    [1e-12, 1e4] and to 6e-7 down to 1e-50, where the term is under 1e-40."""
+    Tc up to 1e4 eV."""
     if omega_eff == 0.0:
         return 0.0
     y_p = 2.0 * d * omega_eff / _HBAR_C
@@ -247,20 +245,6 @@ def _dynamic_integrals(d: float, xi, eps, power: int, nodes, weights) -> np.ndar
         return np.einsum("ij,j->i", terms, weights)
 
 
-# read-only l >= 1 terms of the block at offset l: _PAIRS // nodes of the rule its first
-# energy picks, to the cap; 256 hold both sides of a jump to 10 nm
-@lru_cache(maxsize=256)
-def _block(model: DielectricModel, T: float, d: float, power: int, cap: int, l: int):
-    xi = matsubara_frequency(np.arange(l + 1, min(l + _MOST, cap) + 1), T)
-    nodes, weights = _momentum_rule(d, xi[0])
-    xi = xi[:_PAIRS // len(nodes)]
-    block = _dynamic_integrals(d, xi, permittivity_iw(model, xi, T), power, nodes, weights)
-    if not np.isfinite(block).all():
-        raise ValueError(f"Matsubara terms overflow at T = {T} K, d = {d} m")
-    block.flags.writeable = False
-    return block
-
-
 def _static_te_omega(spec: LifshitzSpec) -> float:
     """Effective plasma energy feeding the static TE coefficient: the bare one for
     plasma-plasma, and for plasma-bcs at and above Tc; otherwise the weighted one,
@@ -272,31 +256,43 @@ def _static_te_omega(spec: LifshitzSpec) -> float:
     return effective_plasma_frequency(spec.T, p)
 
 
-# the sum times -kB T / (8 pi d^3) (power 2, P) or +kB T / (8 pi d^4) (power 3,
-# P'); it stops after 3 terms in a row that are small against the running total
-def _matsubara_sum(spec: LifshitzSpec, power: int) -> LifshitzDetail:
-    cfg = spec.quad
-    pref = CONSTANTS.kB_J * spec.T / (8.0 * math.pi * spec.d ** (power + 1))
-    prefactor = -pref if power == 2 else pref
-    zero = 0.5 * (_STATIC_TM[power] + _static_te_integral(spec.d, _static_te_omega(spec), power))
-    rel, tol = cfg.term_stop_rel, _ABS_TOL_PRESSURE if power == 2 else -math.inf  # P only
-    total, window, stops, l = zero, np.zeros(2, bool), [], 0
-    while not len(stops) and l < cfg.max_matsubara:
-        block = _block(spec.model, spec.T, spec.d, power, cfg.max_matsubara, l)
-        # running totals by sequential addition, as term by term, so the value does not
-        # depend on the blocks; a stop ends a run of 3 small terms in the window of this
-        # block's terms and the last two before them
+# the l >= 1 series of the sum times kB T / (8 pi d^(power + 1)) from the static TM term, as
+# (running total, terms, last term, stopped): one series and one stop for every prescription
+@lru_cache(maxsize=16)
+def _series(model: DielectricModel, T: float, d: float, power: int, quad: QuadratureConfig):
+    pref = CONSTANTS.kB_J * T / (8.0 * math.pi * d ** (power + 1))
+    rel, tol = quad.term_stop_rel, _ABS_TOL_PRESSURE if power == 2 else -math.inf  # P only
+    total, window, stops, l = 0.5 * _STATIC_TM[power], np.zeros(2, bool), [], 0
+    while not len(stops) and l < quad.max_matsubara:
+        nodes, weights = _momentum_rule(d, matsubara_frequency(l + 1, T))
+        xi = matsubara_frequency(np.arange(l + 1, min(l + _PAIRS // len(nodes),
+                                                      quad.max_matsubara) + 1), T)
+        block = _dynamic_integrals(d, xi, permittivity_iw(model, xi, T), power, nodes, weights)
+        if not np.isfinite(block).all():
+            raise ValueError(f"Matsubara terms overflow at T = {T} K, d = {d} m")
+        # sequential running totals, as term by term, so no value depends on the blocks; a
+        # stop ends a run of 3 small terms among this block's terms and the two before them
         totals, size = np.cumsum(np.append(total, block))[1:], np.abs(block)
         window = np.append(window[-2:], (size <= rel * np.abs(totals)) | (pref * size <= tol))
         stops = np.flatnonzero(window[:-2] & window[1:-1] & window[2:])
         n = int(stops[0]) + 1 if len(stops) else len(size)
         total, last = float(totals[n - 1]), float(size[n - 1])
         l += n
+    return total, l, last, bool(len(stops))
 
+
+# the sum times -kB T / (8 pi d^3) (power 2, P) or +kB T / (8 pi d^4) (power 3, P'): the
+# shared l >= 1 series plus the prescription's static TE term
+def _matsubara_sum(spec: LifshitzSpec, power: int) -> LifshitzDetail:
+    pref = CONSTANTS.kB_J * spec.T / (8.0 * math.pi * spec.d ** (power + 1))
+    te = 0.5 * _static_te_integral(spec.d, _static_te_omega(spec), power)
+    series, l, last, stopped = _series(spec.model, spec.T, spec.d, power, spec.quad)
+    total, tm = series + te, 0.5 * _STATIC_TM[power]
     achieved = last / abs(total) if total != 0.0 else math.inf
-    detail = LifshitzDetail(prefactor * total, l, zero, total - zero, last, 10.0 * achieved)
+    detail = LifshitzDetail((-pref if power == 2 else pref) * total, l, tm + te, series - tm,
+                            last, 10.0 * achieved)
     # _ABS_TOL_PRESSURE can stop a sum whose last term is still >= 10% of it
-    if not len(stops) or detail.truncation_bound >= 1.0:
+    if not stopped or detail.truncation_bound >= 1.0:
         raise ConvergenceError(f"Matsubara sum not converged after {l} terms "
                                f"(last relative term {achieved:.3e})", detail)
     return detail

@@ -104,6 +104,8 @@ def condensate_fraction(T: float, p: SuperconductorParams) -> float:
     if not (0.0 < T < p.Tc):
         raise ValueError(f"superconducting state requires 0 < T < Tc, got {T} K")
     delta = bcs_gap(T, p)
+    if not delta > 1e-150 * 2.0 * math.pi * _KB * T:  # h > 1e150: w**2 < 7 zeta(3) / h**2
+        return 0.0
     h, g = 2.0 * math.pi * _KB * T / delta, 0.5 * p.gamma / delta
     e2 = (h * _HALF_INTEGERS) ** 2 + 1.0
     head = h * np.sum(1.0 / e2 / (np.sqrt(e2) + g))
@@ -175,12 +177,12 @@ def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
     if 4.0 * emax * r * r == math.inf:
         raise ValueError(f"pairing kernel's products overflow at xi = {xi:.3g} eV: window "
                          f"{emax:.3g} eV, relaxation energy {p.gamma:.3g} eV")
-    # the first panel resolves the narrow sqrt(delta*xi) layer that carries
-    # the condensate weight at small xi, and is 0 where delta*xi underflows
+    # the first panel resolves the narrow sqrt(delta*xi) layer that carries the condensate
+    # weight at small xi; it is refused where delta*xi underflows or emax / first overflows
     first = 0.25 * min(delta, math.sqrt(delta * xi))
-    if first == 0.0:
-        raise ValueError(f"pairing kernel's first panel underflows to 0 at xi = {xi:.3g} eV, "
-                         f"gap {delta:.3g} eV")
+    if first == 0.0 or emax / first == math.inf:
+        raise ValueError(f"pairing kernel's first panel underflows to {first:.3g} eV at "
+                         f"xi = {xi:.3g} eV, gap {delta:.3g} eV")
     eps, weights = _doubling_panels(first, emax)
 
     e_qp, eps2 = np.hypot(eps, delta), eps * eps
@@ -207,7 +209,8 @@ def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
 def _g_decade(T: float, p: SuperconductorParams, k: int) -> tuple[float, ...]:
     """16-node Chebyshev coefficients of ``g xi**2`` on [1, 10] 10**k xi_c, xi_c = 10 Delta."""
     def h(s):  # looks bcs_g up in the module, so a spy that replaces it sees each call
-        xi = 10.0 * bcs_gap(T, p) * 10.0 ** (k + 0.5 * (s + 1.0))
+        with np.errstate(over="ignore"):  # a node past the float range is inf: bcs_g refuses it
+            xi = 10.0 * bcs_gap(T, p) * 10.0 ** (k + 0.5 * (s + 1.0))
         return np.array([bcs_g(v, T, p) * v * v for v in xi.tolist()])
     return tuple(chebinterpolate(h, 15).tolist())  # a cosine sum: no least squares
 

@@ -90,7 +90,7 @@ class SuperconductorParams:
     ``Omega`` and ``gamma0`` are energies in eV; the effective relaxation
     used at cryogenic temperature is ``gamma0 / RRR`` (no further
     temperature dependence). ``c1, c2, c3`` parameterize the closed-form
-    gap law.
+    gap law, which ``c1, c2 > 0`` and ``c2 + c3 >= 0`` keep > 0 below Tc.
 
     The default relaxation is the dirty-film transport value 0.465 eV.
     (A film this dirty has a sub-nm mean free path, which is what makes
@@ -111,13 +111,14 @@ class SuperconductorParams:
         _require_finite(self)
         _require(self.Omega > 0 and self.Omega * self.Omega < math.inf,
                  f"Omega must be > 0 with a finite square, got {self.Omega}")
-        _require(self.gamma0 > 0, f"gamma0 must be > 0, got {self.gamma0}")
+        for name in ("gamma0", "Tc", "c1", "c2"):
+            _require(getattr(self, name) > 0, f"{name} must be > 0, got {getattr(self, name)}")
+        _require(self.c2 + self.c3 >= 0, f"c3 must be >= -c2, got {self.c3} (c2 = {self.c2})")
         _require(self.RRR >= 1.0, f"RRR must be >= 1, got {self.RRR}")
         # bcs_g multiplies gamma**2 by energies up to its cut-off; 1e150 eV
         # keeps that product finite for cut-offs up to 1e8 eV
         _require(0 < self.gamma <= 1e150,
                  f"gamma0 / RRR must be > 0 and <= 1e150 eV, got {self.gamma0} / {self.RRR}")
-        _require(self.Tc > 0, f"Tc must be > 0, got {self.Tc}")
 
     @property
     def gamma(self) -> float:

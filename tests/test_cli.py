@@ -277,13 +277,24 @@ class TestMain:
           "14.19", "--factors-config", "{factors_force_max}"], 3),
         # a frequency shift past the float range at a subnormal f0, which printed -inf Hz
         (["jump", "--f0", "1e-320", *LOOSE], 2),
+        # a gap law that is not > 0 below Tc, which divided by zero (c1 = 0) or raised
+        # "math domain error"; and gaps so small (c1 = 1e-310 and 1e-305) that the pairing
+        # kernel's tables overflowed with a warning or its panels raised OverflowError
+        (["jump", "--config", "{film_c1_0}"], 3),
+        (["pressure", "--d", "190e-9", "--t", "4", "--config", "{film_c1_negative}"], 3),
+        (["jump", "--config", "{film_c2_negative}"], 3),
+        (["jump", "--config", "{film_c3_below_minus_c2}"], 3),
+        (["jump", "--config", "{film_c1_subnormal}"], 2),
+        (["pressure", "--d", "190e-9", "--t", "4", "--config", "{film_c1_tiny}"], 2),
     ], ids=["term-stop", "lcpd-fit-1e155", "lcpd-fit-1e170", "lcpd-fit-1e200",
             "lcpd-fit-f-times-1e-200", "dynes-fit",
             "dynes-fit-2e199-at-10", "dynes-fit-2e199-at-16", "dynes-fit-2e199-at-22",
             "dynes-fit-negative-outer", "dynes-fit-v-times-1e200", "dynes-fit-1.7e308-at-21",
             "dynes-fit-g-1e300-among-1e-100", "dynes-fit-inf-squares-off-start",
             "sweep-t-1e300", "sweep-t-1e300-both", "sweep-t-1.7e308",
-            "sweep-h-1e300", "sweep-force-1.7e308", "jump-f0-1e-320"])
+            "sweep-h-1e300", "sweep-force-1.7e308", "jump-f0-1e-320", "jump-c1-0",
+            "pressure-c1-negative", "jump-c2-negative", "jump-c3-below-minus-c2",
+            "jump-c1-1e-310", "pressure-c1-1e-305"])
     def test_rejected_input_in_a_process_prints_one_error(self, tmp_path, args, code):
         from test_analysis import DYNES_REF, synthetic_conductance
         m = small_gap_membrane()
@@ -339,7 +350,10 @@ class TestMain:
                 ("membrane_h_1e300", "".join(f"{key} = {'1e300' if key == 'h_m' else value}\n"
                                              for key, value in config_items(m))),
                 ("factors_force_max", "force_per_w2_N = 1.7e308\npressure_per_w2_Pa = 1.55e-9\n"
-                                      "deflection_per_w2_m = 6.28e-19\nbasis = linear-squared\n")):
+                                      "deflection_per_w2_m = 6.28e-19\nbasis = linear-squared\n"),
+                ("film_c1_0", "c1 = 0\n"), ("film_c1_negative", "c1 = -1.764\n"),
+                ("film_c2_negative", "c2 = -1\n"), ("film_c3_below_minus_c2", "c3 = -5\n"),
+                ("film_c1_subnormal", "c1 = 1e-310\n"), ("film_c1_tiny", "c1 = 1e-305\n")):
             paths[name] = tmp_path / f"{name}.cfg"
             paths[name].write_text(text)
         src = Path(sccasimir.__file__).resolve().parent.parent
@@ -383,6 +397,24 @@ class TestMain:
             assert [str(w.message) for w in caught] == [], gamma0
             assert result.exit_code in (0, 2, 4), gamma0
             assert result.exit_code == 0 or result.stdout == "", gamma0
+
+    # gap laws scaled by 1e-200 and 1e-300, whose condensate fraction overflowed to nan
+    # with warnings: each prints the limit of a vanishing gap, the same to 5 digits (the
+    # -0.2 Pa/m drude-bcs jump is the difference of two 7.4 MPa/m gradients)
+    @pytest.mark.parametrize("command", [["pressure", "--d", "190e-9", "--t", "10"],
+                                         ["jump", "--all"]], ids=["pressure", "jump-all"])
+    def test_vanishing_gap_law_prints_its_limit(self, runner, tmp_path, command):
+        printed = []
+        for c1 in ("1e-200", "1e-300"):
+            (tmp_path / "film.cfg").write_text(f"c1 = {c1}\n")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = runner.invoke(main, [*command, "--config", str(tmp_path / "film.cfg"),
+                                              "--format", "csv"])
+            assert [str(w.message) for w in caught] == []
+            assert (result.exit_code, result.stderr) == (0, "")
+            printed.append(csv_values(result.stdout))
+        assert printed[0] == pytest.approx(printed[1], rel=1e-5)
 
     @pytest.mark.parametrize("args, message", [
         (["--t", "1e-301"], "temperature must be finite and >= 1e-300 K"),

@@ -43,7 +43,10 @@ def test_every_frozen_engine_value_is_reproduced(workload):
 
 
 # the l >= 1 term count of every normal_state sum and temperature_scan gradient:
-# reference.json pins their values only, within tolerances that a moved stop can pass
+# reference.json pins their values only, within tolerances that a moved stop can pass.
+# The stop judges the l >= 1 series against a total without the static TE term, which
+# every prescription shares; the plasma-bcs TE term of the 300 nm, 60 K gradient is not
+# in it, so that sum takes one term more than when it was (237 against 236)
 TERM_COUNTS = {
     "normal_state": {
         "pressure[plasma,Omega=1e4,T=0.1,d=500nm]": 43_364,
@@ -64,7 +67,7 @@ TERM_COUNTS = {
         "gradient[drude,T=25.0,d=300nm]": 543,
         "pressure[drude,T=25.0,d=300.3nm]": 389,
         "pressure[drude,T=25.0,d=299.7nm]": 389,
-        "gradient[drude,T=60.0,d=300nm]": 236,
+        "gradient[drude,T=60.0,d=300nm]": 237,
         "pressure[drude,T=60.0,d=300.3nm]": 172,
         "pressure[drude,T=60.0,d=299.7nm]": 172,
         "gradient[drude,T=25.0,d=420nm]": 409,

@@ -5,10 +5,11 @@ import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
-from itertools import takewhile
+from itertools import combinations, takewhile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from sccasimir.errors import ConvergenceError, ParseError
@@ -79,11 +80,11 @@ def block_holding(d, T, cap, n):
 
 @pytest.fixture
 def cold_memo():
-    """Empty the pairing-kernel table and the engine's memo of term blocks, so
+    """Empty the pairing-kernel table and the engine's memo of l >= 1 series, so
     a test counts every evaluation; returns the function that empties them again."""
     def clear():
         permittivity._g_decade.cache_clear()
-        lifshitz._block.cache_clear()
+        lifshitz._series.cache_clear()
     clear()
     return clear
 
@@ -295,12 +296,14 @@ def energy_at_edge(d, y0):
 def per_term_sum(spec, power):
     """The Matsubara sum one scalar momentum integral at a time, with the
     engine's stopping rule and its momentum rule, chosen by the first index
-    of the block that holds ``l``: the reference for its blocked head.
-    Returns ``(n_terms, value, converged)``, the value in Pa or Pa/m."""
+    of the block that holds ``l``: the reference for its blocked head.  The
+    rule judges each term against the running total from the static TM term;
+    the static TE term is added last.  Returns ``(n_terms, value, converged)``,
+    the value in Pa or Pa/m."""
     d, T, cfg = spec.d, spec.T, spec.quad
     pref = CONSTANTS.kB_J * T / (8.0 * math.pi * d ** (power + 1))
-    zero = 0.5 * (_STATIC_TM[power] + _static_te_integral(d, _static_te_omega(spec), power))
-    running, consec, l, end = zero, 0, 0, 0
+    te = 0.5 * _static_te_integral(d, _static_te_omega(spec), power)
+    running, consec, l, end = 0.5 * _STATIC_TM[power], 0, 0, 0
     blocks = partition(d, T, cfg.max_matsubara)
     while consec < 3 and l < cfg.max_matsubara:
         l += 1
@@ -325,22 +328,22 @@ def per_term_sum(spec, power):
             small = True
         consec = consec + 1 if small else 0
     sign = -1.0 if power == 2 else 1.0
-    return l, sign * pref * running, consec >= 3
+    return l, sign * pref * (running + te), consec >= 3
 
 
 def scalar_stop_sum(spec, power):
     """The Matsubara sum with the stopping rule applied one term at a time
-    over the engine's blocks: the reference for its per-block scan.
-    Returns ``((n_terms, value, last_term, truncation_bound), converged,
+    over the engine's blocks, against the running total from the static TM
+    term, with the static TE term added last: the reference for its per-block
+    scan.  Returns ``((n_terms, value, last_term, truncation_bound), converged,
     by_abs_tol)``, the value in Pa or Pa/m; ``by_abs_tol`` says that the
     absolute pressure tolerance, not the relative one, made the last term
     small."""
     cfg = spec.quad
     pref = CONSTANTS.kB_J * spec.T / (8.0 * math.pi * spec.d ** (power + 1))
     prefactor = -pref if power == 2 else pref
-    zero = 0.5 * (_STATIC_TM[power] + _static_te_integral(
-        spec.d, _static_te_omega(spec), power))
-    running, consec, last, l = zero, 0, 0.0, 0
+    te = 0.5 * _static_te_integral(spec.d, _static_te_omega(spec), power)
+    running, consec, last, l = 0.5 * _STATIC_TM[power], 0, 0.0, 0
     converged = by_abs_tol = False
     for offset, xi in partition(spec.d, spec.T, cfg.max_matsubara):
         block = dynamic_terms(spec.d, spec.T, spec.model,
@@ -359,7 +362,8 @@ def scalar_stop_sum(spec, power):
                 break
         if converged:
             break
-    result = (l, prefactor * running, last, 10.0 * (last / abs(running)))
+    total = running + te
+    result = (l, prefactor * total, last, 10.0 * (last / abs(total)))
     return result, converged, by_abs_tol
 
 
@@ -684,8 +688,7 @@ class TestEngine:
                 d=250e-9, T=20.0, model=drude(sc_params), approach=ap, quad=FAST))
             for ap in ZeroFreqApproach]
         sums = [d.dynamic_sum for d in details]
-        assert sums[0] == pytest.approx(sums[1], rel=1e-9)
-        assert sums[0] == pytest.approx(sums[2], rel=1e-9)
+        assert max(sums) - min(sums) <= 2 * np.spacing(max(map(abs, sums)))
         zero_terms = {d.zero_term for d in details}
         assert len(zero_terms) == 2  # drude pairing drops the TE piece
 
@@ -778,6 +781,65 @@ class TestEngine:
             QuadratureConfig(max_matsubara=0)
 
 
+def assert_prescriptions_differ_by_static_te(d, T, model, power):
+    """The sums of specs that differ only in ``approach`` take the same number of
+    terms, and their values differ by the prefactor times the difference of their
+    static TE terms, to 2 ulps of the largest value."""
+    detail = {2: casimir_pressure_detail, 3: casimir_pressure_gradient_detail}[power]
+    values, te, n_terms = {}, {}, set()
+    for approach in ZeroFreqApproach:
+        spec = LifshitzSpec(d=d, T=T, model=model, approach=approach)
+        got = detail(spec)
+        values[approach], n_terms = got.value, n_terms | {got.n_terms}
+        te[approach] = 0.5 * _static_te_integral(d, _static_te_omega(spec), power)
+    pref = CONSTANTS.kB_J * T / (8.0 * math.pi * d ** (power + 1))
+    prefactor = -pref if power == 2 else pref
+    assert len(n_terms) == 1
+    ulps = 2 * np.spacing(max(map(abs, values.values())))
+    for a, b in combinations(ZeroFreqApproach, 2):
+        assert abs(values[a] - values[b] - prefactor * (te[a] - te[b])) <= ulps
+
+
+class TestPrescriptionIdentity:
+    """The prescriptions differ only in the static TE term: every one reads one
+    l >= 1 series, summed and stopped without that term."""
+
+    # points where a stop judged against a total with the TE term took one term more
+    # for one prescription than for another, so that the values also differed there
+    @pytest.mark.parametrize("d, T", [(300e-9, 10.0), (500e-9, 14.0), (5e-6, 14.1),
+                                      (5e-6, 14.3)],
+                             ids=["300nm-10K", "500nm-14K", "5um-14.1K", "5um-14.3K"])
+    def test_plasma_gradient_differs_by_the_static_te_term(self, sc_params, d, T):
+        assert_prescriptions_differ_by_static_te(d, T, plasma(sc_params), 3)
+
+    # a fixed sequence of examples (derandomize) and no example database
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(log_d=st.floats(math.log10(100e-9), math.log10(5e-6)), T=st.floats(1.0, 20.0),
+           make=st.sampled_from([drude, plasma, bcs]), gamma0=st.sampled_from([0.465, 4.65e-4]),
+           tc=st.floats(5.0, 20.0), power=st.sampled_from([2, 3]))
+    def test_every_sum_differs_by_the_static_te_term(self, log_d, T, make, gamma0, tc, power):
+        film = SuperconductorParams(gamma0=gamma0, Tc=tc)
+        assert_prescriptions_differ_by_static_te(10.0 ** log_d, T, make(film), power)
+
+
+class TestScaleInvariance:
+    """With d -> s d and T, Omega, gamma0 and Tc divided by s, every dimensionless
+    quantity of the sum is unchanged, so P' d**5 is too.  P is left out: its absolute
+    stop, 1e-9 Pa whatever d, is not scale free."""
+
+    @settings(max_examples=250, derandomize=True, deadline=None, database=None)
+    @given(log_d=st.floats(math.log10(100e-9), math.log10(2e-6)), T=st.floats(2.0, 20.0),
+           s=st.floats(0.5, 4.0), make=st.sampled_from([drude, plasma, bcs]))
+    def test_gradient_times_d5_is_scale_free(self, sc_params, log_d, T, s, make):
+        d, p = 10.0 ** log_d, sc_params
+        scaled = replace(p, Omega=p.Omega / s, gamma0=p.gamma0 / s, Tc=p.Tc / s)
+        a, b = (casimir_pressure_gradient_detail(LifshitzSpec(d=d_, T=T_, model=make(film)))
+                for d_, T_, film in ((d, T, p), (s * d, T / s, scaled)))
+        tol = 1e-12 if a.n_terms == b.n_terms else max(a.truncation_bound,
+                                                        b.truncation_bound)
+        assert b.value * (s * d) ** 5 == pytest.approx(a.value * d ** 5, rel=tol, abs=0.0)
+
+
 class TestTcJump:
     def test_zero_bracket_degenerates_to_zero(self, sc_params):
         # both sides sit in the normal state at dT = 0
@@ -837,10 +899,10 @@ class TestTcJump:
 
 
 class TestBlockMemo:
-    """The engine keeps the term blocks of its two most recent (model, T, d,
-    power, cap) series, so the prescriptions and stopping ratios of one sum
-    share them; the BCS permittivity reads the pairing kernel from a table
-    kept per (T, film, decade of xi)."""
+    """The engine keeps the l >= 1 series of its most recent (model, T, d, power,
+    quadrature) sums, a total and three scalars each, so the prescriptions of one
+    sum share its terms and its stop; the BCS permittivity reads the pairing
+    kernel from a table kept per (T, film, decade of xi)."""
 
     def test_jump_all_evaluates_each_energy_once(self, sc_params, monkeypatch, cold_memo):
         # the three tc_jump calls of `jump --all` share both sides' blocks, and
@@ -857,8 +919,8 @@ class TestBlockMemo:
             after_each.append(len(blocks))
         assert len(energies) == len(set(energies)) == 4 * 16
         assert after_each == [10] * 3  # 5 blocks a side, 128 to 768 terms long
-        # the first prescription evaluates them, the other two read them
-        assert lifshitz._block.cache_info()[:2] == (20, 10)
+        # the first prescription sums both sides' series, the other two read them
+        assert lifshitz._series.cache_info()[:2] == (4, 2)
 
     @pytest.mark.parametrize("make, d, T", [
         pytest.param(drude, 190e-9, 4.0, id="drude-190nm"),
@@ -868,14 +930,16 @@ class TestBlockMemo:
     def test_each_block_picks_its_rule_once(self, sc_params, monkeypatch, cold_memo,
                                             make, d, T):
         # one rule per evaluated block, chosen by its first energy
-        rules = []
-        choose = lifshitz._momentum_rule
+        rules, blocks = [], []
+        choose, integrals = lifshitz._momentum_rule, lifshitz._dynamic_integrals
         monkeypatch.setattr(lifshitz, "_momentum_rule", lambda d, xi_first:
                             rules.append(xi_first) or choose(d, xi_first))
+        monkeypatch.setattr(lifshitz, "_dynamic_integrals", lambda d, xi, *rest:
+                            blocks.append(xi[0]) or integrals(d, xi, *rest))
         got = casimir_pressure_gradient_detail(LifshitzSpec(d=d, T=T, model=make(sc_params)))
-        assert len(rules) == lifshitz._block.cache_info().misses > 1
-        assert rules == [xi[0] for _, xi in takewhile(lambda block: block[0] < got.n_terms,
-                                                      partition(d, T, 100_000))]
+        assert len(rules) > 1
+        assert rules == blocks == [xi[0] for _, xi in takewhile(
+            lambda block: block[0] < got.n_terms, partition(d, T, 100_000))]
 
     def test_scan_evaluates_each_energy_once(self, sc_params, monkeypatch, cold_memo):
         # the 1213 nm scan's five BCS temperatures, each with its gradient and its
@@ -897,9 +961,9 @@ class TestBlockMemo:
                                         casimir_pressure_gradient_detail],
                              ids=["P", "Pprime"])
     def test_warm_detail_equals_cold(self, sc_params, cold_memo, detail):
-        # at each d the capped sum comes first: the default sum after it must
-        # not read its truncated last block, and the looser stopping ratio
-        # reads the default sum's series
+        # at each d the capped sum comes first, then the default and the looser
+        # stopping ratio: each is its own series, which the three prescriptions
+        # read, and a series read warm equals one summed cold
         def run(spec):
             try:
                 return detail(spec)
@@ -941,7 +1005,7 @@ class TestBlockMemo:
         for _ in range(2):  # the second sum evaluates the block again
             with pytest.raises(ValueError, match="^Matsubara terms overflow"):
                 casimir_pressure_gradient(spec)
-        assert lifshitz._block.cache_info()[1:] == (2, 256, 0)  # misses, maxsize, currsize
+        assert lifshitz._series.cache_info()[1:] == (2, 16, 0)  # misses, maxsize, currsize
 
     @pytest.mark.parametrize("make, T", [
         pytest.param(drude, 4.0, id="drude"),
@@ -953,23 +1017,9 @@ class TestBlockMemo:
         casimir_pressure_detail(LifshitzSpec(d=190e-9, T=T, model=make(sc_params)))
         assert permittivity._g_decade.cache_info().currsize == 0
 
-    def test_memoised_block_is_read_only(self, sc_params, cold_memo):
-        detail = casimir_pressure_detail(LifshitzSpec(d=190e-9, T=4.0, model=bcs(sc_params),
-                                                      quad=LOOSE))
-        read = lifshitz._block.cache_info().currsize
-        cap = LOOSE.max_matsubara
-        for offset, xi in partition(190e-9, 4.0, cap):
-            if offset >= detail.n_terms:
-                break
-            block = lifshitz._block(bcs(sc_params), 4.0, 190e-9, 2, cap, offset)
-            assert len(block) == len(xi)
-            with pytest.raises(ValueError, match="read-only"):
-                block[0] = 1.0
-        assert lifshitz._block.cache_info()[:2] == (read, read)  # every block was kept
-
     def test_block_memo_is_bounded_whatever_the_cap(self, sc_params, cold_memo):
         # a Drude sum at 10 mK runs to a cap of 150,000 through 751 edge-band blocks,
-        # and the memo keeps the last 256 of them (0.61 MB), not the whole series
+        # and the memo keeps its running total and three scalars, not the terms
         spec = LifshitzSpec(d=190e-9, T=0.01, model=drude(sc_params),
                             quad=QuadratureConfig(max_matsubara=150_000))
         tracemalloc.start()
@@ -979,5 +1029,5 @@ class TestBlockMemo:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert lifshitz._block.cache_info().misses > 256
+        assert lifshitz._series.cache_info()[2:] == (16, 1)  # maxsize, currsize
         assert retained < 1e6

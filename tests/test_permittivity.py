@@ -254,6 +254,31 @@ class TestCondensateWeight:
             assert condensate_fraction(T, p) == pytest.approx(condensate_series_mp(T, p),
                                                               rel=1e-13, abs=0.0)
 
+    # a gap law scaled by c1 = 1e-200: against 40 digits where kB T is within 1e10 of the
+    # gap, and past that, where the reference's Euler-Maclaurin derivatives lose their
+    # digits, quiet and under the bound 7 zeta(3) / h**2 (every summand is below x**-3),
+    # which makes it 0 from h = 1e150 on; the parent overflowed to nan there
+    def test_tiny_gap_against_40_digit_series(self):
+        p = SuperconductorParams(c1=1e-200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for T in (1e-300, 1e-205, 1e-200, 1e-199, 1e-198, 1e-190):
+                assert condensate_fraction(T, p) == pytest.approx(
+                    condensate_series_mp(T, p), rel=1e-13, abs=0.0)
+            for T in (1e-160, 1e-100, 1e-50, 0.01 * p.Tc, 0.5 * p.Tc, math.nextafter(p.Tc, 0)):
+                h = 2.0 * math.pi * CONSTANTS.kB_eV * T / bcs_gap(T, p)
+                assert 0.0 <= condensate_fraction(T, p) <= 7.0 * CONSTANTS.zeta3 / h / h
+            assert condensate_fraction(0.5 * p.Tc, p) == 0.0
+
+    # a gap that rounds to 0 below Tc carries no condensate (the step 2 pi kB T / Delta
+    # divided by 0)
+    @pytest.mark.parametrize("overrides, T", [({"Tc": 1e-320}, 5e-324), ({"c1": 5e-324}, 7.0)],
+                             ids=["tc-1e-320", "c1-5e-324"])
+    def test_gap_rounded_to_0_leaves_no_condensate(self, overrides, T):
+        p = SuperconductorParams(**overrides)
+        assert bcs_gap(T, p) == 0.0
+        assert condensate_fraction(T, p) == 0.0
+
     def test_effective_plasma_frequency_gates_off(self, sc_params):
         assert effective_plasma_frequency(sc_params.Tc, sc_params) == 0.0
         below = effective_plasma_frequency(0.5 * sc_params.Tc, sc_params)

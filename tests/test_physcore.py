@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sccasimir.errors import ParseError
+from sccasimir.permittivity import bcs_gap
 from sccasimir.physcore import (
     CONSTANTS,
     Basis,
@@ -101,10 +102,26 @@ class TestSuperconductorParams:
         {"Omega": 0.0}, {"Omega": -1.0}, {"gamma0": 0.0}, {"RRR": 0.5},
         {"Tc": -1.0}, {"Omega": 1.4e154}, {"Omega": 1e200}, {"gamma0": 1.1e150},
         {"gamma0": 1.7e308},
+        # a gap law that is not > 0 below Tc
+        {"c1": 0.0}, {"c1": -1.764}, {"c2": 0.0}, {"c2": -1.0}, {"c3": -5.0},
+        {"c2": 1.0, "c3": -1.0000001},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SuperconductorParams(**kwargs)
+
+    # c2 + c3 = 0 still gives c1 kB Tc c2 (1 - t)**1.5 > 0 below Tc
+    def test_gap_law_positive_below_tc_is_accepted(self):
+        p = SuperconductorParams(c2=1.0, c3=-1.0)
+        assert min(bcs_gap(T, p) for T in np.linspace(0.0, p.Tc, 100, endpoint=False)) > 0.0
+
+    @pytest.mark.parametrize("text, key", [("c1 = 0\n", "c1"), ("c2 = -1\n", "c2"),
+                                           ("c3 = -5\n", "c3")], ids=["c1", "c2", "c3"])
+    def test_gap_law_refusal_names_its_key(self, tmp_path, text, key):
+        path = tmp_path / "film.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^key '{key}': {key} must be"):
+            from_config(SuperconductorParams, read_config(path))
 
     def test_omega_with_a_finite_square_is_accepted(self):
         # the permittivity squares Omega; 1.3e154 squared is still finite

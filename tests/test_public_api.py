@@ -94,8 +94,8 @@ def test_every_public_name_has_a_reader():
 
 
 def test_matsubara_reuse_has_one_owner():
-    # the permittivity keeps its per-decade pairing-kernel table and the
-    # engine its most recent term blocks; the kernel bcs_g is a pure function
+    # the permittivity keeps its per-decade pairing-kernel table and the engine
+    # the l >= 1 series of its most recent sums; the kernel bcs_g is a pure function
     # that nothing caches, and no cache outlives a call without a bound on its size
     package = Path(sccasimir.__file__).parent
     owners = [path.name for path in sorted(package.glob("*.py"))
@@ -105,11 +105,17 @@ def test_matsubara_reuse_has_one_owner():
     memos = {f"{module.__name__}.{name}": memo.cache_parameters()["maxsize"]
              for module in (lifshitz, permittivity)
              for name, memo in vars(module).items() if hasattr(memo, "cache_parameters")}
-    assert memos == {"sccasimir.lifshitz._block": 256, "sccasimir.permittivity._g_decade": 256}
+    assert memos == {"sccasimir.lifshitz._series": 16, "sccasimir.permittivity._g_decade": 256}
     # every decorated function is one of those module-level memos
     assert sum((package / name).read_text(encoding="utf-8").count("@lru_cache")
                for name in owners) == 2
     assert all(isinstance(size, int) and size > 0 for size in memos.values())
+    # neither memo holds an array, which a caller could write into another's result
+    film = physcore.SuperconductorParams()
+    kept = [*lifshitz._series(permittivity.bcs(film), 4.0, 190e-9, 3,
+                              lifshitz.QuadratureConfig(term_stop_rel=1e-6)),
+            *permittivity._g_decade(4.0, film, 0)]
+    assert all(type(value) in (bool, int, float) for value in kept)
 
 
 # the package's size: code that grows past this is an edit of this line,
@@ -122,6 +128,9 @@ def test_matsubara_reuse_has_one_owner():
 # 2,550: the condensate fraction as one positive Matsubara series, with no closed form,
 # relaxation refusal or rounding guard (-10); the pairing kernel refuses products past
 # the float range (+5), and the jump a frequency shift that overflows (+4)
+# 2,550 again: one memoised l >= 1 series shared by every prescription, with no block
+# memo (-4); a gap law that is not > 0 below Tc refused, and the condensate fraction and
+# the pairing kernel quiet for a gap that vanishes against kB T (+4)
 SRC_LINE_BUDGET = 2550
 
 
