@@ -38,7 +38,7 @@ from .lifshitz import (
     tc_jump,
 )
 from .membrane import (
-    SweepRecord,
+    Sweep,
     cte_alpha,
     dw2_from_gradient,
     frequency_noise,

@@ -1,7 +1,6 @@
-"""Data-reduction pipeline: thermal-baseline calibration, differential
-small/big-gap subtraction, conversion to physical force and pressure via
-externally supplied FEM factors, tunneling-conductance fitting, and
-synthetic-sweep generation for end-to-end testing.
+"""Data-reduction pipeline on a sweep's columns: thermal-baseline calibration, differential
+small/big-gap subtraction, conversion to physical force and pressure via externally
+supplied FEM factors, tunneling-conductance fitting, and synthetic-sweep generation.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError
-from .membrane import SweepRecord, gradient_from_dw2
+from .membrane import Sweep, gradient_from_dw2
 from .permittivity import _composite_rule
 from .physcore import (
     CONSTANTS,
@@ -56,22 +55,19 @@ class CalibratedResiduals:
     fit_intercept: float   # (rad/s)^2
 
 
-def calibrate_thermal(records, window) -> CalibratedResiduals:
-    """Remove the elastic (thermal-expansion) trend from a sweep.
-
-    Ordinary least squares of ``omega^2 = (2 pi f)^2`` against T over the
-    window; every record is then reported as its residual from that line.
-    Per-point uncertainties propagate as ``sigma_w2 = 8 pi^2 f sigma_f``.
-    Whether the window sits below a transition is the caller's to check
-    (``sweep_pipeline`` does).
-    """
+def calibrate_thermal(sweep: Sweep, window) -> CalibratedResiduals:
+    """Remove the elastic (thermal-expansion) trend from a sweep: ordinary least
+    squares of ``omega^2 = (2 pi f)^2`` against T over the window, and every point,
+    in a stable sort by T, reported as its residual from that line.  Uncertainties
+    propagate as ``sigma_w2 = 8 pi^2 f sigma_f``.  Whether the window sits below a
+    transition is the caller's to check (``sweep_pipeline`` does)."""
     lo, hi = window
     if lo >= hi:
         raise ValueError(f"empty window {window}")
-    recs = sorted(records, key=lambda r: r.T)
-    if not recs:
+    if not sweep.T.size:
         raise ValueError("no records supplied")
-    t, f, sigma_f = np.array([(r.T, r.f, r.sigma_f) for r in recs]).T
+    order = np.argsort(sweep.T, kind="stable")
+    t, f, sigma_f = sweep.T[order], sweep.f[order], sweep.sigma_f[order]
     fit = (lo <= t) & (t <= hi)
     if fit.sum() < 3:
         raise ValueError(f"need >= 3 points inside the fit window, found {fit.sum()}")
@@ -96,11 +92,10 @@ def differential_subtract(small: CalibratedResiduals, big: CalibratedResiduals,
                           combine: str = "add") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference-subtract the big-gap residual from the small-gap one.
 
-    The result is ``(T, dw2, sigma)`` arrays at the small-gap points, where
-    the big-gap residual is interpolated linearly in T (no extrapolation).
-    Uncertainties combine as the small-gap error plus the two bracketing
-    big-gap errors summed (``combine="add"``); ``combine="quadrature"`` is
-    available for sensitivity studies.
+    The result is ``(T, dw2, sigma)`` arrays at the small-gap points, where the big-gap
+    residual is interpolated linearly in T (no extrapolation).  Uncertainties combine as
+    the small-gap error plus the two bracketing big-gap errors summed
+    (``combine="add"``); ``combine="quadrature"`` is available for sensitivity studies.
     """
     if combine not in ("add", "quadrature"):
         raise ValueError(f"combine must be 'add' or 'quadrature', got {combine!r}")
@@ -254,12 +249,12 @@ def _energy_rule(v: np.ndarray, p: DynesParams, kT: float) -> tuple[np.ndarray, 
 def dynes_fit(points, T: float) -> DynesParams:
     """Nonlinear least squares for (Delta, gamma, A) at fixed temperature.
 
-    Deterministic initialization: Delta from half the voltage spacing of
-    the two conductance maxima, gamma at a tenth of that, A from the outer
-    twenty percent of the bias range.  The solver is trust-region
-    reflective within bounds on all three (``_trf``), a NumPy port of
-    scipy's ``least_squares(method='trf')`` that returns its results bit
-    for bit; scipy is not needed.
+    Deterministic initialization: Delta from half the voltage spacing of the two
+    conductance maxima, gamma at a tenth of that, A from the outer twenty percent of the
+    bias range.  The solver is trust-region reflective within bounds on all three
+    (``_trf``), a NumPy port of scipy's ``least_squares(method='trf')`` that returns its
+    results bit for bit; scipy is not needed.  G = A N(V; Delta, gamma): the residual
+    rescales the N of its last three (Delta, gamma), so a Jacobian's A column calls none.
     """
     vg = np.asarray(points, dtype=float).reshape(len(points), 2)  # refuses non-pairs
     if len(vg) < 20:
@@ -301,9 +296,15 @@ def dynes_fit(points, T: float) -> DynesParams:
     if delta0 * delta0 < np.finfo(float).tiny:
         raise FitError(f"the starting gap {delta0:.3g} eV squares below the float range")
 
+    shapes = {}  # N = G / A at the latest (Delta, gamma); 3 keep a Jacobian's base point
+
     def resid(theta):
         delta, gamma, a = theta
-        r = dynes_conductance(v, DynesParams(Delta=delta, gamma=gamma, T=T, A=a)) - g
+        if (delta, gamma) not in shapes:
+            if len(shapes) == 3:
+                del shapes[next(iter(shapes))]
+            shapes[delta, gamma] = dynes_conductance(v, DynesParams(delta, gamma, T))
+        r = a * shapes[delta, gamma] - g
         if not math.isfinite(sum(x * x for x in r.tolist())):
             raise FitError(f"the squared residuals are not finite at Delta = {delta:.3g} eV")
         return r
@@ -315,8 +316,7 @@ def dynes_fit(points, T: float) -> DynesParams:
     sol = _trf.least_squares(resid, x0, lower, upper, tol=1e-12, max_nfev=400)
     if not sol.success:
         raise FitError(f"no convergence after {sol.nfev} evaluations: {sol.message}")
-    return DynesParams(Delta=float(sol.x[0]), gamma=float(sol.x[1]),
-                       T=T, A=math.ldexp(float(sol.x[2]), k))
+    return DynesParams(Delta=sol.x[0], gamma=sol.x[1], T=T, A=math.ldexp(sol.x[2], k))
 
 
 # --- synthetic sweeps and the end-to-end pipeline -----------------------------
@@ -346,8 +346,8 @@ class SweepTruth:
         object.__setattr__(self, "grid", grid)
 
 
-def generate_sweep(truth: SweepTruth, seed: int = 0) -> list[SweepRecord]:
-    """Emit deterministic synthetic sweep records for pipeline tests."""
+def generate_sweep(truth: SweepTruth, seed: int = 0) -> Sweep:
+    """A deterministic synthetic sweep for pipeline tests; sigma_f is ``noise_f``."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     t = np.array(truth.grid)
@@ -356,11 +356,10 @@ def generate_sweep(truth: SweepTruth, seed: int = 0) -> list[SweepRecord]:
         noise = truth.noise_f * np.random.default_rng(seed).standard_normal(len(t))
         f = np.sqrt(w2) / (2.0 * math.pi) + noise
     stop = int(np.argmax(np.append(w2 <= 0.0, True)))  # the first omega^2 <= 0, or the end
-    records = [SweepRecord(T=T, f=v, sigma_f=truth.noise_f)  # their errors come first
-               for T, v in zip(truth.grid[:stop], f[:stop].tolist())]
+    sweep = Sweep(t[:stop], f[:stop], truth.noise_f)  # its errors come first
     if stop < len(t):
         raise ValueError(f"baseline gives non-positive omega^2 at {truth.grid[stop]} K")
-    return records
+    return sweep
 
 
 @dataclass(frozen=True, eq=False)  # array fields: equal only to itself
@@ -379,24 +378,23 @@ class SweepReport:
     point_conversions: FemConversion | None  # one array per field, a value per point
 
 
-def sweep_pipeline(small_records, big_records, window, m: MembraneSpec,
+def sweep_pipeline(small_sweep: Sweep, big_sweep: Sweep, window, m: MembraneSpec,
                    factors: ConversionFactors | None = None,
                    combine: str = "add") -> SweepReport:
     """calibrate -> subtract -> average above the window -> convert.
 
-    The fit window must sit entirely below the film's transition (14.2 K);
-    an empty window is reported first.  The headline jump is the plain
-    mean of the differential residual over temperatures above the fit
-    window; its uncertainty is the mean of the combined per-point
-    uncertainties.  With ``factors``, the headline jump and every
-    differential point are converted to force, pressure, and deflection.
-    A membrane or a factor that takes a finite value past the float range
-    is refused; an infinite sigma, which ``calibrate_thermal`` keeps, stays.
+    The fit window must sit entirely below the film's transition (14.2 K); an empty
+    window is reported first.  The headline jump is the plain mean of the differential
+    residual over temperatures above the fit window; its uncertainty is the mean of the
+    combined per-point uncertainties.  With ``factors``, the headline jump and every
+    differential point are converted to force, pressure, and deflection.  A membrane or
+    a factor that takes a finite value past the float range is refused; an infinite
+    sigma, which ``calibrate_thermal`` keeps, stays.
     """
     if window[0] < window[1] >= _TC:
         raise ValueError(f"fit window {window} reaches the transition at {_TC} K")
-    small = calibrate_thermal(small_records, window)
-    big = calibrate_thermal(big_records, window)
+    small = calibrate_thermal(small_sweep, window)
+    big = calibrate_thermal(big_sweep, window)
     t, dw2_points, sig_points = diff = differential_subtract(small, big, combine=combine)
     above = t > window[1]
     if not above.any():

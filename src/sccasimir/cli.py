@@ -1,15 +1,13 @@
 """Command-line surface.
 
-Every command accepts ``--format csv|table`` (same numbers, different
-rendering: 9 significant digits for CSV, 4 for tables), echoes its
-resolved parameters as ``#`` header lines for provenance, and is
-byte-deterministic for identical inputs.
+Every command accepts ``--format csv|table`` (same numbers, different rendering: 9
+significant digits for CSV, 4 for tables), echoes its resolved parameters as ``#``
+header lines for provenance, and is byte-deterministic for identical inputs.
 
-Exit codes: 0 success, 2 usage error or invalid option value, 3
-unreadable or malformed input file or configuration value, 4
-non-convergence of the Matsubara sum.  Every failure prints one
-``error:`` line on stderr, never a traceback, and nothing on stdout: each
-command computes everything it prints before it prints.
+Exit codes: 0 success, 2 usage error or invalid option value, 3 unreadable or malformed
+input file or configuration value, 4 non-convergence of the Matsubara sum, 141 stdout
+closed by its reader.  Every other failure prints one ``error:`` line on stderr, never a
+traceback, and nothing on stdout: each command computes everything it prints first.
 """
 
 from __future__ import annotations
@@ -147,6 +145,9 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except BrokenPipeError:  # the reader of stdout has gone: not a bad file
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # stdout's last flush, at exit, is quiet
+            ctx.exit(141)  # 128 + SIGPIPE, as a shell reports a process that signal ended
         except ConvergenceError as exc:
             code, message = 4, str(exc)
         except FitError as exc:
@@ -291,12 +292,11 @@ def jump(d, dt, approach, all_approaches, preset, membrane_config, f0, term_stop
 def sweep(small_path, big_path, window, preset, membrane_config, factors_config,
           combine, out_path, fmt):
     """Run the calibrate/subtract/convert pipeline on two sweep files."""
-    small_records = membrane.load_sweep_csv(small_path)
-    big_records = membrane.load_sweep_csv(big_path)
+    small_sweep, big_sweep = map(membrane.load_sweep_csv, (small_path, big_path))
     spec_m = _membrane_spec(preset, membrane_config)
     factors = (None if factors_config is None
                else from_config(ConversionFactors, read_config(factors_config)))
-    report = analysis.sweep_pipeline(small_records, big_records, tuple(window),
+    report = analysis.sweep_pipeline(small_sweep, big_sweep, tuple(window),
                                      spec_m, factors=factors, combine=combine)
     rows = [("dw2_jump", report.dw2_jump, "(rad/s)^2"),
             ("dw2_sigma", report.dw2_sigma, "(rad/s)^2"),
@@ -357,13 +357,13 @@ def generate_sweep_cmd(out_path, slope, intercept, jump_dw2, jump_gradient, tc_s
     truth = analysis.SweepTruth(slope=slope, intercept=intercept,
                                 jump=0.0 if jump_dw2 is None else jump_dw2,
                                 Tc=tc_step, noise_f=noise_f, grid=grid)
-    records = analysis.generate_sweep(truth, seed=seed)
+    sweep = analysis.generate_sweep(truth, seed=seed)
     # full float precision: these files round-trip through the pipeline
     n = 3 if noise_f > 0.0 else 2
     header = ",".join(("T_K", "f_Hz", "sigma_f_Hz")[:n])
-    rows = [",".join(map(repr, astuple(r)[:n])) for r in records]
+    rows = [",".join(map(repr, row[:n])) for row in zip(*(c.tolist() for c in astuple(sweep)))]
     Path(out_path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
-    click.echo(f"# wrote {len(records)} records to {out_path} (seed {seed})")
+    click.echo(f"# wrote {len(rows)} records to {out_path} (seed {seed})")
 
 
 @main.command("lcpd-fit")

@@ -1,10 +1,9 @@
-"""Tensioned-membrane mechanics: resonance frequency, frequency-shift /
-pressure-gradient conversion, the backgate-voltage (LCPD) parabola fit,
-static deflection, thermal expansion, and the frequency-noise floor.
+"""Tensioned-membrane mechanics: the measured temperature sweep, resonance frequency,
+frequency-shift / pressure-gradient conversion, the backgate-voltage (LCPD) parabola
+fit, static deflection, thermal expansion, and the frequency-noise floor.
 
-The effective stiffness produced by a separation-dependent external
-pressure carries pressure-gradient units (Pa/m); it is never stored as a
-N/m spring constant.
+The effective stiffness produced by a separation-dependent external pressure carries
+pressure-gradient units (Pa/m); it is never stored as a N/m spring constant.
 """
 
 from __future__ import annotations
@@ -17,10 +16,10 @@ import numpy as np
 from numpy.exceptions import RankWarning
 
 from .errors import FitError, ParseError
-from .physcore import CONSTANTS, MembraneSpec, _require_finite, read_csv
+from .physcore import CONSTANTS, MembraneSpec, read_csv
 
 __all__ = [
-    "SweepRecord",
+    "Sweep",
     "load_sweep_csv",
     "fundamental_frequency",
     "dw2_from_gradient",
@@ -34,41 +33,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One (temperature, resonance frequency) measurement point."""
+@dataclass(frozen=True, eq=False)  # array fields: equal only to itself
+class Sweep:
+    """A temperature sweep as three read-only float columns, an element per point in the
+    order measured; a scalar sigma_f is every point's.  The first point that is not finite
+    with T, f > 0 and sigma_f >= 0 is refused by the first of those rules it breaks, and
+    the error's ``point`` is its index."""
 
-    T: float              # K
-    f: float              # Hz
-    sigma_f: float = 0.0  # Hz; 0 for a point without an uncertainty
+    T: np.ndarray              # K
+    f: np.ndarray              # Hz
+    sigma_f: np.ndarray = 0.0  # Hz; 0 for a point without an uncertainty
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.T <= 0.0:
-            raise ValueError(f"T must be > 0, got {self.T}")
-        if self.f <= 0.0:
-            raise ValueError(f"f must be > 0, got {self.f}")
-        if self.sigma_f < 0.0:
-            raise ValueError(f"sigma_f must be >= 0, got {self.sigma_f}")
+        T = np.array(self.T, dtype=float)
+        columns = np.array([T, self.f, np.full_like(T, self.sigma_f)])  # refuses two lengths
+        columns.setflags(write=False)  # and so each row
+        vars(self).update(zip(("T", "f", "sigma_f"), columns))  # frozen: no __setattr__
+        T, f, sigma_f = columns
+        broken = np.vstack([~np.isfinite(columns), T <= 0.0, f <= 0.0, sigma_f < 0.0])
+        for i in np.flatnonzero(broken.any(axis=0))[:1].tolist():  # the first bad point
+            k = int(np.argmax(broken[:, i]))  # the first of the rules, in order, it breaks
+            rule = ("finite", "finite", "finite", "> 0", "> 0", ">= 0")[k]
+            error = ValueError(f"{('T', 'f', 'sigma_f')[k % 3]} must be {rule}, "
+                               f"got {columns[k % 3, i].item()}")
+            error.point = i
+            raise error
 
 
-_SWEEP_HEADERS = (
-    ("T_K", "f_Hz"),
-    ("T_K", "f_Hz", "sigma_f_Hz"),
-    ("T_K", "f_Hz", "sigma_f_Hz", "Q"),
-)
+_SWEEP_HEADERS = [("T_K", "f_Hz", "sigma_f_Hz", "Q")[:n] for n in (2, 3, 4)]
 
 
-def load_sweep_csv(path) -> list[SweepRecord]:
-    """Read sweep records from CSV with header ``T_K,f_Hz[,sigma_f_Hz][,Q]``;
-    a ``Q`` column is accepted and ignored."""
-    records: list[SweepRecord] = []
-    for lineno, values in read_csv(path, *_SWEEP_HEADERS):
-        try:
-            records.append(SweepRecord(*values[:3]))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    return records
+def load_sweep_csv(path) -> Sweep:
+    """Read a sweep from CSV with header ``T_K,f_Hz[,sigma_f_Hz][,Q]``, where ``Q`` is
+    ignored; a point :class:`Sweep` refuses is a :class:`ParseError` at its line."""
+    rows = read_csv(path, *_SWEEP_HEADERS)
+    try:
+        return Sweep(*zip(*(values[:3] for _, values in rows)))
+    except ValueError as exc:
+        raise ParseError(str(exc), line=rows[exc.point][0]) from None
 
 
 def fundamental_frequency(m: MembraneSpec) -> float:

@@ -1,6 +1,7 @@
 import bisect
 import cmath
 import math
+from collections import namedtuple
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,8 @@ from scipy.integrate import quad
 import sccasimir
 from sccasimir import _trf, analysis
 from sccasimir.errors import FitError, ParseError
-from sccasimir.membrane import SweepRecord, dw2_from_gradient
+from sccasimir.membrane import Sweep, dw2_from_gradient
+from test_membrane import columns
 from sccasimir.physcore import CONSTANTS, Basis, ConversionFactors, read_csv
 from sccasimir.analysis import (
     CalibratedResiduals,
@@ -42,12 +44,12 @@ FACTORS = ConversionFactors(force_per_w2=7.83e-16, pressure_per_w2=1.55e-9,
                             basis=Basis.LINEAR_SQUARED)
 
 
-def line_records(slope, intercept, grid, jump=0.0, tc=14.2, sigma_f=0.0):
-    out = []
-    for t in grid:
-        w2 = intercept + slope * t + (jump if t > tc else 0.0)
-        out.append(SweepRecord(T=t, f=math.sqrt(w2) / (2 * math.pi), sigma_f=sigma_f))
-    return out
+def line_sweep(slope, intercept, grid, jump=0.0, tc=14.2, sigma_f=0.0):
+    return Sweep(grid, [math.sqrt(intercept + slope * t + (jump if t > tc else 0.0))
+                        / (2 * math.pi) for t in grid], sigma_f)
+
+
+Point = namedtuple("Point", "T f sigma_f")
 
 
 # no grid point sits exactly at the 14.2 K transition: points at the step
@@ -57,18 +59,19 @@ WINDOW = (13.0, 14.19)
 SLOPE, INTERCEPT = -2.2843e7, (2 * math.pi * 352800.0) ** 2 + 2.2843e7 * 14.2
 
 
-def per_point_reduction(small_records, big_records, window, combine):
+def per_point_reduction(small_sweep, big_sweep, window, combine):
     """Calibrate and subtract point by point with Python's ``**`` squares: the
     reference the array reduction must equal bit for bit."""
-    def calibrate(records):
-        recs = sorted(records, key=lambda r: r.T)
+    def calibrate(sweep):
+        points = map(Point, sweep.T.tolist(), sweep.f.tolist(), sweep.sigma_f.tolist())
+        recs = sorted(points, key=lambda r: r.T)
         fit = [r for r in recs if window[0] <= r.T <= window[1]]
         slope, intercept = np.polyfit([r.T for r in fit],
                                       [(2.0 * math.pi * r.f) ** 2 for r in fit], 1)
         return [(r.T, (2.0 * math.pi * r.f) ** 2 - (slope * r.T + intercept),
                  8.0 * math.pi ** 2 * r.f * r.sigma_f) for r in recs]
 
-    small, big = calibrate(small_records), calibrate(big_records)
+    small, big = calibrate(small_sweep), calibrate(big_sweep)
     rows = []
     for t, dw2, sig in small:
         hi = min(max(bisect.bisect_left([tb for tb, _, _ in big], t), 1), len(big) - 1)
@@ -81,71 +84,84 @@ def per_point_reduction(small_records, big_records, window, combine):
 
 class TestCalibrate:
     def test_exact_line_gives_zero_residuals(self):
-        records = line_records(SLOPE, INTERCEPT, GRID)
-        result = calibrate_thermal(records, WINDOW)
+        sweep = line_sweep(SLOPE, INTERCEPT, GRID)
+        result = calibrate_thermal(sweep, WINDOW)
         assert (np.abs(result.dw2) < 1e-9 * (INTERCEPT + SLOPE * result.T)).all()
 
     def test_recovers_fit_parameters(self):
-        result = calibrate_thermal(line_records(SLOPE, INTERCEPT, GRID), WINDOW)
+        result = calibrate_thermal(line_sweep(SLOPE, INTERCEPT, GRID), WINDOW)
         assert result.fit_slope == pytest.approx(SLOPE, rel=1e-9)
         assert result.fit_intercept == pytest.approx(INTERCEPT, rel=1e-9)
 
     def test_in_window_residuals_average_to_zero(self):
         rng = np.random.default_rng(5)
-        records = [SweepRecord(T=t, f=math.sqrt(INTERCEPT + SLOPE * t
-                                                + rng.normal(0, 1e5)) / (2 * math.pi))
-                   for t in GRID]
-        result = calibrate_thermal(records, WINDOW)
+        sweep = Sweep(GRID, [math.sqrt(INTERCEPT + SLOPE * t + rng.normal(0, 1e5)) / (2 * math.pi)
+                             for t in GRID], 0.0)
+        result = calibrate_thermal(sweep, WINDOW)
         in_window = result.dw2[(WINDOW[0] <= result.T) & (result.T <= WINDOW[1])]
         assert abs(np.mean(in_window)) < 1e-6 * abs(INTERCEPT) * 1e-9 + 1.0
 
     def test_injected_step_recovered(self):
-        records = line_records(SLOPE, INTERCEPT, GRID, jump=-1.5e7)
-        result = calibrate_thermal(records, WINDOW)
+        sweep = line_sweep(SLOPE, INTERCEPT, GRID, jump=-1.5e7)
+        result = calibrate_thermal(sweep, WINDOW)
         above = result.dw2[result.T > 14.2].tolist()
         assert above == pytest.approx([-1.5e7] * len(above), rel=1e-3)
 
     def test_sigma_propagation(self):
-        records = line_records(SLOPE, INTERCEPT, GRID, sigma_f=4.7e-3)
-        result = calibrate_thermal(records, WINDOW)
+        sweep = line_sweep(SLOPE, INTERCEPT, GRID, sigma_f=4.7e-3)
+        result = calibrate_thermal(sweep, WINDOW)
         t0, sig = result.T[0], result.sigma[0]
         f0 = math.sqrt(INTERCEPT + SLOPE * t0) / (2 * math.pi)
         assert sig == pytest.approx(8 * math.pi**2 * f0 * 4.7e-3, rel=1e-12)
 
     def test_insufficient_points(self):
-        records = line_records(SLOPE, INTERCEPT, (13.0, 13.5, 14.0, 14.5))
+        sweep = line_sweep(SLOPE, INTERCEPT, (13.0, 13.5, 14.0, 14.5))
         with pytest.raises(ValueError):
-            calibrate_thermal(records, (13.0, 13.1))
+            calibrate_thermal(sweep, (13.0, 13.1))
 
     def test_window_needs_two_distinct_temperatures(self):
-        records = [SweepRecord(T=13.2, f=352800.0 + i) for i in range(3)]
-        records += line_records(SLOPE, INTERCEPT, (14.3, 14.4))
+        line = line_sweep(SLOPE, INTERCEPT, (14.3, 14.4))
+        sweep = Sweep([13.2] * 3 + line.T.tolist(),
+                      [352800.0 + i for i in range(3)] + line.f.tolist(), 0.0)
         with pytest.raises(ValueError, match="distinct temperatures"):
-            calibrate_thermal(records, (13.0, 13.5))
+            calibrate_thermal(sweep, (13.0, 13.5))
 
     def test_omega_squared_past_the_float_range_refused(self):
-        records = line_records(SLOPE, INTERCEPT, GRID)
-        records[2] = SweepRecord(T=GRID[2], f=1e200)
+        f = line_sweep(SLOPE, INTERCEPT, GRID).f.copy()
+        f[2] = 1e200
         with pytest.raises(ValueError, match=f"omega\\^2 overflows at {GRID[2]} K"):
-            calibrate_thermal(records, WINDOW)
+            calibrate_thermal(Sweep(GRID, f, 0.0), WINDOW)
 
-    @pytest.mark.parametrize("records, window, message", [
-        (line_records(SLOPE, INTERCEPT, GRID), (14.0, 14.0), r"^empty window \(14.0, 14.0\)$"),
-        ([], WINDOW, "^no records supplied$"),
+    @pytest.mark.parametrize("sweep, window, message", [
+        (line_sweep(SLOPE, INTERCEPT, GRID), (14.0, 14.0), r"^empty window \(14.0, 14.0\)$"),
+        (Sweep([], [], 0.0), WINDOW, "^no records supplied$"),
     ], ids=["empty-window", "no-records"])
-    def test_refused_inputs(self, records, window, message):
+    def test_refused_inputs(self, sweep, window, message):
         with pytest.raises(ValueError, match=message):
-            calibrate_thermal(records, window)
+            calibrate_thermal(sweep, window)
+
+    def test_points_sort_by_temperature_as_pythons_stable_sort(self):
+        # every point twice, with its own noise, and the rows out of order: points at one
+        # temperature keep their order, as the per-point reference's sorted() keeps it
+        rng = np.random.default_rng(3)
+        order = rng.permutation(np.repeat(np.arange(len(GRID)), 2))
+        line = line_sweep(SLOPE, INTERCEPT, GRID, jump=-1.5e7)
+        sweep = Sweep(line.T[order], line.f[order] + 4.7e-3 * rng.standard_normal(len(order)),
+                      4.7e-3)
+        small, _ = per_point_reduction(sweep, line_sweep(SLOPE, INTERCEPT, GRID), WINDOW, "add")
+        result = calibrate_thermal(sweep, WINDOW)
+        assert [result.T.tolist(), result.dw2.tolist(), result.sigma.tolist()] \
+            == [list(c) for c in zip(*small)]
 
     def test_negative_zero_sigma_f_gives_positive_zero_sigma(self):
-        result = calibrate_thermal(line_records(SLOPE, INTERCEPT, GRID, sigma_f=-0.0), WINDOW)
+        result = calibrate_thermal(line_sweep(SLOPE, INTERCEPT, GRID, sigma_f=-0.0), WINDOW)
         assert result.sigma.tolist() == [0.0] * len(GRID)
         assert not np.signbit(result.sigma).any()
 
 
 class TestDifferential:
     def _residuals(self, jump=0.0):
-        return calibrate_thermal(line_records(SLOPE, INTERCEPT, GRID, jump=jump),
+        return calibrate_thermal(line_sweep(SLOPE, INTERCEPT, GRID, jump=jump),
                                  WINDOW)
 
     def test_identical_inputs_cancel(self):
@@ -172,14 +188,12 @@ class TestDifferential:
         rng = np.random.default_rng(17)
         noise = 4.7e-3
         small = calibrate_thermal(
-            [SweepRecord(T=t, f=math.sqrt(INTERCEPT + SLOPE * t
-                                          + (-1.5e7 if t > 14.2 else 0.0))
-                         / (2 * math.pi) + noise * rng.standard_normal(),
-                         sigma_f=noise) for t in GRID], WINDOW)
+            Sweep(GRID, [math.sqrt(INTERCEPT + SLOPE * t + (-1.5e7 if t > 14.2 else 0.0))
+                         / (2 * math.pi) + noise * rng.standard_normal() for t in GRID],
+                  noise), WINDOW)
         big = calibrate_thermal(
-            [SweepRecord(T=t, f=math.sqrt(INTERCEPT + SLOPE * t) / (2 * math.pi)
-                         + noise * rng.standard_normal(), sigma_f=noise)
-             for t in GRID], WINDOW)
+            Sweep(GRID, [math.sqrt(INTERCEPT + SLOPE * t) / (2 * math.pi)
+                         + noise * rng.standard_normal() for t in GRID], noise), WINDOW)
         t, v, s = differential_subtract(small, big)
         above = t > 14.2
         mean = np.mean(v[above])
@@ -188,7 +202,7 @@ class TestDifferential:
 
     def test_no_overlap_rejected(self):
         small = self._residuals()
-        big = calibrate_thermal(line_records(SLOPE, INTERCEPT,
+        big = calibrate_thermal(line_sweep(SLOPE, INTERCEPT,
                                              (16.0, 16.5, 17.0, 17.5)),
                                 (16.0, 17.5))
         with pytest.raises(ValueError):
@@ -197,13 +211,13 @@ class TestDifferential:
     def test_repeated_big_gap_temperature_rejected(self):
         small = self._residuals()
         grid = (13.2, 13.3, 13.3, 13.4, 14.3)
-        big = calibrate_thermal(line_records(SLOPE, INTERCEPT, grid), (13.0, 13.5))
+        big = calibrate_thermal(line_sweep(SLOPE, INTERCEPT, grid), (13.0, 13.5))
         with pytest.raises(ValueError, match="repeats the temperature 13.3 K"):
             differential_subtract(small, big)
 
     def test_quadrature_combination_smaller_than_additive(self):
-        records = line_records(SLOPE, INTERCEPT, GRID, sigma_f=4.7e-3)
-        resid = calibrate_thermal(records, WINDOW)
+        sweep = line_sweep(SLOPE, INTERCEPT, GRID, sigma_f=4.7e-3)
+        resid = calibrate_thermal(sweep, WINDOW)
         add = differential_subtract(resid, resid, combine="add")
         quadr = differential_subtract(resid, resid, combine="quadrature")
         assert (quadr[2] < add[2]).all()
@@ -211,7 +225,7 @@ class TestDifferential:
     def test_sigma_past_the_float_range_is_inf(self):
         # 8 pi^2 f sigma_f overflows at sigma_f = 1e305, its square at 1e160
         for sigma_f, add_is_inf in ((1e160, False), (1e305, True)):
-            resid = calibrate_thermal(line_records(SLOPE, INTERCEPT, GRID, sigma_f=sigma_f),
+            resid = calibrate_thermal(line_sweep(SLOPE, INTERCEPT, GRID, sigma_f=sigma_f),
                                       WINDOW)
             add = differential_subtract(resid, resid, combine="add")
             quadr = differential_subtract(resid, resid, combine="quadrature")
@@ -221,12 +235,12 @@ class TestDifferential:
     @pytest.mark.parametrize("combine", ["add", "quadrature"])
     def test_equals_the_per_point_loop(self, combine):
         for seed in range(8):
-            records = [generate_sweep(SweepTruth(slope=slope, intercept=INTERCEPT,
-                                                 jump=jump, Tc=14.2, noise_f=4.7e-3,
-                                                 grid=GRID), seed=seed + k)
-                       for k, (slope, jump) in enumerate(((SLOPE, -1.5e7), (-2.6e7, 0.0)))]
-            small, rows = per_point_reduction(*records, WINDOW, combine)
-            resid = [calibrate_thermal(r, WINDOW) for r in records]
+            sweeps = [generate_sweep(SweepTruth(slope=slope, intercept=INTERCEPT,
+                                                jump=jump, Tc=14.2, noise_f=4.7e-3,
+                                                grid=GRID), seed=seed + k)
+                      for k, (slope, jump) in enumerate(((SLOPE, -1.5e7), (-2.6e7, 0.0)))]
+            small, rows = per_point_reduction(*sweeps, WINDOW, combine)
+            resid = [calibrate_thermal(sweep, WINDOW) for sweep in sweeps]
             # the reference rows, unzipped into columns
             assert [resid[0].T.tolist(), resid[0].dw2.tolist(),
                     resid[0].sigma.tolist()] == [list(c) for c in zip(*small)]
@@ -236,7 +250,7 @@ class TestDifferential:
     def test_first_outside_point_is_named(self):
         small = self._residuals()
         for big_grid, first in ((GRID[6:-7], GRID[0]), (GRID[:-7], GRID[-7])):
-            big = calibrate_thermal(line_records(SLOPE, INTERCEPT, big_grid), WINDOW)
+            big = calibrate_thermal(line_sweep(SLOPE, INTERCEPT, big_grid), WINDOW)
             with pytest.raises(ValueError, match=f"small-gap point at {first} K lies"):
                 differential_subtract(small, big)
 
@@ -549,18 +563,21 @@ class TestDynesFit:
             fit = dynes_fit(points, T=4.6)
             assert fit.Delta == pytest.approx(DYNES_REF.Delta, rel=0.02)
 
-    def test_one_conductance_call_per_residual(self, monkeypatch):
+    def test_one_conductance_call_per_new_gap_and_broadening(self, monkeypatch):
+        # G = A N(V; Delta, gamma) is linear in A: a residual at a (Delta, gamma) the fit
+        # has evaluated, as the A column of each Jacobian is, scales that N again
         points = synthetic_conductance(DYNES_REF, noise=0.01, seed=0)
         biases, residuals = [], []
         conductance, least_squares = analysis.dynes_conductance, _trf.least_squares
 
         def counted_conductance(V, p):
             biases.append(np.array(V, copy=True))
+            assert p.A == 1.0  # the amplitude-free conductance
             return conductance(V, p)
 
         def counted_least_squares(fun, *args, **kwargs):
             def counted_fun(theta):
-                residuals.append(len(biases))
+                residuals.append((len(biases), theta[:2].tobytes()))
                 return fun(theta)
             return least_squares(counted_fun, *args, **kwargs)
 
@@ -568,11 +585,16 @@ class TestDynesFit:
         monkeypatch.setattr(_trf, "least_squares", counted_least_squares)
         dynes_fit(points, T=4.6)
         assert len(residuals) > 3
-        # the n-th residual evaluation starts after n conductance calls
-        assert residuals == list(range(len(residuals)))
-        assert len(biases) == len(residuals)
+        # the n-th residual evaluation starts after one call per new (Delta, gamma) before it
+        keys = [key for _, key in residuals]
+        new = [key not in keys[:n] for n, key in enumerate(keys)]
+        assert [calls for calls, _ in residuals] == [sum(new[:n]) for n in range(len(new))]
+        assert len(biases) == sum(new) == len(set(keys)) < len(residuals)
         for v in biases:
             assert v.tobytes() == np.array([p[0] for p in points]).tobytes()
+        # nothing outlives the fit: the same fit again calls as often again
+        dynes_fit(points, T=4.6)
+        assert len(biases) == 2 * sum(new)
 
     def test_start_whose_gap_squares_to_zero_is_refused(self, monkeypatch):
         # every bias times 1e-200: the starting gap, about 3e-203 eV, squares to 0,
@@ -710,6 +732,47 @@ class TestTrustRegionSolver:
         assert len(runs) == 32
         assert all(ours[3] for (ours, _), _ in runs)
 
+    def test_every_frozen_pool_fit_is_scipys_on_the_plain_residual(self, monkeypatch):
+        # dynes_fit's residual scales a kept amplitude-free conductance; scipy's solver runs
+        # on the residual with no reuse, from the same start, bounds and scaled data
+        from scipy.optimize import least_squares
+
+        runs = []
+
+        def both(fun, x0, lb, ub, tol, max_nfev):
+            ours = SOLVE(fun, x0, lb, ub, tol, max_nfev)
+            g = -fun(np.array([x0[0], x0[1], 0.0]))  # the residual at A = 0 is -G
+
+            def plain(theta):
+                delta, gamma, a = theta
+                return dynes_conductance(bias, DynesParams(delta, gamma, 4.6, A=a)) - g
+
+            theirs = least_squares(plain, x0, bounds=(lb, ub), max_nfev=max_nfev,
+                                   xtol=tol, ftol=tol, gtol=tol)
+            runs.append([(r.x.tobytes(), r.nfev) for r in (ours, theirs)])
+            return ours
+
+        monkeypatch.setattr(_trf, "least_squares", both)
+        for seed in range(32):
+            points = pool_curve(seed)
+            bias = np.array([v for v, _ in points])  # ascending: the fit's own order
+            dynes_fit(points, T=4.6)
+        assert len(runs) == 32
+        assert all(ours == theirs for ours, theirs in runs)
+
+    def test_frozen_pool_fits_count_their_conductance_calls(self, monkeypatch):
+        # 996 residual evaluations, one conductance call each before the A column of a
+        # Jacobian reused its base point's conductance; 244 Jacobians reuse it now
+        calls, residuals = [], []
+        conductance, least_squares = analysis.dynes_conductance, _trf.least_squares
+        monkeypatch.setattr(analysis, "dynes_conductance",
+                            lambda V, p: calls.append(1) or conductance(V, p))
+        monkeypatch.setattr(_trf, "least_squares", lambda fun, *args, **kwargs: least_squares(
+            lambda theta: residuals.append(1) or fun(theta), *args, **kwargs))
+        for seed in range(32):
+            dynes_fit(pool_curve(seed), T=4.6)
+        assert (len(residuals), len(calls)) == (996, 752)
+
     def test_fits_that_reflect_at_a_bound_are_scipys(self, monkeypatch):
         # a small gamma under a few percent of noise is driven to its lower bound
         rng, runs = np.random.default_rng(4), []
@@ -761,8 +824,8 @@ class TestGenerateSweep:
     def test_deterministic(self):
         truth = SweepTruth(slope=SLOPE, intercept=INTERCEPT, jump=-1.5e7,
                            Tc=14.2, noise_f=4.7e-3, grid=GRID)
-        assert generate_sweep(truth, seed=42) == generate_sweep(truth, seed=42)
-        assert generate_sweep(truth, seed=42) != generate_sweep(truth, seed=43)
+        assert columns(generate_sweep(truth, seed=42)) == columns(generate_sweep(truth, seed=42))
+        assert columns(generate_sweep(truth, seed=42)) != columns(generate_sweep(truth, seed=43))
 
     def test_noiseless_zero_jump_calibrates_flat(self):
         truth = SweepTruth(slope=SLOPE, intercept=INTERCEPT, jump=0.0,
@@ -783,7 +846,7 @@ class TestGenerateSweep:
         rng = np.random.default_rng(42)
         expected = [math.sqrt(INTERCEPT + SLOPE * t + (-1.5e7 if t > 14.2 else 0.0))
                     / (2.0 * math.pi) + 4.7e-3 * rng.standard_normal() for t in GRID]
-        assert [r.f for r in generate_sweep(truth, seed=42)] == expected
+        assert generate_sweep(truth, seed=42).f.tolist() == expected
 
     def test_first_non_positive_omega_squared_is_named(self):
         truth = SweepTruth(slope=-INTERCEPT / 13.9, intercept=INTERCEPT, jump=0.0,
@@ -846,9 +909,9 @@ class TestSweepPipeline:
             sweep_pipeline(*pair, (14.3, 14.2), small_gap)
 
     def test_no_point_above_the_window_refused(self, small_gap):
-        records = line_records(SLOPE, INTERCEPT, GRID[:21])  # 13.175 to 14.175 K
+        sweep = line_sweep(SLOPE, INTERCEPT, GRID[:21])  # 13.175 to 14.175 K
         with pytest.raises(ValueError, match="^no differential points above the fit window$"):
-            sweep_pipeline(records, records, WINDOW, small_gap)
+            sweep_pipeline(sweep, sweep, WINDOW, small_gap)
 
     def test_conversion_attached(self, small_gap):
         jump = dw2_from_gradient(12.1e3, small_gap)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import subprocess
 import sys
 import time
@@ -384,6 +385,24 @@ class TestMain:
         assert values["gamma"] == pytest.approx(unscaled.gamma, rel=1e-9)
         assert values["A"] / 1e308 == pytest.approx(unscaled.A, rel=1e-9)
 
+    @pytest.mark.parametrize("args", [["tables", "--format", "csv"],
+                                      ["noise", "--f0", "3.5e5", "--q", "7e5",
+                                       "--noise-to-signal", "0.02", "--tau", "0.2"]],
+                             ids=["tables", "noise"])
+    def test_closed_stdout_exits_141_quietly(self, args):
+        # the pipe's reader is gone before the command writes: that is no bad file (3),
+        # and the flush at exit prints no "Exception ignored" on stderr
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run([sys.executable, "-m", "sccasimir.cli", *args],
+                                    cwd=Path(sccasimir.__file__).resolve().parent.parent,
+                                    stdout=write, stderr=subprocess.PIPE, text=True,
+                                    timeout=60)
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (141, "")
+
     @pytest.mark.parametrize("command", [["pressure", "--d", "190e-9", "--t", "4"],
                                          ["jump"]], ids=["pressure", "jump"])
     def test_every_relaxation_energy_gives_a_value_or_one_error(self, runner, command):
@@ -759,6 +778,25 @@ class TestSweepPipelineCommands:
                                       "--window", "13.0", "14.19", "--format", "csv", *args])
         assert result.exit_code == 0
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha
+
+    def test_report_does_not_depend_on_the_row_order(self, runner, tmp_path, monkeypatch):
+        # the calibration sorts each sweep by T; the report names its files, --out does not
+        monkeypatch.chdir(tmp_path)
+        reports = []
+        for shuffle in (False, True):
+            for name, seed, args in (("small.csv", 1, ["--jump-gradient", "12.1e3"]),
+                                     ("big.csv", 50_001, ["--membrane", "big"])):
+                assert runner.invoke(main, ["generate-sweep", "--out", name, "--noise-f",
+                                            "0.0047", "--seed", str(seed), *args]).exit_code == 0
+                header, *rows = Path(name).read_text().splitlines()
+                if shuffle:
+                    rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+                Path(name).write_text("\n".join([header, *rows]) + "\n")
+            result = runner.invoke(main, ["sweep", "--small", "small.csv", "--big", "big.csv",
+                                          "--window", "13.2", "14.19", "--out", "report.csv"])
+            assert result.exit_code == 0
+            reports.append((result.stdout, Path("report.csv").read_bytes()))
+        assert reports[0] == reports[1]
 
     def test_jump_gradient_flag(self, runner, tmp_path):
         path = tmp_path / "s.csv"

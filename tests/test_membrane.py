@@ -3,11 +3,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sccasimir.errors import FitError, ParseError
 from sccasimir.physcore import CONSTANTS, MembraneSpec, read_csv
 from sccasimir.membrane import (
-    SweepRecord,
+    Sweep,
     cte_alpha,
     dw2_from_gradient,
     frequency_noise,
@@ -260,9 +261,27 @@ class TestFrequencyNoise:
             frequency_noise(0.0, 1e5, 0.01, 0.1)
 
 
-# sweep, conductance and voltage-sweep files share one header-checked reader
+def columns(sweep):
+    """A sweep's columns as lists, to compare value for value."""
+    return [sweep.T.tolist(), sweep.f.tolist(), sweep.sigma_f.tolist()]
+
+
+def per_point_rule(T, f, sigma_f):
+    """The message of the first rule one sweep point breaks, in the order each
+    point was checked alone: non-finite fields first, or None for a good point."""
+    for name, value in (("T", T), ("f", f), ("sigma_f", sigma_f)):
+        if not math.isfinite(value):
+            return f"{name} must be finite, got {value}"
+    for name, value, broken in (("T", T, T <= 0.0), ("f", f, f <= 0.0)):
+        if broken:
+            return f"{name} must be > 0, got {value}"
+    return f"sigma_f must be >= 0, got {sigma_f}" if sigma_f < 0.0 else None
+
+
+# sweep, conductance and voltage-sweep files share one header-checked reader;
+# a sweep is read as its temperature column
 READERS = [
-    ("T_K,f_Hz", load_sweep_csv),
+    ("T_K,f_Hz", lambda path: load_sweep_csv(path).T),
     ("V_volt,G_arb", lambda path: read_csv(path, ("V_volt", "G_arb"))),
     ("V_volt,f_Hz", lambda path: read_csv(path, ("V_volt", "f_Hz"))),
 ]
@@ -272,23 +291,22 @@ class TestSweepCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "sweep.csv"
         path.write_text("T_K,f_Hz,sigma_f_Hz\n4.5,352800.1,0.005\n5.0,352799.9,0.004\n")
-        records = load_sweep_csv(path)
-        assert records == [SweepRecord(4.5, 352800.1, 0.005),
-                           SweepRecord(5.0, 352799.9, 0.004)]
+        assert columns(load_sweep_csv(path)) == [[4.5, 5.0], [352800.1, 352799.9],
+                                                 [0.005, 0.004]]
 
     def test_q_column_is_ignored(self, tmp_path):
         path = tmp_path / "sweep.csv"
         rows = ["4.5,352800.1,0.005", "5.0,352799.9,0.004"]
         path.write_text("T_K,f_Hz,sigma_f_Hz\n" + "\n".join(rows) + "\n")
-        three = load_sweep_csv(path)
+        three = columns(load_sweep_csv(path))
         path.write_text("T_K,f_Hz,sigma_f_Hz,Q\n"
                         + "\n".join(f"{row},7.2e5" for row in rows) + "\n")
-        assert load_sweep_csv(path) == three
+        assert columns(load_sweep_csv(path)) == three
 
     def test_minimal_header(self, tmp_path):
         path = tmp_path / "sweep.csv"
         path.write_text("T_K,f_Hz\n4.5,352800.0\n")
-        assert load_sweep_csv(path)[0].sigma_f == 0.0
+        assert load_sweep_csv(path).sigma_f.tolist() == [0.0]
 
     def test_refused_record_reports_line(self, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -346,17 +364,70 @@ class TestSweepCsv:
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
-            SweepRecord(T=-1.0, f=1e5)
+            Sweep(T=[-1.0], f=[1e5], sigma_f=0.0)
         with pytest.raises(ValueError):
-            SweepRecord(T=4.0, f=1e5, sigma_f=-0.1)
+            Sweep(T=[4.0], f=[1e5], sigma_f=-0.1)
         with pytest.raises(ValueError, match="^f must be > 0, got 0.0$"):
-            SweepRecord(T=4.0, f=0.0)
+            Sweep(T=[4.0], f=[0.0], sigma_f=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["T", "f", "sigma_f"])
     def test_record_refuses_non_finite_fields(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            SweepRecord(**{"T": 4.0, "f": 1e5, "sigma_f": 0.1, name: value})
+            Sweep(**{"T": [4.0], "f": [1e5], "sigma_f": [0.1], name: [value]})
+
+    def test_columns_are_read_only_copies(self):
+        T = np.array([4.0, 5.0])
+        sweep = Sweep(T, [1e5, 2e5], 0.1)  # a scalar sigma_f is every point's
+        T[0] = 6.0
+        assert columns(sweep) == [[4.0, 5.0], [1e5, 2e5], [0.1, 0.1]]
+        for column in (sweep.T, sweep.f, sweep.sigma_f):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        with pytest.raises(ValueError, match="inhomogeneous shape"):
+            Sweep(T, [1e5], 0.0)
+
+    # a fixed sequence of examples (derandomize) and no example database; every
+    # example writes the same file afresh, so tmp_path may outlive one
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_columns_refuse_the_first_point_the_per_point_rule_refuses(self, data, tmp_path):
+        n = data.draw(st.integers(1, 12), label="points")
+        points = [[4.0 + i, 352800.0 + i, 0.005] for i in range(n)]
+        # values each field's rule refuses; -0.0 is refused as T or f, accepted as sigma_f
+        not_positive = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]
+        negative = [math.nan, math.inf, -math.inf, -1e-3, -0.0]
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="bad points"):
+            j = data.draw(st.integers(0, 2), label="field")
+            points[i][j] = data.draw(st.sampled_from(negative if j == 2 else not_positive),
+                                     label="value")
+        messages = [per_point_rule(*point) for point in points]
+        first = next((i for i, message in enumerate(messages) if message), None)
+        T, f, sigma_f = zip(*points)
+        if first is None:
+            assert columns(Sweep(T, f, sigma_f)) == [list(T), list(f), list(sigma_f)]
+        else:
+            with pytest.raises(ValueError) as err:
+                Sweep(T, f, sigma_f)
+            assert (str(err.value), err.value.point) == (messages[first], first)
+        if not all(map(math.isfinite, T + f + sigma_f)):
+            return  # the reader refuses a non-finite field itself, tested above
+        # blank lines between the rows: a refused point is named by its line in the file
+        blanks = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="blanks")
+        lines, numbers = ["T_K,f_Hz,sigma_f_Hz"], []
+        for point, blank in zip(points, blanks):
+            lines += [""] * blank + [",".join(map(repr, point))]
+            numbers.append(len(lines))
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(lines) + "\n")
+        if first is None:
+            assert columns(load_sweep_csv(path)) == [list(T), list(f), list(sigma_f)]
+            return
+        with pytest.raises(ParseError) as err:
+            load_sweep_csv(path)
+        line = numbers[first]
+        assert (str(err.value), err.value.line) == (f"line {line}: {messages[first]}", line)
 
 
 def _mp_oracles(m, draw):

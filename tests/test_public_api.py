@@ -14,7 +14,7 @@ PACKAGE = {
     "Basis", "CONSTANTS", "Constants", "ConvergenceError", "ConversionFactors",
     "DielectricModel", "DynesParams", "FitError", "LifshitzSpec", "MembraneSpec",
     "ModelKind", "ParseError", "PlatePlate", "QuadratureConfig", "SpherePlate",
-    "SuperconductorParams", "SweepRecord", "SweepTruth", "ZeroFreqApproach", "bcs",
+    "SuperconductorParams", "Sweep", "SweepTruth", "ZeroFreqApproach", "bcs",
     "bcs_g", "bcs_gap", "big_gap_membrane", "calibrate_thermal", "casimir_pressure",
     "casimir_pressure_gradient", "classical_terms", "condensate_fraction",
     "convert_fem", "cte_alpha", "differential_subtract", "drude", "dw2_from_gradient",
@@ -56,7 +56,7 @@ MODULE_ALL = {
         "condensate_fraction", "effective_plasma_frequency", "bcs_g", "permittivity_iw",
     ],
     membrane: [
-        "SweepRecord", "load_sweep_csv", "fundamental_frequency", "dw2_from_gradient",
+        "Sweep", "load_sweep_csv", "fundamental_frequency", "dw2_from_gradient",
         "gradient_from_dw2", "predicted_frequency_jump", "LcpdResult", "lcpd_fit",
         "static_deflection", "cte_alpha", "frequency_noise",
     ],
@@ -131,6 +131,10 @@ def test_matsubara_reuse_has_one_owner():
 # 2,550 again: one memoised l >= 1 series shared by every prescription, with no block
 # memo (-4); a gap law that is not > 0 below Tc refused, and the condensate fraction and
 # the pairing kernel quiet for a gap that vanishes against kB T (+4)
+# 2,550 again: a sweep as three read-only columns validated as arrays, the Dynes residual
+# rescaling a kept amplitude-free conductance, and exit 141 for a closed stdout (+22);
+# docstrings of the functions this touched, and of the cli and both modules, rewrapped
+# to the code's width, and the sweep headers as prefixes of one row (-22)
 SRC_LINE_BUDGET = 2550
 
 
