@@ -254,7 +254,7 @@ def dynes_fit(points, T: float) -> DynesParams:
     bias range.  The solver is trust-region reflective within bounds on all three
     (``_trf``), a NumPy port of scipy's ``least_squares(method='trf')`` that returns its
     results bit for bit; scipy is not needed.  G = A N(V; Delta, gamma): the residual
-    rescales the N of its last three (Delta, gamma), so a Jacobian's A column calls none.
+    rescales N of the last three (Delta, gamma), so a Jacobian's A column computes no N.
     """
     vg = np.asarray(points, dtype=float).reshape(len(points), 2)  # refuses non-pairs
     if len(vg) < 20:
