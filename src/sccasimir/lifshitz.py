@@ -1,21 +1,18 @@
 """Casimir pressure and pressure gradient between identical parallel slabs.
 
-The pressure is evaluated as a primed Matsubara sum (the ``l = 0`` term
-carries weight one half) of a transverse-momentum integral over both field
-polarizations.  With the substitution ``y = 2 d q`` the pressure and its
-separation derivative take the dimensionless forms
+The pressure is evaluated as a primed Matsubara sum (the ``l = 0`` term carries weight one
+half) of a transverse-momentum integral over both field polarizations.  With the substitution
+``y = 2 d q`` the pressure and its separation derivative take the dimensionless forms
 
     P  = -(kB T / 8 pi d^3) Sum'_l  Int y^2 [t_a/(1 - t_a) + ...] dy
     P' = +(kB T / 8 pi d^4) Sum'_l  Int y^3 [t_a/(1 - t_a)^2 + ...] dy
 
-where ``t_a = r_a^2 exp(-y)`` and ``r_a`` are the Fresnel reflection
-coefficients at imaginary frequency.  The ``l = 0`` transverse-electric
-coefficient is prescription dependent (the Drude, plasma, and
-superconducting-plasma pairings differ only there); all ``l >= 1`` terms
-form one series, for every prescription, with the model's dynamic permittivity.
+where ``t_a = r_a^2 exp(-y)`` and ``r_a`` are the Fresnel reflection coefficients at
+imaginary frequency.  The ``l = 0`` transverse-electric coefficient is prescription dependent
+(the Drude, plasma, and superconducting-plasma pairings differ only there); all ``l >= 1``
+terms form one series, for every prescription, with the model's dynamic permittivity.
 
-Negative pressure means attraction; the gradient of an attractive
-power-law pressure is positive.
+Negative pressure means attraction; an attractive power-law pressure has a positive gradient.
 """
 
 from __future__ import annotations
@@ -81,9 +78,10 @@ class ZeroFreqApproach(enum.Enum):
 class QuadratureConfig:
     """Stopping rule and cap of the Matsubara sum: 3 terms in a row below ``term_stop_rel`` of
     the running total of the ``l >= 1`` series from the static TM term, shared by every
-    prescription, stop it.  No index above the cap is evaluated, and a sum that stops with
-    ``truncation_bound >= 1`` is not converged.  Its momentum integrals take no tolerance:
-    each is a fixed rule (``_RULES``), checked to 1e-9 against adaptive quadrature."""
+    prescription, stop it.  The cap is an integer >= 1, not a bool, and no index above it is
+    evaluated; a sum that stops with ``truncation_bound >= 1`` is not converged.  Its momentum
+    integrals take no tolerance: each is a fixed rule (``_RULES``), checked to 1e-9 against
+    adaptive quadrature."""
 
     term_stop_rel: float = 1e-10     # per-term stopping ratio
     max_matsubara: int = 100_000     # hard cap on the mode index
@@ -92,8 +90,10 @@ class QuadratureConfig:
         # a ratio of 1 or more marks every term small
         if not 0.0 < self.term_stop_rel < 1.0:
             raise ValueError(f"term_stop_rel must be in (0, 1), got {self.term_stop_rel}")
-        if self.max_matsubara < 1:
-            raise ValueError("max_matsubara must be >= 1")
+        cap = self.max_matsubara  # 2.5 would sum 3 terms and nan fail inside the sum; an
+        # integer's type has __index__, as operator.index requires: numpy's integers pass
+        if isinstance(cap, bool) or not hasattr(type(cap), "__index__") or cap < 1:
+            raise ValueError(f"max_matsubara must be an integer >= 1, got {cap!r}")
 
 
 def _check_d_t(d: float, T: float) -> None:
@@ -197,15 +197,15 @@ def _momentum_rule(d: float, xi_first: float):
     return _RULES[np.searchsorted(_RULE_STARTS, 2.0 * d * (float(xi_first) / _HBAR_C), "right")]
 
 
-# y^power Sum_r t/(1 - t)^(power - 1), t = r^2 exp(-y): every term's
-# integrand, computed in place in the reflection arrays, which it overwrites
-def _integrand(y, power: int, *reflections):
-    e = np.exp(-y)
+# y^power Sum_r t/(1 - t)^(power - 1), t = r^2 e, e = exp(-y), y^power by products: every
+# term's integrand, computed in place in the reflection arrays and returned in e (overwritten)
+def _integrand(y, power: int, *reflections, e):
     for t in reflections:
         t *= t
         t *= e
-        t /= (1.0 - t) ** (power - 1)
-    return np.multiply(y ** power, sum(reflections[1:], reflections[0]), out=e)
+        t /= 1.0 - t if power == 2 else (1.0 - t) ** 2
+    y_power = y * y if power == 2 else y * y * y
+    return np.multiply(y_power, sum(reflections[1:], reflections[0]), out=e)
 
 
 def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
@@ -222,11 +222,10 @@ def _static_te_integral(d: float, omega_eff: float, power: int) -> float:
     if y_p > 1e-300:
         y, weights = _graded(min(1e-3, 0.25 * y_p), _STATIC_RULE)
         with np.errstate(divide="ignore", invalid="ignore"):
-            term = float(np.dot(weights, _integrand(y, power, _static_te(y, y_p))))
+            term = float(np.dot(weights, _integrand(y, power, _static_te(y, y_p), e=np.exp(-y))))
         if math.isfinite(term):
             return term
-    raise ValueError(f"static TE term is not finite at d = {d} m, "
-                     f"omega_eff = {omega_eff} eV")
+    raise ValueError(f"static TE term is not finite at d = {d} m, omega_eff = {omega_eff} eV")
 
 
 def _dynamic_integrals(d: float, xi, eps, power: int, nodes, weights) -> np.ndarray:
@@ -235,12 +234,16 @@ def _dynamic_integrals(d: float, xi, eps, power: int, nodes, weights) -> np.ndar
     of ``xi[0]`` picks (``_momentum_rule``).  Against adaptive quadrature at ``epsrel`` 1e-13
     it agrees to 1e-9 relative (worst seen 1.5e-11) for d in [50 nm, 5 um], T in [0.1, 20] K,
     Drude, plasma and BCS responses of dirty and clean films, both powers, ``y0`` up to 50
-    (200 on the Laguerre rules) and the last term of a full block.  A term that overflows (the
-    permittivity or ``eps * q`` at tiny T, or ``y**power`` at huge T) is non-finite, quietly."""
+    (200 on the Laguerre rules) and the last term of a full block.  The Bose factor exp(-y) is
+    the outer product exp(-y0) exp(-u), within 2 ulp of exp(-(y0 + u)) and 0 past the float
+    range; a term that overflows (the permittivity or ``eps * q`` at tiny T, or ``y**power``
+    at huge T) is non-finite, quietly."""
     with np.errstate(over="ignore", invalid="ignore"):
         x = xi[:, None] / _HBAR_C
-        y = 2.0 * d * x + nodes
-        terms = _integrand(y, power, *_fresnel(eps[:, None], y * (0.5 / d), x))
+        y0 = 2.0 * d * x
+        y = y0 + nodes
+        terms = _integrand(y, power, *_fresnel(eps[:, None], y * (0.5 / d), x),
+                           e=np.exp(-y0) * np.exp(-nodes))  # once Fresnel's temporaries go
         # each row in one order, unlike a BLAS matvec: no bit depends on where a block starts
         return np.einsum("ij,j->i", terms, weights)
 
@@ -261,22 +264,26 @@ def _static_te_omega(spec: LifshitzSpec) -> float:
 @lru_cache(maxsize=16)
 def _series(model: DielectricModel, T: float, d: float, power: int, quad: QuadratureConfig):
     pref = CONSTANTS.kB_J * T / (8.0 * math.pi * d ** (power + 1))
-    rel, tol = quad.term_stop_rel, _ABS_TOL_PRESSURE if power == 2 else -math.inf  # P only
     total, window, stops, l = 0.5 * _STATIC_TM[power], np.zeros(2, bool), [], 0
     while not len(stops) and l < quad.max_matsubara:
-        nodes, weights = _momentum_rule(d, matsubara_frequency(l + 1, T))
-        xi = matsubara_frequency(np.arange(l + 1, min(l + _PAIRS // len(nodes),
-                                                      quad.max_matsubara) + 1), T)
+        # the energies of the longest block (8 nodes): the first picks the rule, which sizes it
+        xi = matsubara_frequency(np.arange(l, min(l + _PAIRS // 8, quad.max_matsubara)) + 1, T)
+        nodes, weights = _momentum_rule(d, xi[0])
+        xi = xi[:_PAIRS // len(nodes)]
         block = _dynamic_integrals(d, xi, permittivity_iw(model, xi, T), power, nodes, weights)
-        if not np.isfinite(block).all():
+        # running totals in place, added in sequence as term by term, so no value depends on
+        # the blocks; a non-finite term makes every later total non-finite, the last one too
+        size, block[0] = np.abs(block), total + block[0]
+        if not math.isfinite(np.cumsum(block, out=block)[-1]):
             raise ValueError(f"Matsubara terms overflow at T = {T} K, d = {d} m")
-        # sequential running totals, as term by term, so no value depends on the blocks; a
-        # stop ends a run of 3 small terms among this block's terms and the two before them
-        totals, size = np.cumsum(np.append(total, block))[1:], np.abs(block)
-        window = np.append(window[-2:], (size <= rel * np.abs(totals)) | (pref * size <= tol))
+        # a stop ends a run of 3 small terms among this block's terms and the two before them
+        small = size <= quad.term_stop_rel * np.abs(block)
+        if power == 2:  # the absolute stop: P' has none
+            small |= pref * size <= _ABS_TOL_PRESSURE
+        window = np.concatenate((window[-2:], small))
         stops = np.flatnonzero(window[:-2] & window[1:-1] & window[2:])
         n = int(stops[0]) + 1 if len(stops) else len(size)
-        total, last = float(totals[n - 1]), float(size[n - 1])
+        total, last = float(block[n - 1]), float(size[n - 1])
         l += n
     return total, l, last, bool(len(stops))
 
@@ -309,11 +316,9 @@ def casimir_pressure(spec: LifshitzSpec) -> float:
 
 
 def casimir_pressure_gradient_detail(spec: LifshitzSpec) -> LifshitzDetail:
-    """Separation derivative of the pressure in Pa/m, with diagnostics.
-
-    Evaluated from the closed-form derivative of the Matsubara sum, not by
-    numerical differencing; positive for attractive power-law pressures.
-    """
+    """Separation derivative of the pressure in Pa/m, with diagnostics: the closed-form
+    derivative of the Matsubara sum, not numerical differencing; positive for attractive
+    power-law pressures."""
     return _matsubara_sum(spec, power=3)
 
 
@@ -323,12 +328,9 @@ def casimir_pressure_gradient(spec: LifshitzSpec) -> float:
 
 
 def classical_terms(d: float, T: float) -> tuple[float, float]:
-    """Closed-form classical (static transverse-magnetic) contributions.
-
-    Returns ``(P_tm0, Pprime_cl)``: the universal static pressure term
-    ``-kB T zeta(3) / (8 pi d^3)`` and its separation derivative
-    ``3 kB T zeta(3) / (8 pi d^4)``.
-    """
+    """Closed-form classical (static transverse-magnetic) contributions ``(P_tm0, Pprime_cl)``:
+    the universal static pressure term ``-kB T zeta(3) / (8 pi d^3)`` and its separation
+    derivative ``3 kB T zeta(3) / (8 pi d^4)``."""
     _check_d_t(d, T)
     amp = CONSTANTS.kB_J * T * CONSTANTS.zeta3 / (8.0 * math.pi)
     return -amp / d ** 3, 3.0 * amp / d ** 4
@@ -374,10 +376,8 @@ class SpherePlate:
 def ideal_casimir_force(geometry) -> float:
     """Zero-temperature force magnitude in N between perfect conductors.
 
-    Plate-plate: ``pi^2 hbar c A / (240 d^4)``; sphere-plate (proximity
-    force approximation): ``pi^3 hbar c R / (360 d^3)``.  A force outside
-    the normal float range is a ``ValueError``.
-    """
+    Plate-plate: ``pi^2 hbar c A / (240 d^4)``; sphere-plate (proximity force approximation):
+    ``pi^3 hbar c R / (360 d^3)``.  A force outside the normal float range is a ValueError."""
     hbar_c = CONSTANTS.hbar_Js * CONSTANTS.c
     if isinstance(geometry, PlatePlate):
         force = math.pi ** 2 * hbar_c * geometry.area / (240.0 * geometry.d ** 4)

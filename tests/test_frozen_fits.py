@@ -19,6 +19,7 @@ BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(BENCH))
 
 import workloads  # noqa: E402
+from sccasimir import lifshitz, permittivity  # noqa: E402
 
 REFERENCE = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
 
@@ -100,6 +101,36 @@ def test_every_engine_sum_keeps_its_term_count(workload):
     ops = [op for op in workloads.build(workload, 0, False, None)
            if op.key.startswith(("gradient[", "pressure["))]
     assert {op.key: op.run()["n_terms"] for op in ops} == TERM_COUNTS[workload]
+
+
+# the work of each workload's engine sums, from cold memos with its operations in order, as
+# a pass runs them: blocks of l >= 1 terms and (term, node) pairs of their momentum integrals
+WORK = {
+    "normal_state": (238, 1_461_528),
+    "temperature_scan": (26, 159_336),
+    "jump_all": (10, 61_440),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORK))
+def test_every_workload_keeps_its_work(workload, monkeypatch):
+    lifshitz._series.cache_clear()
+    permittivity._g_decade.cache_clear()
+    pairs, energies, permittivities = [], [], []
+    integrals, frequency, eps = (lifshitz._dynamic_integrals, lifshitz.matsubara_frequency,
+                                 lifshitz.permittivity_iw)
+    monkeypatch.setattr(lifshitz, "_dynamic_integrals", lambda d, xi, e, power, nodes, w:
+                        pairs.append(len(xi) * len(nodes))
+                        or integrals(d, xi, e, power, nodes, w))
+    monkeypatch.setattr(lifshitz, "matsubara_frequency", lambda l, T:
+                        energies.append(l) or frequency(l, T))
+    monkeypatch.setattr(lifshitz, "permittivity_iw", lambda model, xi, T:
+                        permittivities.append(xi) or eps(model, xi, T))
+    for op in workloads.build(workload, 0, False, None):
+        op.run()
+    assert (len(pairs), sum(pairs)) == WORK[workload]
+    # one array of energies and one of permittivities per block
+    assert len(energies) == len(permittivities) == len(pairs)
 
 
 def test_every_frozen_sweep_is_reproduced(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -7,6 +8,7 @@ import warnings
 from dataclasses import replace
 from itertools import combinations, takewhile
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -590,6 +592,79 @@ class TestMomentumRule:
         assert len(nodes) == len(weights) == n_nodes
 
 
+class TestMomentumArithmetic:
+    """The Bose factor exp(-y) of every l >= 1 term is the outer product exp(-y0) exp(-u) of
+    the photon edge and the rule's nodes, and the integrand raises y to its power by products."""
+
+    D = 190e-9
+
+    def bose_factor(self, monkeypatch, y0s, nodes, weights):
+        """The Bose factor ``_dynamic_integrals`` hands the integrand on the rule ``(nodes,
+        weights)`` for a block whose edges are ``y0s``, and the block's terms."""
+        seen, integrand = [], lifshitz._integrand
+        monkeypatch.setattr(lifshitz, "_integrand", lambda y, power, *rest, e:
+                            seen.append(e.copy()) or integrand(y, power, *rest, e=e))
+        xi = np.array([energy_at_edge(self.D, y0) for y0 in y0s])
+        terms = _dynamic_integrals(self.D, xi, np.full(len(xi), 2.0), 3, nodes, weights)
+        return (2.0 * self.D * (xi / CONSTANTS.hbar_c_eVm)).tolist(), seen[0], terms
+
+    def test_bose_factor_is_within_2_ulps_of_40_digits(self, monkeypatch):
+        worst = 0.0
+        for nodes, weights in lifshitz._RULES:
+            y0s, e, _ = self.bose_factor(monkeypatch, np.geomspace(1e-9, 700.0, 40), nodes,
+                                         weights)
+            with mpmath.workdps(40):
+                for y0, row in zip(y0s, e.tolist()):
+                    for u, got in zip(nodes.tolist(), row):
+                        exact = mpmath.exp(-(mpmath.mpf(y0) + mpmath.mpf(u)))
+                        ulps = abs(mpmath.mpf(got) - exact) / np.spacing(float(exact))
+                        worst = max(worst, float(ulps))
+        assert worst <= 2.0
+
+    @pytest.mark.parametrize("nodes, weights", [lifshitz._RULES[0], lifshitz._RULES[-1]],
+                             ids=["48-graded", "8-laguerre"])
+    def test_bose_factor_past_the_float_range_is_zero_quietly(self, monkeypatch, nodes,
+                                                              weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, e, terms = self.bose_factor(monkeypatch, [746.0, 800.0, 1e4], nodes, weights)
+        assert not e.any()
+        assert np.array_equal(terms, np.zeros(3))
+
+    @pytest.mark.parametrize("detail", [casimir_pressure_detail,
+                                        casimir_pressure_gradient_detail],
+                             ids=["P", "Pprime"])
+    def test_nan_edge_is_refused_as_an_overflow(self, sc_params, monkeypatch, cold_memo,
+                                                detail):
+        monkeypatch.setattr(lifshitz, "matsubara_frequency",
+                            lambda l, T: np.full(np.shape(l), math.nan))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^Matsubara terms overflow"):
+                detail(LifshitzSpec(d=self.D, T=4.0, model=drude(sc_params)))
+
+    def test_integrand_is_the_power_form(self):
+        # y on every rule's nodes from edges 1e-9 to 50, and reflections drawn as the
+        # Fresnel coefficients lie: r_te in [-1, 0], r_tm in [0, 1]
+        rng = np.random.default_rng(11)
+        y = np.geomspace(1e-9, 50.0, 30)[:, None] + np.concatenate(
+            [nodes for nodes, _ in lifshitz._RULES])
+        e = np.exp(-y)
+        r_te, r_tm = -rng.uniform(0.0, 1.0, y.shape), rng.uniform(0.0, 1.0, y.shape)
+        t_te, t_tm = r_te ** 2 * e, r_tm ** 2 * e
+
+        def integrand(power):
+            return lifshitz._integrand(y, power, r_te.copy(), r_tm.copy(), e=e.copy())
+
+        # P: bit for bit the y**2 t/(1 - t) form
+        assert np.array_equal(integrand(2), y ** 2 * (t_te / (1.0 - t_te) + t_tm / (1.0 - t_tm)))
+        # P': y * y * y, within 1 ulp of y**3, times the t/(1 - t)**2 form
+        cube = y * y * y
+        assert np.all(np.abs(cube - y ** 3) <= np.spacing(y ** 3))
+        assert np.array_equal(integrand(3), cube * (t_te / (1.0 - t_te) ** 2
+                                                    + t_tm / (1.0 - t_tm) ** 2))
+
+
 class TestEngine:
     @pytest.mark.parametrize("detail, power", [
         (casimir_pressure_detail, 2), (casimir_pressure_gradient_detail, 3),
@@ -779,6 +854,34 @@ class TestEngine:
                 QuadratureConfig(term_stop_rel=rel)
         with pytest.raises(ValueError):
             QuadratureConfig(max_matsubara=0)
+
+    # a cap is a count of terms: 2.5 summed 3 terms, nan failed inside the sum and True
+    # was a cap of 1; each is refused by name, as is any other value that is no integer
+    @pytest.mark.parametrize("cap", [2.5, math.nan, True, False, np.float64(5.0), "5", None],
+                             ids=["2.5", "nan", "True", "False", "float64", "str", "None"])
+    def test_cap_that_is_not_an_integer_is_refused(self, cap):
+        with pytest.raises(ValueError, match="^max_matsubara must be an integer >= 1, got "
+                                             + re.escape(repr(cap)) + "$"):
+            QuadratureConfig(max_matsubara=cap)
+
+    # criterion 6's ideal-conductor sum: capped at 5 and 40, or run to its 43,364 terms
+    @pytest.mark.parametrize("cap, n_terms", [(5, 5), (40, 40), (500_000, 43_364)])
+    def test_integer_caps_sum_as_before(self, cold_memo, cap, n_terms):
+        def run(cap):
+            cold_memo()
+            spec = LifshitzSpec(d=500e-9, T=0.1, model=plasma(SuperconductorParams(Omega=1e4)),
+                                approach=ZeroFreqApproach.PLASMA_PLASMA,
+                                quad=QuadratureConfig(1e-8, cap))
+            try:
+                return casimir_pressure_detail(spec), True
+            except ConvergenceError as err:
+                return err.detail, False
+        detail, converged = run(cap)
+        assert (detail.n_terms, converged) == (n_terms, cap == 500_000)
+        assert run(np.int64(cap)) == (detail, converged)
+        if converged:
+            ideal = -math.pi ** 2 * CONSTANTS.hbar_Js * CONSTANTS.c / (240.0 * 500e-9 ** 4)
+            assert detail.value == pytest.approx(ideal, rel=0.01)
 
 
 def assert_prescriptions_differ_by_static_te(d, T, model, power):

@@ -4,6 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, simpson
 
 from sccasimir import permittivity
@@ -435,6 +436,20 @@ class TestPermittivity:
         grid = np.geomspace(1e-4, 10.0, 60)
         values = [permittivity_iw(model, xi, 0.5 * sc_params.Tc) for xi in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    # eps_l does not rise with the Matsubara index l, which a tail bound of the sum by its
+    # last term relies on.  Indices 1 to 20,000 at T from 10 mK to just below Tc: every BCS
+    # draw crosses xi_c = 10 Delta(T) from the kernel to the Chebyshev tables (10 mK puts
+    # 3,972 energies under it).  A fixed sequence of examples and no example database
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(make=st.sampled_from([drude, plasma, bcs]),
+           gamma0=st.sampled_from([SuperconductorParams().gamma0, P_MEV.gamma0]),
+           log_t=st.floats(math.log10(0.01), math.log10(TC * (1.0 - 1e-6))))
+    def test_matsubara_permittivities_do_not_rise(self, make, gamma0, log_t):
+        T = min(10.0 ** log_t, TC * (1.0 - 1e-6))
+        xi = matsubara_frequency(np.arange(1, 20_001), T)
+        eps = permittivity_iw(make(SuperconductorParams(gamma0=gamma0)), xi, T)
+        assert np.all(np.diff(eps) <= 0.0)
 
     def test_small_xi_plasma_singularity(self, sc_params):
         # xi^2 (eps - 1) approaches the squared effective plasma energy;

@@ -135,6 +135,9 @@ def test_matsubara_reuse_has_one_owner():
 # rescaling a kept amplitude-free conductance, and exit 141 for a closed stdout (+22);
 # docstrings of the functions this touched, and of the cli and both modules, rewrapped
 # to the code's width, and the sweep headers as prefixes of one row (-22)
+# 2,550 again: one energy array per block, running totals in place and the factored Bose
+# factor (+8), and a cap that is not an integer refused (+3); lifshitz's module docstring
+# and four of its docstrings and messages rewrapped to the code's width (-11)
 SRC_LINE_BUDGET = 2550
 
 
