@@ -190,7 +190,7 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
     inside; returns the step, in x and in hat variables, and its predicted
     reduction."""
     if np.all((x + p >= lb) & (x + p <= ub)):
-        return p, p_h, -_quadratic(J_h, g_h, p_h, diag_h)
+        return p, p_h, -sum(_quadratic_1d(J_h, g_h, p_h, diag_h))
     p_stride, hits = _step_to_bound(x, p, lb, ub)
     r_h = np.copy(p_h)
     r_h[hits.astype(bool)] *= -1
@@ -217,7 +217,7 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
         r_value = np.inf
     p *= theta
     p_h *= theta
-    p_value = _quadratic(J_h, g_h, p_h, diag_h)
+    p_value = sum(_quadratic_1d(J_h, g_h, p_h, diag_h))
 
     ag_h = -g_h
     ag = d * ag_h
@@ -262,17 +262,10 @@ def _step_to_bound(x, s, lb, ub):
     return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)
 
 
-def _quadratic(J, g, s, diag):
-    """``0.5 s (J^T J + diag) s + g s``."""
-    Js = J.dot(s)
-    q = np.dot(Js, Js)
-    q += np.dot(s * diag, s)
-    return 0.5 * q + np.dot(s, g)
-
-
 def _quadratic_1d(J, g, s, diag, s0=None):
-    """The coefficients a, b (and with ``s0``, c) of ``_quadratic`` on the
-    line ``s0 + t s``, as ``a t^2 + b t + c``."""
+    """The coefficients a, b (and with ``s0``, c) of ``0.5 s (J^T J + diag) s
+    + g s`` on the line ``s0 + t s``, as ``a t^2 + b t + c``; without ``s0``,
+    ``a + b`` is its value at ``s``."""
     v = J.dot(s)
     a = np.dot(v, v)
     a += np.dot(s * diag, s)

@@ -20,6 +20,7 @@ from .physcore import (
     MembraneSpec,
     SuperconductorParams,
     _FILE_KEYS,
+    _finite_pairs,
     _require_finite,
 )
 
@@ -255,8 +256,9 @@ def dynes_fit(points, T: float) -> DynesParams:
     (``_trf``), a NumPy port of scipy's ``least_squares(method='trf')`` that returns its
     results bit for bit; scipy is not needed.  G = A N(V; Delta, gamma): the residual
     rescales N of the last three (Delta, gamma), so a Jacobian's A column computes no N.
+    A point that is not finite is refused first, as a ValueError naming its index.
     """
-    vg = np.asarray(points, dtype=float).reshape(len(points), 2)  # refuses non-pairs
+    vg = _finite_pairs(points, ("V_volt", "G_arb"))
     if len(vg) < 20:
         raise FitError(f"need >= 20 points, got {len(vg)}")
     v, g = vg[np.argsort(vg[:, 0], kind="stable")].T  # in bias order
@@ -271,8 +273,8 @@ def dynes_fit(points, T: float) -> DynesParams:
     outer = g[np.abs(v) >= 0.8 * span]  # holds the endpoint at |v| = span
     e = np.frexp(np.abs(outer).max())[1]  # the mean of outer / 2^e cannot overflow
     a0 = float(np.ldexp(np.mean(np.ldexp(outer, -e)), e))
-    if not 0.0 < a0 < math.inf:
-        raise FitError(f"the mean outer conductance {a0:.3g} is not positive and finite")
+    if not a0 > 0.0:  # finite, as every point is
+        raise FitError(f"the mean outer conductance {a0:.3g} is not positive")
     k = round(math.log2(a0))  # the tolerances are absolute: fit G / 2^k, with A near 1
     if np.frexp(np.abs(g).max())[1] - k > 1024:  # the largest |G| / 2^k overflows
         raise FitError(f"|G_arb| = {np.abs(g).max():.3g} overflows against the mean outer "

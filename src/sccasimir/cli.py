@@ -103,20 +103,19 @@ _model_options = [
     _approach_option,
 ]
 
-_sc_options = [
+# the tail of every engine command: the film, the Matsubara sum and the rendering
+_engine_options = [
     click.option("--config", "config_path", type=click.Path(), default=None,
                  help=f"Flat key=value file; ${_CONFIG_ENV} is used when unset."),
     click.option("--omega", type=float, default=None, help="Plasma energy, eV."),
     click.option("--gamma0", type=float, default=None, help="Relaxation energy, eV."),
     click.option("--rrr", type=float, default=None, help="Residual resistance ratio."),
     click.option("--tc", type=float, default=None, help="Critical temperature, K."),
-]
-
-_quad_options = [
     click.option("--term-stop", type=float, default=QuadratureConfig.term_stop_rel,
                  show_default=True, help="Per-term stopping ratio of the Matsubara sum."),
     click.option("--max-matsubara", type=int, default=QuadratureConfig.max_matsubara,
                  show_default=True, help="Hard cap on the Matsubara index."),
+    _format_option,
 ]
 
 _membrane_options = [
@@ -179,9 +178,7 @@ def main():
 @click.option("--ideal-zero-t", is_flag=True,
               help="Closed-form zero-temperature perfect-conductor pressure.")
 @click.option("--skip-exponent", is_flag=True, help="Do not evaluate the local exponent.")
-@_add_options(_sc_options)
-@_add_options(_quad_options)
-@_format_option
+@_add_options(_engine_options)
 def pressure(d, temperature, ideal, area, radius, ideal_zero_t, skip_exponent, fmt,
              **spec_options):
     """Casimir pressure, gradient, and local power-law exponent."""
@@ -216,9 +213,7 @@ def _single_value_command(name, evaluator, doc):
     @click.option("--t", "--T", "temperature", type=float, required=True,
                   help="Temperature, K.")
     @_add_options(_model_options)
-    @_add_options(_sc_options)
-    @_add_options(_quad_options)
-    @_format_option
+    @_add_options(_engine_options)
     def command(d, temperature, fmt, **spec_options):
         spec, header = _spec(name, d, temperature, **spec_options)
         _emit(header, evaluator(spec), fmt)
@@ -247,9 +242,7 @@ _single_value_command(
 @click.option("--f0", type=float, default=None,
               help="Resonance frequency for the predicted shift, Hz "
                    "(defaults to the membrane fundamental).")
-@_add_options(_sc_options)
-@_add_options(_quad_options)
-@_format_option
+@_add_options(_engine_options)
 def jump(d, dt, approach, all_approaches, preset, membrane_config, f0, term_stop,
          max_matsubara, fmt, **film):
     """Pressure-gradient change across the transition and the predicted

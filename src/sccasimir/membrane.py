@@ -16,7 +16,7 @@ import numpy as np
 from numpy.exceptions import RankWarning
 
 from .errors import FitError, ParseError
-from .physcore import CONSTANTS, MembraneSpec, read_csv
+from .physcore import CONSTANTS, MembraneSpec, _finite_pairs, read_csv
 
 __all__ = [
     "Sweep",
@@ -124,9 +124,10 @@ def lcpd_fit(points, m: MembraneSpec) -> LcpdResult:
     model, so no iteration bias): the apex abscissa gives the compensation
     voltage, the apex frequency the stress, and the curvature
     ``-eps0 / (4 pi^2 rho h d^3)`` the density.  The geometry fields
-    (L, h, d, Y_ratio) of ``m`` are used; its sigma/rho are ignored.
+    (L, h, d, Y_ratio) of ``m`` are used; its sigma/rho are ignored.  A point that is
+    not finite is refused first, as a ValueError naming its index.
     """
-    v, f = np.asarray(points, dtype=float).reshape(len(points), 2).T  # refuses non-pairs
+    v, f = _finite_pairs(points, ("V_volt", "f_Hz")).T
     if len(v) < 5:
         raise FitError(f"need at least 5 points, got {len(v)}")
     if len(np.unique(v)) < 3:

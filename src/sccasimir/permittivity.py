@@ -71,13 +71,13 @@ def bcs(params: SuperconductorParams = SuperconductorParams()) -> DielectricMode
 
 
 def bcs_gap(T: float, p: SuperconductorParams) -> float:
-    """Closed-form temperature-dependent pairing gap in eV.
+    """Closed-form temperature-dependent pairing gap in eV at a finite ``T`` >= 0 K.
 
     ``Delta(T) = c1 kB Tc sqrt(1 - T/Tc) (c2 + c3 T/Tc)``, zero at and
     above the transition.
     """
-    if T < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {T} K")
+    if not 0.0 <= T < math.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {T} K")
     if T >= p.Tc:
         return 0.0
     t = T / p.Tc
@@ -161,12 +161,12 @@ def bcs_g(xi: float, T: float, p: SuperconductorParams) -> float:
     covered by a fixed composite Gauss-Legendre rule with 16 nodes per panel: a first
     panel [0, a] with ``a = min(Delta, sqrt(Delta xi)) / 4``, then panels that double in
     width, the last one ending at the cut-off.  The integrand is evaluated once, as one
-    array over all nodes.  Returns 0 at and above the transition.  ``xi`` > 0 is in eV
-    (the static term is the Lifshitz module's) and ``T`` >= 0 in K.  Pure and uncached:
+    array over all nodes.  Returns 0 at and above the transition.  Finite ``xi`` > 0 is in eV
+    (the static term is the Lifshitz module's) and finite ``T`` >= 0 in K.  Pure and uncached:
     ``permittivity_iw`` calls it under ``10 Delta`` and at the nodes of its tables above.
     """
-    if xi <= 0.0:
-        raise ValueError(f"bcs_g requires xi > 0, got {xi}")
+    if not 0.0 < xi < math.inf:
+        raise ValueError(f"bcs_g requires finite xi > 0, got {xi}")
     delta = bcs_gap(T, p)
     if delta == 0.0:
         return 0.0
@@ -218,17 +218,18 @@ def _g_decade(T: float, p: SuperconductorParams, k: int) -> tuple[float, ...]:
 def permittivity_iw(model: DielectricModel, xi, T: float) -> float | np.ndarray:
     """Dielectric function at imaginary frequency ``i*xi``; real and >= 1.
 
-    An array ``xi`` gives one value per energy, as scalar calls do, bit for bit.
-    ``T`` only matters for BCS: below Tc, g is ``bcs_g`` under ``10 Delta(T)`` and
-    read from ``_g_decade`` above; at and above Tc BCS is Drude, bit for bit.
+    An array ``xi`` gives one value per energy, as scalar calls do, bit for bit.  ``xi`` > 0
+    and ``T`` >= 0 must be finite; ``T`` only matters for BCS: below Tc, g is ``bcs_g`` under
+    ``10 Delta(T)`` and read from ``_g_decade`` above; at and above Tc BCS is Drude, bit for bit.
     """
     x = np.asarray(xi, dtype=float)
-    if (x <= 0.0).any():
-        raise ValueError(f"permittivity requires xi > 0, got {x.min()}")
-    p = model.params
-    paired = model.kind is ModelKind.BCS and bcs_gap(T, p) != 0.0
+    ok = (x > 0.0) & (x < math.inf)  # nan fails both
+    if not ok.all():
+        raise ValueError(f"permittivity requires finite xi > 0, got {x[~ok].flat[0]}")
+    p, gap = model.params, bcs_gap(T, model.params)  # T is refused for every model
+    paired = model.kind is ModelKind.BCS and gap != 0.0
     if paired:
-        u = np.log10(x) - math.log10(10.0 * bcs_gap(T, p))  # log10(xi / xi_c)
+        u = np.log10(x) - math.log10(10.0 * gap)  # log10(xi / xi_c)
         k, g = np.floor(u), np.zeros_like(u)
         g[u < 0.0] = [bcs_g(v, T, p) for v in x[u < 0.0].tolist()]
         for j in set(k[u >= 0.0].tolist()):  # one Chebyshev table per decade

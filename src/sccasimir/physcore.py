@@ -61,12 +61,13 @@ CONSTANTS = Constants()
 
 def matsubara_frequency(l, T: float) -> float | np.ndarray:
     """Thermal (Matsubara) energy ``2 pi l kB T`` in eV of the mode index ``l`` >= 0,
-    an int or an array of them (``l = 0`` gives exactly 0), at ``T`` > 0 K."""
+    a finite int or an array of them (``l = 0`` gives exactly 0), at finite ``T`` > 0 K."""
     ls = np.asarray(l)
-    if (ls < 0).any():
-        raise ValueError(f"Matsubara index must be >= 0, got {ls.min()}")
-    if T <= 0.0:
-        raise ValueError(f"temperature must be positive, got {T} K")
+    ok = (ls >= 0) & (ls < math.inf)  # nan fails both
+    if not ok.all():
+        raise ValueError(f"Matsubara index must be finite and >= 0, got {ls[~ok].flat[0]}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {T} K")
     xi = 2.0 * math.pi * ls * CONSTANTS.kB_eV * T
     return float(xi) if ls.ndim == 0 else xi
 
@@ -74,6 +75,14 @@ def matsubara_frequency(l, T: float) -> float | np.ndarray:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
+
+
+# points as an (n, 2) float array, refusing the first that is not finite by index and values
+def _finite_pairs(points, names: tuple[str, str]) -> np.ndarray:
+    pairs = np.asarray(points, dtype=float).reshape(len(points), 2)  # refuses non-pairs
+    for i in np.flatnonzero(~np.isfinite(pairs).all(axis=1))[:1].tolist():
+        raise ValueError(f"point {i} is not finite: {dict(zip(names, pairs[i].tolist()))}")
+    return pairs
 
 
 def _require_finite(record) -> None:

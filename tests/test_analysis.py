@@ -1,22 +1,25 @@
 import bisect
 import cmath
+import hashlib
 import math
 from collections import namedtuple
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import sccasimir
 from sccasimir import _trf, analysis
 from sccasimir.errors import FitError, ParseError
 from sccasimir.membrane import Sweep, dw2_from_gradient
-from test_membrane import columns
+from test_membrane import columns, poison
 from sccasimir.physcore import CONSTANTS, Basis, ConversionFactors, read_csv
 from sccasimir.analysis import (
     CalibratedResiduals,
@@ -818,6 +821,44 @@ class TestTrustRegionSolver:
         assert len(runs) == 6
         assert all(ours[1] <= max_nfev for (ours, _), _ in runs)
         assert any(ours[1] == max_nfev and not ours[3] for (ours, _), _ in runs)
+
+
+class TestDynesFitInputs:
+    """Non-finite points and temperatures are refused before the fit starts, as a
+    ValueError with no warning; the frozen pool fits keep their bits."""
+
+    # a fixed sequence of examples (derandomize) and no example database
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_a_point_that_is_not_finite_is_refused_first(self, data):
+        # from 1 point on: a curve too short to fit is refused for its point first; the
+        # index is the point's place as given, not in bias order
+        n = data.draw(st.integers(1, 33), label="points")
+        curve = pool_curve(0)[:n]
+        if data.draw(st.booleans(), label="reversed"):
+            curve.reverse()
+        points, message = poison(data, curve, ("V_volt", "G_arb"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                dynes_fit(points, T=4.6)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+    def test_a_temperature_that_is_not_finite_is_refused(self, T):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^T must be finite, got {T}$"):
+                dynes_fit(pool_curve(0), T=T)
+
+    def test_the_frozen_pool_fits_keep_their_bits(self):
+        # the digest was taken before non-finite points were refused
+        digest = hashlib.sha256()
+        for seed in range(32):
+            fit = dynes_fit(pool_curve(seed), T=4.6)
+            digest.update(np.array([fit.Delta, fit.gamma, fit.A]).tobytes())
+        assert digest.hexdigest() == \
+            "1a7dae13743964c014e015b9c02afc03294e5118f2d2e3b3204c49993c48d442"
 
 
 class TestGenerateSweep:

@@ -636,8 +636,11 @@ class TestMomentumArithmetic:
                              ids=["P", "Pprime"])
     def test_nan_edge_is_refused_as_an_overflow(self, sc_params, monkeypatch, cold_memo,
                                                 detail):
+        # permittivity_iw refuses a nan energy itself, so a stub lets the nan reach the sum
         monkeypatch.setattr(lifshitz, "matsubara_frequency",
                             lambda l, T: np.full(np.shape(l), math.nan))
+        monkeypatch.setattr(lifshitz, "permittivity_iw",
+                            lambda model, xi, T: np.full(np.shape(xi), 2.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^Matsubara terms overflow"):

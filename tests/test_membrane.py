@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -91,6 +93,18 @@ def synthetic_voltage_sweep(m, v0, n=201, span=(-0.75, 1.25), noise=0.0, seed=No
         rng = np.random.default_rng(seed)
         f = f * (1.0 + noise * rng.standard_normal(n))
     return list(zip(v, f))
+
+
+def poison(data, points, names):
+    """``points`` as lists with 1 to 3 drawn fields set to nan or +-inf, and the message
+    that refuses the first point that is not finite, with its fields under ``names``."""
+    points = [[float(x) for x in point] for point in points]
+    for i in data.draw(st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=3),
+                       label="bad points"):
+        points[i][data.draw(st.integers(0, 1), label="field")] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
+    first = next(i for i, point in enumerate(points) if not all(map(math.isfinite, point)))
+    return points, f"point {first} is not finite: {dict(zip(names, points[first]))}"
 
 
 class TestLcpdFit:
@@ -200,6 +214,31 @@ class TestLcpdFit:
         points = [(v, 1e5 + 1e4 * v * v) for v in np.linspace(-1, 1, 21)]
         with pytest.raises(FitError):
             lcpd_fit(points, small_gap)
+
+    # a fixed sequence of examples (derandomize) and no example database
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_a_point_that_is_not_finite_is_refused_first(self, data, small_gap):
+        # from 1 point on: a sweep too short to fit is refused for its point first
+        n = data.draw(st.integers(1, 41), label="points")
+        points, message = poison(data, synthetic_voltage_sweep(small_gap, 0.2572, n=n),
+                                 ("V_volt", "f_Hz"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                lcpd_fit(points, small_gap)
+        assert str(err.value) == message
+
+    def test_finite_sweeps_keep_their_bits(self, small_gap):
+        # eight noisy sweeps; the digest was taken before non-finite points were refused
+        digest = hashlib.sha256()
+        for seed in range(8):
+            r = lcpd_fit(synthetic_voltage_sweep(small_gap, 0.2572, n=41, noise=1e-6,
+                                                 seed=seed), small_gap)
+            digest.update(np.array([r.V0, r.V0_err, r.sigma, r.sigma_err, r.rho,
+                                    r.rho_err]).tobytes())
+        assert digest.hexdigest() == \
+            "72c1b1f9496337caf900d6f489f1358d85952678c091539a6a3f6d44b685f800"
 
 
 class TestStaticDeflection:

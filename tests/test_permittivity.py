@@ -1,5 +1,7 @@
+import hashlib
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, simpson
 
-from sccasimir import permittivity
+from sccasimir import lifshitz, permittivity
 from sccasimir.physcore import CONSTANTS, SuperconductorParams, matsubara_frequency
 from sccasimir.permittivity import (
     bcs,
@@ -31,6 +33,7 @@ G_AT_GAP_HALF_TC_MEV = 0.10314678206075656       # gamma0 = 0.465e-3 eV
 
 P_MEV = SuperconductorParams(gamma0=0.465e-3)
 TC = SuperconductorParams().Tc
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def pairing_integrand(eps, xi, delta, gamma, kT):
@@ -517,3 +520,62 @@ class TestPermittivity:
         # float arithmetic overflows to inf; so does the array form, silently
         assert permittivity_iw(plasma(sc_params), 1e-310, 10.0) == math.inf
         assert np.isinf(permittivity_iw(drude(sc_params), np.array([1e-320, 1.0]), 10.0)[0])
+
+
+class TestNonFiniteArguments:
+    """nan and +-inf are refused in every argument of the kernel functions, as a ValueError
+    that names the value and with no warning; finite arguments keep their bits."""
+
+    # (function, argument) pairs: the index l and the permittivity's energy may be arrays
+    POSITIONS = [("bcs_gap", "T"), ("matsubara_frequency", "l"), ("matsubara_frequency", "T"),
+                 ("bcs_g", "xi"), ("bcs_g", "T"), ("permittivity_iw", "xi"),
+                 ("permittivity_iw", "T")]
+
+    # a fixed sequence of examples (derandomize) and no example database
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_nan_or_inf_in_any_argument_is_refused_quietly(self, data):
+        film = data.draw(st.sampled_from([SuperconductorParams(), P_MEV]), label="film")
+        model = data.draw(st.sampled_from([drude, plasma, bcs]), label="model")(film)
+        args = {"l": data.draw(st.integers(0, 100_000), label="l"),
+                "xi": data.draw(st.floats(1e-6, 10.0), label="xi"),
+                "T": data.draw(st.floats(1e-3, 30.0), label="T")}
+        name, arg = data.draw(st.sampled_from(self.POSITIONS), label="position")
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
+        if (name, arg) in (("matsubara_frequency", "l"), ("permittivity_iw", "xi")) and \
+                data.draw(st.booleans(), label="array"):
+            values = np.full(data.draw(st.integers(1, 8), label="length"), float(args[arg]))
+            values[data.draw(st.integers(0, len(values) - 1), label="at")] = bad
+            args[arg] = values
+        else:
+            args[arg] = bad
+        call = {"bcs_gap": lambda: bcs_gap(args["T"], film),
+                "matsubara_frequency": lambda: matsubara_frequency(args["l"], args["T"]),
+                "bcs_g": lambda: bcs_g(args["xi"], args["T"], film),
+                "permittivity_iw": lambda: permittivity_iw(model, args["xi"], args["T"])}[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"got {bad}( K)?$"):
+                call()
+
+    def test_finite_arguments_keep_their_bits(self, monkeypatch):
+        # every energy and permittivity of the temperature_scan workload's sums, from cold
+        # memos: BCS below Tc through the kernel and its tables, Drude above.  The digest
+        # was taken before nan and inf were refused (x86-64, numpy 2.4)
+        monkeypatch.syspath_prepend(str(BENCH))
+        import workloads
+
+        lifshitz._series.cache_clear()
+        permittivity._g_decade.cache_clear()
+        digest, eps = hashlib.sha256(), lifshitz.permittivity_iw
+
+        def recorded(model, xi, T):
+            value = eps(model, xi, T)
+            digest.update(xi.tobytes() + value.tobytes())
+            return value
+
+        monkeypatch.setattr(lifshitz, "permittivity_iw", recorded)
+        for op in workloads.build("temperature_scan", 0, False, None):
+            op.run()
+        assert digest.hexdigest() == \
+            "7515b30dc5045c387715cfe4f35712157dce04857d76778d6b9af08f80f97e32"
